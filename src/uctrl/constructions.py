@@ -17,11 +17,14 @@ import numpy as np
 
 from . import linalg as la
 from .linalg import RegisterLayout
-from .model import ID, INV, FixedStep, OracleAlgorithm, QueryStep
+from .model import ID, INV, FixedStep, OracleAlgorithm, QueryStep, oracle_stack
 
 CHI_MAX_D = 5
 NEUTRALISER_MAX_D = 4
 ROOT_TOL = 1e-8
+# names a ComposedRootEvaluator resolves on its template program
+_TEMPLATE_ATTRS = frozenset({"oracle_dim", "layout", "dims", "total_dim", "h_factors",
+                             "h_dim", "out_factors", "k_out_factors"})
 
 
 def chi_state(d: int) -> np.ndarray:
@@ -266,46 +269,28 @@ class ComposedRootEvaluator:
     inner: OracleAlgorithm
     name: str = "root-composed"
 
-    @property
-    def oracle_dim(self) -> int:
-        return self.d
-
-    @property
-    def layout(self) -> RegisterLayout:
-        return self.inner.layout
-
-    @property
-    def dims(self):
-        return self.inner.dims
-
-    @property
-    def total_dim(self) -> int:
-        return self.inner.total_dim
-
-    @property
-    def h_factors(self):
-        return self.inner.h_factors
-
-    @property
-    def h_dim(self) -> int:
-        return self.inner.h_dim
-
-    @property
-    def out_factors(self):
-        return self.inner.out_factors
-
-    @property
-    def k_out_factors(self):
-        return self.inner.k_out_factors
+    def __getattr__(self, attr: str):
+        # the register bookkeeping is the template's; reached only for names
+        # the evaluator does not define itself
+        if attr in _TEMPLATE_ATTRS:
+            return getattr(self.inner, attr)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
 
     def _root_of(self, u: np.ndarray) -> np.ndarray:
-        w = self.root(np.asarray(u, dtype=complex))
+        """The root map applied oracle by oracle; a stack's unitarity and
+        d-th powers are checked in one vectorised pass each."""
+        us, stacked = oracle_stack(u, self.d)
+        if stacked:  # name the bad index before the root map sees one oracle
+            la.require_unitary(us, what="oracle")
+        w = np.stack([self.root(x) for x in us])
         acc = np.eye(self.d, dtype=complex)
         for _ in range(self.d):
             acc = acc @ w
-        if la.spectral_norm(acc - u) > ROOT_TOL:
-            raise ValueError("root map did not return a d-th root of the oracle")
-        return w
+        bad = np.flatnonzero(~(la.spectral_norm(acc - us) <= ROOT_TOL))
+        if bad.size:
+            where = f" at index {bad[0]}" if stacked else ""
+            raise ValueError(f"root map did not return a d-th root of the oracle{where}")
+        return w if stacked else w[0]
 
     def apply_cols(self, u: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.inner.apply_cols(self._root_of(u), cols)

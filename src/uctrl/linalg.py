@@ -25,7 +25,8 @@ SYM_MINOR_MAX = 5
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
 
 
 def require_square(m: np.ndarray, what: str = "matrix") -> int:
@@ -40,9 +41,19 @@ def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
 
 
 def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL, what: str = "matrix") -> np.ndarray:
+    """``m`` as a complex array, checked unitary.  A stack (B, n, n) is
+    checked matrix by matrix in one vectorised pass, and the error names the
+    first index that fails."""
     m = np.asarray(m, dtype=complex)
-    if not is_unitary(m, tol):
-        raise ValueError(f"{what} is not unitary to tolerance {tol}")
+    if m.ndim != 3:
+        if not is_unitary(m, tol):
+            raise ValueError(f"{what} is not unitary to tolerance {tol}")
+        return m
+    if m.shape[1] != m.shape[2]:
+        raise ValueError(f"{what} must be a stack of square matrices, got shape {m.shape}")
+    bad = np.flatnonzero(~(spectral_norm(dagger(m) @ m - np.eye(m.shape[1])) <= tol))
+    if bad.size:
+        raise ValueError(f"{what} at index {bad[0]} is not unitary to tolerance {tol}")
     return m
 
 
@@ -52,8 +63,11 @@ def basis_state(dim: int, i: int) -> np.ndarray:
     return v
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value of an arbitrary (possibly rectangular) matrix."""
+def spectral_norm(m: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of an arbitrary (possibly rectangular) matrix;
+    for a stack (..., r, c) the array of each matrix's value."""
+    if m.ndim > 2:
+        return np.linalg.norm(m, 2, axis=(-2, -1))
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
@@ -137,14 +151,21 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_targets(op: np.ndarray, targets, dims) -> tuple[int, ...]:
+def target_dim(targets, dims) -> int:
+    """Dimension spanned by the listed factors, which must be distinct
+    factors of the layout ``dims``."""
     targets = tuple(int(t) for t in targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate targets {targets}")
     for t in targets:
         if not 0 <= t < len(dims):
             raise ValueError(f"target {t} outside layout of {len(dims)} factors")
-    tdim = int(np.prod([dims[t] for t in targets])) if targets else 1
+    return math.prod(dims[t] for t in targets)
+
+
+def check_targets(op: np.ndarray, targets, dims) -> tuple[int, ...]:
+    targets = tuple(int(t) for t in targets)
+    tdim = target_dim(targets, dims)
     n = require_square(op, "embedded operator")
     if n != tdim:
         raise ValueError(f"operator dimension {n} does not match target dims (product {tdim})")

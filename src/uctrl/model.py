@@ -92,25 +92,30 @@ class OracleAlgorithm:
         self.validate()
 
     def validate(self):
-        dims = self.layout.dims
+        """Check every step and the projector, and compile the step plan that
+        ``apply_cols`` runs: targets are checked here, never per call."""
+        dims = self.dims
+        ops = []
         for s in self.steps:
             if isinstance(s, FixedStep):
-                la.require_unitary(s.op, what=f"fixed step in {self.name}")
-                la.check_targets(s.op, s.targets, dims)
+                op = la.require_unitary(s.op, what=f"fixed step in {self.name}")
+                ops.append((op, la.check_targets(op, s.targets, dims)))
             else:
-                sub = self.layout.subdim(s.targets)
+                sub = la.target_dim(s.targets, dims)
                 if sub != self.oracle_dim:
                     raise ValueError(
                         f"query targets {s.targets} span dimension {sub}, "
                         f"expected oracle dimension {self.oracle_dim}"
                     )
+                ops.append((s.letter, tuple(int(t) for t in s.targets)))
         if self.projector is not None:
             p, targets = self.projector
-            la.check_targets(p, targets, dims)
+            ops.append((np.asarray(p, dtype=complex), la.check_targets(p, targets, dims)))
             if la.spectral_norm(p @ p - p) > la.UNITARY_TOL or la.spectral_norm(p - la.dagger(p)) > la.UNITARY_TOL:
                 raise ValueError(f"projector of {self.name} is not an orthogonal projector")
         if self.task_out is not None and self.layout.subdim(self.task_out) != self.h_dim:
             raise ValueError("output task registers do not match the task space dimension")
+        self._plan = _compile(dims, ops)
 
     # -- register bookkeeping ------------------------------------------------
 
@@ -150,19 +155,43 @@ class OracleAlgorithm:
     # -- evaluation ----------------------------------------------------------
 
     def apply_cols(self, u: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Apply the program at oracle u to a block of full-space columns."""
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (self.oracle_dim, self.oracle_dim):
-            raise ValueError(f"oracle must be {self.oracle_dim}x{self.oracle_dim}, got {u.shape}")
-        la.require_unitary(u, what="oracle")
-        dims = self.dims
-        out = np.asarray(cols, dtype=complex)
-        for s in self.steps:
-            op = s.op if isinstance(s, FixedStep) else s.letter.apply(u)
-            out = la.apply_to_factors(out, op, s.targets, dims)
-        if self.projector is not None:
-            out = la.apply_to_factors(out, self.projector[0], self.projector[1], dims)
-        return out
+        """Apply the program at oracle u to a block of full-space columns.
+
+        ``u`` is one (d, d) oracle or a stack (B, d, d); ``cols`` is a column
+        (N,), a block (N, k) shared by every oracle, or per-oracle blocks
+        (B, N, k).  A stack gives a leading batch axis on the output.  Every
+        step is one batched product over the whole stack, and a single
+        oracle is the stack of one.
+        """
+        us, stacked = oracle_stack(u, self.oracle_dim)
+        la.require_unitary(us if stacked else us[0], what="oracle")
+        x = np.asarray(cols, dtype=complex)
+        single = x.ndim == 1
+        if single:
+            x = x[:, None]
+        if x.ndim == 2:
+            x = x[None]
+        elif x.ndim != 3 or not stacked or x.shape[0] != len(us):
+            raise ValueError(f"columns of shape {x.shape} do not fit {len(us)} oracles")
+        if x.shape[1] != self.total_dim:
+            raise ValueError(f"columns must have {self.total_dim} rows, got shape {x.shape}")
+        k = x.shape[2]
+        stages, final = self._plan
+        t = x.reshape(len(x), *self.dims, k)
+        for st in stages:
+            if st.perm is not None:
+                t = t.transpose(st.perm)
+            op = st.op if st.letter is None else st.letter.apply(us)
+            t = np.matmul(op, t.reshape(len(t), st.n, st.rest * k))
+            t = t.reshape(len(t), *st.shape, k)
+        if final is not None:
+            t = t.transpose(final)
+        out = t.reshape(len(t), self.total_dim, k)
+        if len(out) != len(us):  # no query touched per-oracle data
+            out = np.repeat(out, len(us), axis=0)
+        if not stacked:
+            out = out[0]
+        return out[..., 0] if single else out
 
     def eval(self, u: np.ndarray) -> np.ndarray:
         """Full implemented operator on the whole register space."""
@@ -194,6 +223,51 @@ def _digits(index: int, dims) -> list[int]:
         out.append(index % d)
         index //= d
     return list(reversed(out))
+
+
+def oracle_stack(u, d: int) -> tuple[np.ndarray, bool]:
+    """``u`` as a complex (B, d, d) stack of oracles, and whether it was given
+    as a stack: a single (d, d) oracle is the stack of one."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
+        raise ValueError(f"oracle must be {d}x{d} or a stack of them, got {u.shape}")
+    return (u, True) if u.ndim == 3 else (u[None], False)
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """One compiled step.  The state is a (batch, *factors, k) tensor; the
+    stage transposes it by ``perm`` (None when the axes are already in
+    place) so its target factors lead, multiplies those ``n`` dimensions by
+    the fixed ``op`` or by the query image of ``letter`` (``rest`` being the
+    dimension of the other factors), and leaves the factor axes in the order
+    whose dimensions are ``shape``."""
+
+    perm: tuple[int, ...] | None
+    n: int
+    rest: int
+    shape: tuple[int, ...]
+    op: np.ndarray | None
+    letter: QueryLetter | None
+
+
+def _compile(dims, ops) -> tuple[tuple[_Stage, ...], tuple[int, ...] | None]:
+    """Step plan for (operator or query letter, targets) pairs applied in
+    order, and the permutation that restores the layout's factor order."""
+    def perm(order, new):
+        p = (0,) + tuple(1 + order.index(f) for f in new) + (len(order) + 1,)
+        return None if p == tuple(range(len(p))) else p
+
+    order = list(range(len(dims)))
+    stages = []
+    for what, targets in ops:
+        new = list(targets) + [f for f in order if f not in targets]
+        letter = what if isinstance(what, QueryLetter) else None
+        n = math.prod(dims[f] for f in targets)
+        stages.append(_Stage(perm(order, new), n, math.prod(dims) // n,
+                             tuple(dims[f] for f in new), None if letter else what, letter))
+        order = new
+    return tuple(stages), perm(order, range(len(dims)))
 
 
 def out_split(alg, cols: np.ndarray) -> np.ndarray:

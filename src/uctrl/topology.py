@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg as la
-from .model import ModelViolationError, unitary_power
+from .model import ModelViolationError, oracle_stack, unitary_power
 
 STEP_BOUND = math.pi / 2
 ABS_FLOOR = 1e-12
@@ -26,59 +26,86 @@ K_MAX = 2 ** 14
 WINDING_ROUND_TOL = 0.05
 
 
-def central_loop(d: int, K: int) -> list[np.ndarray]:
-    """K samples of the global-phase loop e^{2 pi i k / K} Id in U(d)."""
+# Longest stretch of loop state evaluated at once, in complex entries: a
+# witness over K oracles needs K x (columns x total dimension) entries, so
+# long loops at d = 4 go through in slices of about 16 MB.
+SLICE_ENTRIES = 2 ** 20
+
+
+def central_loop(d: int, K: int) -> np.ndarray:
+    """K samples of the global-phase loop e^{2 pi i k / K} Id in U(d), as a
+    (K, d, d) stack."""
     if K < 16:
         raise ValueError("loop sampling needs K >= 16")
-    eye = np.eye(d, dtype=complex)
-    return [np.exp(2j * np.pi * k / K) * eye for k in range(K)]
+    phases = np.exp(2j * np.pi * np.arange(K) / K)
+    return phases[:, None, None] * np.eye(d, dtype=complex)
 
 
-def extract_h(alg, u: np.ndarray, m: int) -> complex:
+def _over_stack(witness, alg, u, m: int, width: int):
+    """``witness(alg, us, m)`` over a (d, d) oracle, giving a complex, or over
+    a (K, d, d) stack, giving K values; a stack goes through in slices of at
+    most SLICE_ENTRIES entries of ``width`` entries per oracle."""
+    if alg.layout.control_index != 0:
+        raise ValueError("phase extraction needs the control qubit as factor 0")
+    us, stacked = oracle_stack(u, alg.oracle_dim)
+    if not stacked:
+        return complex(witness(alg, us, m)[0])
+    step = max(1, SLICE_ENTRIES // width)
+    if len(us) <= step:
+        return witness(alg, us, m)
+    return np.concatenate([witness(alg, us[i:i + step], m) for i in range(0, len(us), step)])
+
+
+def _h_witness(alg, us: np.ndarray, m: int) -> np.ndarray:
+    half = alg.total_dim // 2
+    stride = half // alg.dims[1]
+    # both witness columns in one pass: |0...0> and |1> (x) (U^m)^dagger |0> (x) |0...0>
+    cols = np.zeros((len(us), alg.total_dim, 2), dtype=complex)
+    cols[:, 0, 0] = 1.0
+    cols[:, half + stride * np.arange(alg.oracle_dim), 1] = unitary_power(us, m)[:, 0, :].conj()
+    out = alg.apply_cols(us, cols)
+    return np.einsum("bi,bi->b", out[:, half:, 1].conj(), out[:, :half, 0])
+
+
+def extract_h(alg, u: np.ndarray, m: int) -> complex | np.ndarray:
     """Relative-phase witness between the control blocks of a program that
     targets the controlled m-th power; for an exact achiever it equals
-    e^{-i phi(U)} times the all-zero success probability."""
-    ctrl = alg.layout.control_index
-    if ctrl != 0:
-        raise ValueError("phase extraction needs the control qubit as factor 0")
-    half = alg.total_dim // 2
-    d = alg.oracle_dim
-
-    col0 = la.basis_state(alg.total_dim, 0)
-    a = alg.apply_cols(u, col0)[:half]
-
-    w_in = unitary_power(u, m).conj().T[:, 0]  # (U^m)^dagger |0>
-    rest_dims = alg.dims[2:]
-    y = w_in
-    for dd in rest_dims:
-        y = np.kron(y, la.basis_state(dd, 0))
-    col1 = np.concatenate([np.zeros(half, dtype=complex), y])
-    w = alg.apply_cols(u, col1)[half:]
-    return complex(np.vdot(w, a))
+    e^{-i phi(U)} times the all-zero success probability.  ``u`` may be a
+    (K, d, d) stack, giving the K witnesses as an array."""
+    return _over_stack(_h_witness, alg, u, m, 2 * alg.total_dim)
 
 
-def extract_fplus(alg, u: np.ndarray, m: int) -> complex:
-    """Plus-control variant of the phase witness, normalised by the
-    plus-control success probability; for an exact achiever it equals
-    (1/2) e^{-i phi(U)} and for an eps-approximator stays away from zero."""
-    ctrl = alg.layout.control_index
-    if ctrl != 0:
-        raise ValueError("phase extraction needs the control qubit as factor 0")
+def _targets_first(vecs: np.ndarray, targets, dims) -> np.ndarray:
+    """(B, prod dims) vectors as (B, n, rest) with the target factors first."""
+    t = vecs.reshape(len(vecs), *dims)
+    t = np.moveaxis(t, [1 + f for f in targets], range(1, 1 + len(targets)))
+    n = math.prod(dims[f] for f in targets)
+    return t.reshape(len(vecs), n, vecs.shape[1] // n)
+
+
+def _fplus_witness(alg, us: np.ndarray, m: int) -> np.ndarray:
     half = alg.total_dim // 2
     col = np.zeros(alg.total_dim, dtype=complex)
     col[0] = 1 / math.sqrt(2)
     col[half] = 1 / math.sqrt(2)
-    z = alg.apply_cols(u, col)
-    a_plus, b_plus = z[:half], z[half:]
-    p_plus = float(np.linalg.norm(z) ** 2)
-    if p_plus <= ABS_FLOOR:
+    z = alg.apply_cols(us, col)
+    p_plus = np.linalg.norm(z, axis=1) ** 2
+    if np.any(p_plus <= ABS_FLOOR):
         raise ModelViolationError("plus-control postselection probability vanished")
     # U^m compares the branches on the OUTPUT task register, which may be a
     # relabeled factor; indices shift by one once the control is split off
-    w = unitary_power(u, m)
     out_targets = [f - 1 for f in alg.out_factors if f != 0]
-    a_rot = la.apply_to_factors(a_plus, w, out_targets, alg.dims[1:])
-    return complex(np.vdot(b_plus, a_rot) / p_plus)
+    a_rot = unitary_power(us, m) @ _targets_first(z[:, :half], out_targets, alg.dims[1:])
+    b_plus = _targets_first(z[:, half:], out_targets, alg.dims[1:])
+    return np.einsum("bij,bij->b", b_plus.conj(), a_rot) / p_plus
+
+
+def extract_fplus(alg, u: np.ndarray, m: int) -> complex | np.ndarray:
+    """Plus-control variant of the phase witness, normalised by the
+    plus-control success probability; for an exact achiever it equals
+    (1/2) e^{-i phi(U)} and for an eps-approximator stays away from zero.
+    ``u`` may be a (K, d, d) stack, giving the K witnesses as an array."""
+    return _over_stack(_fplus_witness, alg, u, m, alg.total_dim)
 
 
 def neutral_phase(alg, u: np.ndarray) -> complex:
@@ -119,10 +146,18 @@ class LoopTrace:
                 w.writerow([f"{t:.12g}", f"{v.real:.17g}", f"{v.imag:.17g}", f"{p:.17g}"])
 
 
-def loop_trace(f: Callable[[np.ndarray], complex], d: int, K: int) -> LoopTrace:
-    """Sample f along the central loop and unwrap its phase."""
+def loop_trace(f: Callable[[np.ndarray], complex], d: int, K: int, *,
+               stacked: bool = False) -> LoopTrace:
+    """Sample f along the central loop and unwrap its phase.  With
+    ``stacked`` f takes the whole (K, d, d) loop and returns its K values in
+    one call; the trace is the same."""
     us = central_loop(d, K)
-    values = np.array([f(u) for u in us], dtype=complex)
+    if stacked:
+        values = np.asarray(f(us), dtype=complex)
+        if values.shape != (K,):
+            raise ValueError(f"stacked loop function returned shape {values.shape}, expected ({K},)")
+    else:
+        values = np.array([f(u) for u in us], dtype=complex)
     ts = np.arange(K) / K
     mags = np.abs(values)
     min_abs = float(mags.min()) if K else 0.0
@@ -153,13 +188,14 @@ def loop_trace(f: Callable[[np.ndarray], complex], d: int, K: int) -> LoopTrace:
 
 
 def winding(f: Callable[[np.ndarray], complex], d: int, K: int = 256,
-            k_max: int = K_MAX) -> LoopTrace:
+            k_max: int = K_MAX, *, stacked: bool = False) -> LoopTrace:
     """Winding number of f along the central loop, refining the sampling by
     doubling K until the trace is valid or k_max is reached.  The returned
-    trace carries either the integer winding or the surviving jump location."""
-    trace = loop_trace(f, d, K)
+    trace carries either the integer winding or the surviving jump location.
+    ``stacked`` is passed on to :func:`loop_trace`."""
+    trace = loop_trace(f, d, K, stacked=stacked)
     while not trace.valid and trace.K < k_max:
-        trace = loop_trace(f, d, min(2 * trace.K, k_max))
+        trace = loop_trace(f, d, min(2 * trace.K, k_max), stacked=stacked)
     return trace
 
 
@@ -208,7 +244,7 @@ def dichotomy_probe(alg, m: int, d: int, K: int = 256, use_fplus: bool = False,
     see, so it winds 1 with d = 2 and no jump appears.
     """
     extractor = extract_fplus if use_fplus else extract_h
-    trace = winding(lambda u: extractor(alg, u, m), d, K, k_max)
+    trace = winding(lambda us: extractor(alg, us, m), d, K, k_max, stacked=True)
     matches = trace.valid and trace.winding == m
     divisible = (not trace.valid) or trace.winding % d == 0
     return ProbeReport(m=m, d=d, K=trace.K, valid=trace.valid,
@@ -224,21 +260,27 @@ def dichotomy_probe(alg, m: int, d: int, K: int = 256, use_fplus: bool = False,
 def bu_map_g(x: np.ndarray, d: int) -> np.ndarray:
     """Odd embedding of the 3-sphere into the d-dimensional unitaries (d
     even): paired diagonal entries x1 +/- i x2 and antidiagonal entries
-    -/+ x3 + i x4; g(1,0,0,0) is the identity and g(-x) = -g(x)."""
+    -/+ x3 + i x4; g(1,0,0,0) is the identity and g(-x) = -g(x).  A (P, 4)
+    array of points gives the (P, d, d) stack of their images."""
     if d % 2 != 0:
         raise ValueError("the sphere embedding needs even dimension")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != 4 or abs(np.linalg.norm(x) - 1.0) > 1e-10:
+    x = np.asarray(x, dtype=float)
+    pts = x if x.ndim == 2 else x.reshape(1, -1)
+    if pts.shape[1] != 4:
         raise ValueError("input must be a unit 4-vector")
-    x1, x2, x3, x4 = x
-    g = np.zeros((d, d), dtype=complex)
-    for i in range(d // 2):
-        j = d - 1 - i
-        g[i, i] = x1 + 1j * x2
-        g[j, j] = x1 - 1j * x2
-        g[i, j] = -x3 + 1j * x4
-        g[j, i] = x3 + 1j * x4
-    return g
+    bad = np.flatnonzero(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-10)
+    if bad.size:
+        where = f" (point {bad[0]})" if x.ndim == 2 else ""
+        raise ValueError(f"input must be a unit 4-vector{where}")
+    x1, x2, x3, x4 = (c[:, None] for c in pts.T)
+    i = np.arange(d // 2)
+    j = d - 1 - i
+    g = np.zeros((len(pts), d, d), dtype=complex)
+    g[:, i, i] = x1 + 1j * x2
+    g[:, j, j] = x1 - 1j * x2
+    g[:, i, j] = -x3 + 1j * x4
+    g[:, j, i] = x3 + 1j * x4
+    return g if x.ndim == 2 else g[0]
 
 
 @dataclass
@@ -292,7 +334,7 @@ def bu_scan(h_eval: Callable[[np.ndarray], complex], d: int, grid: SphereGrid) -
     refinement) and the worst antipodal-oddness defect max |h(-x) + h(x)|."""
     if d % 2 != 0:
         raise ValueError("the sphere scan needs even dimension")
-    vals = np.array([h_eval(bu_map_g(x, d)) for x in grid.points], dtype=complex)
+    vals = np.array([h_eval(g) for g in bu_map_g(grid.points, d)], dtype=complex)
     mags = np.abs(vals)
     best = int(np.argmin(mags))
     n_half = grid.n_half

@@ -1,0 +1,231 @@
+"""Stacked oracles: evaluating a (B, d, d) stack in one call agrees with
+evaluating its oracles one at a time."""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from uctrl import constructions as co
+from uctrl import linalg as la
+from uctrl import model as mo
+from uctrl import topology as tp
+
+TOL = 1e-12
+
+
+def principal_sqrt(u):
+    return la.principal_root(u, 2)
+
+
+# (label, factory, m of its controlled-power witness or None without a control)
+PROGRAMS = [(f"{name}-{d}", lambda name=name, d=d: co.build(name, d),
+             {"kitaev": 1, "dong": d, "spin-echo": d}.get(name))
+            for name in co.BUILDERS for d in (2, 3)]
+PROGRAMS += [
+    ("power-2-4", lambda: co.build("power", 2, 4), 4),
+    ("power-2--2", lambda: co.build("power", 2, -2), -2),
+    ("root-composed-2", lambda: co.composed_root_cU(2, principal_sqrt), 1),
+]
+CONTROLLED = [p for p in PROGRAMS if p[2] is not None]
+
+
+def _params(programs):
+    return [pytest.param(make, m, id=label) for label, make, m in programs]
+
+
+def _reference(alg, u, cols):
+    """Step-by-step evaluation with linalg.apply_to_factors, which restores
+    the layout's factor order after every step."""
+    if isinstance(alg, co.ComposedRootEvaluator):
+        return _reference(alg.inner, alg.root(u), cols)
+    out = cols
+    for s in alg.steps:
+        op = s.op if isinstance(s, mo.FixedStep) else s.letter.apply(u)
+        out = la.apply_to_factors(out, op, s.targets, alg.dims)
+    if alg.projector is not None:
+        out = la.apply_to_factors(out, alg.projector[0], alg.projector[1], alg.dims)
+    return out
+
+
+def _stacks(d: int) -> list[np.ndarray]:
+    return [np.stack(la.haar_unitaries(d, 5, 4000 + d)), tp.central_loop(d, 16)]
+
+
+@pytest.mark.parametrize("make,m", _params(PROGRAMS))
+def test_stacked_apply_cols_matches_serial(make, m):
+    alg = make()
+    rng = np.random.default_rng(4100)
+    n = alg.total_dim
+    for us in _stacks(alg.oracle_dim):
+        shared = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        per = rng.standard_normal((len(us), n, 2)) + 1j * rng.standard_normal((len(us), n, 2))
+        got_block = alg.apply_cols(us, shared)
+        got_col = alg.apply_cols(us, shared[:, 0])
+        got_per = alg.apply_cols(us, per)
+        assert got_block.shape == (len(us), n, 3) and got_col.shape == (len(us), n)
+        for b, u in enumerate(us):
+            np.testing.assert_allclose(got_block[b], _reference(alg, u, shared), rtol=0, atol=TOL)
+            np.testing.assert_allclose(got_block[b], alg.apply_cols(u, shared), rtol=0, atol=TOL)
+            np.testing.assert_allclose(got_col[b], alg.apply_cols(u, shared[:, 0]), rtol=0, atol=TOL)
+            np.testing.assert_allclose(got_per[b], alg.apply_cols(u, per[b]), rtol=0, atol=TOL)
+        blocks = alg.task_block(us[:2])
+        for b in range(2):
+            np.testing.assert_allclose(blocks[b], alg.task_block(us[b]), rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("make,m", _params(CONTROLLED))
+def test_stacked_witnesses_match_scalar(make, m):
+    alg = make()
+    for us in _stacks(alg.oracle_dim):
+        h = tp.extract_h(alg, us, m)
+        f = tp.extract_fplus(alg, us, m)
+        assert h.shape == f.shape == (len(us),)
+        for b, u in enumerate(us):
+            h1, f1 = tp.extract_h(alg, u, m), tp.extract_fplus(alg, u, m)
+            assert isinstance(h1, complex) and isinstance(f1, complex)
+            assert abs(h[b] - h1) <= TOL and abs(f[b] - f1) <= TOL
+
+
+@pytest.mark.parametrize("label,make,m,d,K,use_fplus", [
+    ("dong-2", lambda: co.dong_cUd(2), 2, 2, 32, False),
+    ("dong-2-fplus", lambda: co.dong_cUd(2), 2, 2, 32, True),
+    ("dong-3", lambda: co.dong_cUd(3), 3, 3, 32, False),
+    ("spin-echo-3", lambda: co.spin_echo_cUd(3), 3, 3, 32, False),
+    ("power-2-8", lambda: co.power_cUm(2, 8), 8, 2, 16, False),
+    ("root-composed-2", lambda: co.composed_root_cU(2, principal_sqrt), 1, 2, 32, False),
+])
+def test_probe_matches_scalar_loop_path(label, make, m, d, K, use_fplus):
+    alg = make()
+    extractor = tp.extract_fplus if use_fplus else tp.extract_h
+    rep = tp.dichotomy_probe(alg, m, d, K=K, use_fplus=use_fplus)
+    trace = tp.winding(lambda u: extractor(alg, u, m), d, K)
+    expected = tp.ProbeReport(
+        m=m, d=d, K=trace.K, valid=trace.valid, winding=trace.winding,
+        min_abs=trace.min_abs, jump_location=trace.jump_location,
+        winding_matches_m=trace.valid and trace.winding == m,
+        divisibility_ok=(not trace.valid) or trace.winding % d == 0, trace=trace).to_json()
+    got = rep.to_json()
+    assert abs(got.pop("min_abs") - expected.pop("min_abs")) <= TOL
+    assert got == expected
+    np.testing.assert_allclose(rep.trace.values, trace.values, rtol=0, atol=TOL)
+    np.testing.assert_allclose(rep.trace.unwrapped, trace.unwrapped, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("make,m", _params(PROGRAMS))
+def test_non_unitary_oracle_named_by_index(make, m):
+    alg = make()
+    d = alg.oracle_dim
+    us = tp.central_loop(d, 16)
+    us[7] *= 1.5
+    with pytest.raises(ValueError, match="index 7"):
+        alg.apply_cols(us, la.basis_state(alg.total_dim, 0))
+    if m is not None:
+        with pytest.raises(ValueError, match="index 7"):
+            tp.extract_h(alg, us, m)
+
+
+@pytest.mark.parametrize("make,m", _params(PROGRAMS))
+def test_wrong_shapes_rejected(make, m):
+    alg = make()
+    d, n = alg.oracle_dim, alg.total_dim
+    e0 = la.basis_state(n, 0)
+    for bad in (np.eye(d + 1), np.stack([np.eye(d + 1)] * 2), np.ones((2, 2, d, d)), np.ones(d)):
+        with pytest.raises(ValueError):
+            alg.apply_cols(bad, e0)
+    us = tp.central_loop(d, 16)
+    with pytest.raises(ValueError):  # per-oracle columns for the wrong number of oracles
+        alg.apply_cols(us, np.zeros((15, n, 1)))
+    with pytest.raises(ValueError):  # per-oracle columns need a stack
+        alg.apply_cols(us[0], np.zeros((1, n, 1)))
+    with pytest.raises(ValueError):
+        alg.apply_cols(us, np.zeros((n + 1, 1)))
+    if m is not None:
+        with pytest.raises(ValueError):
+            tp.extract_h(alg, np.stack([np.eye(d + 1)] * 2), m)
+
+
+@pytest.mark.parametrize("label,make,m,d", [
+    ("dong-2", lambda: co.dong_cUd(2), 2, 2),
+    ("spin-echo-3", lambda: co.spin_echo_cUd(3), 3, 3),
+    ("root-composed-2", lambda: co.composed_root_cU(2, principal_sqrt), 1, 2),
+])
+def test_long_loop_sliced_gives_same_trace(monkeypatch, label, make, m, d):
+    alg = make()
+    K = 64
+    whole_h = tp.loop_trace(lambda us: tp.extract_h(alg, us, m), d, K, stacked=True)
+    whole_f = tp.loop_trace(lambda us: tp.extract_fplus(alg, us, m), d, K, stacked=True)
+    calls = []
+    original = type(alg).apply_cols
+    monkeypatch.setattr(type(alg), "apply_cols",
+                        lambda self, u, cols: calls.append(len(u)) or original(self, u, cols))
+    # five oracles per slice of the two-column h witness
+    monkeypatch.setattr(tp, "SLICE_ENTRIES", 5 * 2 * alg.total_dim)
+    sliced_h = tp.loop_trace(lambda us: tp.extract_h(alg, us, m), d, K, stacked=True)
+    assert max(calls) == 5 and sum(calls) == K
+    sliced_f = tp.loop_trace(lambda us: tp.extract_fplus(alg, us, m), d, K, stacked=True)
+    for whole, sliced in ((whole_h, sliced_h), (whole_f, sliced_f)):
+        np.testing.assert_array_equal(sliced.values, whole.values)
+        assert (sliced.valid, sliced.winding, sliced.max_step) == (whole.valid, whole.winding,
+                                                                   whole.max_step)
+
+
+def test_stacked_loop_function_must_return_one_value_per_sample():
+    with pytest.raises(ValueError):
+        tp.loop_trace(lambda us: np.ones(len(us) - 1), 2, 16, stacked=True)
+
+
+def test_central_loop_is_a_stack():
+    us = tp.central_loop(3, 16)
+    assert us.shape == (16, 3, 3)
+    for k, u in enumerate(us):
+        np.testing.assert_array_equal(u, np.exp(2j * np.pi * k / 16) * np.eye(3))
+
+
+def test_bu_map_g_stack_matches_points():
+    grid = tp.sphere_grid(4)
+    for d in (2, 4):
+        gs = tp.bu_map_g(grid.points, d)
+        assert gs.shape == (len(grid), d, d)
+        for x, g in zip(grid.points, gs):
+            np.testing.assert_array_equal(g, tp.bu_map_g(x, d))
+    pts = grid.points.copy()
+    pts[3] *= 1.01
+    with pytest.raises(ValueError, match="point 3"):
+        tp.bu_map_g(pts, 2)
+    with pytest.raises(ValueError):
+        tp.bu_map_g(grid.points, 3)
+    with pytest.raises(ValueError):
+        tp.bu_map_g(np.ones((4, 3)) / np.sqrt(3), 2)
+
+
+def test_composed_root_evaluator_resolves_template_attributes():
+    ev = co.composed_root_cU(2, principal_sqrt)
+    for name in ("oracle_dim", "layout", "dims", "total_dim", "h_factors", "h_dim",
+                 "out_factors", "k_out_factors"):
+        assert getattr(ev, name) == getattr(ev.inner, name)
+    assert ev.oracle_dim == ev.d == 2
+    assert not hasattr(ev, "query_letters")
+    with pytest.raises(AttributeError):
+        ev.steps
+
+
+def test_composed_root_bad_root_named_by_index():
+    # the identity is a square root only of the identity, sample 0 of the loop
+    ev = co.composed_root_cU(2, lambda u: np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="root.*index 1"):
+        ev.apply_cols(tp.central_loop(2, 16), la.basis_state(ev.total_dim, 0))
+
+
+def test_programs_without_queries_broadcast_over_the_stack():
+    layout = la.RegisterLayout.of([2, 2], ["control", "task"])
+    const = mo.OracleAlgorithm("constant", 2, layout, (mo.FixedStep(np.eye(4), (0, 1)),))
+    out = const.apply_cols(tp.central_loop(2, 16), np.eye(4))
+    assert out.shape == (16, 4, 4)
+    np.testing.assert_array_equal(out, np.broadcast_to(np.eye(4), (16, 4, 4)))
+
+
+def test_query_targets_checked_at_construction():
+    layout = la.RegisterLayout.of([2, 2], ["control", "task"])
+    for targets in ((2,), (1, 1), (-1,)):
+        with pytest.raises(ValueError):
+            mo.OracleAlgorithm("bad", 2, layout, (mo.QueryStep(mo.ID, targets),))
