@@ -3,8 +3,9 @@
 Each builder returns an :class:`~uctrl.model.OracleAlgorithm` whose fixed
 unitaries are completed deterministically: preparation unitaries are pinned
 on the columns that matter (the antisymmetric state, the generalised Bell
-state, the minor-expansion isometry) and filled in by Gram-Schmidt against
-the standard basis, so rebuilding a program is reproducible bit for bit.
+state, the minor-expansion isometry) and the other columns are the
+orthonormal complement from a Householder QR of the pinned ones, so
+rebuilding a program is reproducible bit for bit.
 """
 from __future__ import annotations
 

@@ -192,7 +192,12 @@ def embed(op: np.ndarray, targets, layout) -> np.ndarray:
 
 def apply_to_factors(cols: np.ndarray, op: np.ndarray, targets, dims) -> np.ndarray:
     """Apply ``op`` (acting on the target factors) to a (total_dim x k) block
-    of column vectors without materialising the full-space operator."""
+    of column vectors without materialising the full-space operator.
+
+    Programs run the compiled step plan in :mod:`uctrl.model` instead; this
+    separate ``tensordot`` kernel is kept as the independent reference that
+    ``tests/test_batched.py`` checks the plan against, and ``perfbench``'s
+    tracer wraps it by this name."""
     dims = tuple(dims)
     targets = check_targets(op, targets, dims)
     n = len(dims)
@@ -400,39 +405,22 @@ def partial_trace(m: np.ndarray, layout, keep) -> np.ndarray:
 
 
 def complete_unitary(dim: int, pinned: dict[int, np.ndarray]) -> np.ndarray:
-    """Unitary with the given columns pinned, remaining columns completed by
-    Gram-Schmidt against the standard basis in index order (deterministic)."""
-    cols = np.zeros((dim, dim), dtype=complex)
-    basis: list[np.ndarray] = []
-    for idx in sorted(pinned):
-        v = np.asarray(pinned[idx], dtype=complex).reshape(-1)
+    """Unitary with the given columns pinned verbatim; the free columns, in
+    index order, are the orthonormal complement of the pinned ones from a
+    Householder QR of them (deterministic)."""
+    idx = sorted(pinned)
+    p = np.zeros((dim, len(idx)), dtype=complex)
+    for k, i in enumerate(idx):
+        v = np.asarray(pinned[i], dtype=complex).reshape(-1)
         if v.shape[0] != dim:
             raise ValueError("pinned column has wrong dimension")
-        for b in basis:
-            v = v - np.vdot(b, v) * b
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-8:
-            raise ValueError("pinned columns are not linearly independent")
-        v = v / nrm
-        basis.append(v)
-        cols[:, idx] = np.asarray(pinned[idx], dtype=complex).reshape(-1)
-    free = [i for i in range(dim) if i not in pinned]
-    it = iter(free)
-    for e in range(dim):
-        if len(basis) == dim:
-            break
-        v = basis_state(dim, e)
-        for _ in range(2):  # re-orthogonalise once for numerical stability
-            for b in basis:
-                v = v - np.vdot(b, v) * b
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-6:
-            continue
-        v = v / nrm
-        basis.append(v)
-        cols[:, next(it)] = v
-    if len(basis) != dim:
-        raise ValueError("failed to complete an orthonormal basis")
+        p[:, k] = v
+    q, r = np.linalg.qr(p, mode="complete")
+    if np.any(np.abs(np.diagonal(r)) < 1e-8):
+        raise ValueError("pinned columns are not linearly independent")
+    cols = np.empty((dim, dim), dtype=complex)
+    cols[:, idx] = p
+    cols[:, [i for i in range(dim) if i not in pinned]] = q[:, len(idx):]
     return cols
 
 

@@ -200,29 +200,12 @@ class OracleAlgorithm:
     def task_block(self, u: np.ndarray) -> np.ndarray:
         """The operator restricted to all-zero ancilla input: a
         (total_dim x h_dim) block whose columns are images of the task basis."""
+        h = set(self.h_factors)
+        at_zero = tuple(slice(None) if f in h else 0 for f in range(len(self.dims)))
+        rows = np.arange(self.total_dim).reshape(self.dims)[at_zero].reshape(-1)
         cols = np.zeros((self.total_dim, self.h_dim), dtype=complex)
-        strides = _strides(self.dims)
-        h_dims = [self.dims[i] for i in self.h_factors]
-        for xi in range(self.h_dim):
-            digits = _digits(xi, h_dims)
-            z = sum(d * strides[f] for d, f in zip(digits, self.h_factors))
-            cols[z, xi] = 1.0
+        cols[rows, np.arange(self.h_dim)] = 1.0
         return self.apply_cols(u, cols)
-
-
-def _strides(dims) -> list[int]:
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    return strides
-
-
-def _digits(index: int, dims) -> list[int]:
-    out = []
-    for d in reversed(dims):
-        out.append(index % d)
-        index //= d
-    return list(reversed(out))
 
 
 def oracle_stack(u, d: int) -> tuple[np.ndarray, bool]:
@@ -430,13 +413,12 @@ def check_exact(alg, task: Task, u: np.ndarray, tol: float = EXACT_TOL) -> Achie
     """
     _check_compat(alg, task)
     bp, big_t = _schmidt_views(alg, u)
-    svals = np.linalg.svd(big_t, compute_uv=False)
+    left, svals, _ = np.linalg.svd(big_t, full_matrices=False)
     rank_residual = float(svals[1]) if len(svals) > 1 else 0.0
 
     phi: float | None = None
     if task.control_power is not None:
-        left = np.linalg.svd(big_t, full_matrices=False)[0][:, 0]
-        m_fac = left.reshape(alg.h_dim, alg.h_dim)
+        m_fac = left[:, 0].reshape(alg.h_dim, alg.h_dim)
         dt = alg.h_dim // 2
         w = unitary_power(u, task.control_power)
         c0 = np.trace(m_fac[:dt, :dt]) / dt
@@ -464,13 +446,20 @@ def check_exact(alg, task: Task, u: np.ndarray, tol: float = EXACT_TOL) -> Achie
                              residual=residual, rank_residual=rank_residual)
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
+def _phase_min(f, grid: int) -> float:
+    """Minimum of f over the phase circle: the best of ``grid`` uniform
+    phases, refined by golden-section search over the two grid cells around
+    it; never above the best grid value."""
+    phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
+    vals = [f(p) for p in phis]
+    best = int(np.argmin(vals))
+    step = 2 * np.pi / grid
     inv = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
+    a, b = phis[best] - step, phis[best] + step
     c = b - inv * (b - a)
     d = a + inv * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(60):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv * (b - a)
@@ -479,8 +468,7 @@ def _golden_min(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]
             a, c, fc = c, d, fd
             d = a + inv * (b - a)
             fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
+    return min(float(f((a + b) / 2)), float(vals[best]))
 
 
 def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> float:
@@ -502,13 +490,7 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
         # a global phase on the task member is absorbed by the garbage factor
         return dev_for(task.base(u))
 
-    phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
-    devs = [dev_for(task.member(u, p)) for p in phis]
-    best = int(np.argmin(devs))
-    step = 2 * np.pi / grid
-    _, val = _golden_min(lambda p: dev_for(task.member(u, p)),
-                         phis[best] - step, phis[best] + step)
-    return min(float(val), float(devs[best]))
+    return _phase_min(lambda p: dev_for(task.member(u, p)), grid)
 
 
 # -- channel form ----------------------------------------------------------------
@@ -605,13 +587,7 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
         if fixed_member is not None:
             d = dist(fixed_member)
         else:
-            phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
-            vals = [dist(task.member(u, p)) for p in phis]
-            best = int(np.argmin(vals))
-            step = 2 * np.pi / grid
-            _, d = _golden_min(lambda p: dist(task.member(u, p)),
-                               phis[best] - step, phis[best] + step)
-            d = min(d, vals[best])
+            d = _phase_min(lambda p: dist(task.member(u, p)), grid)
         worst = max(worst, float(d))
     return worst
 

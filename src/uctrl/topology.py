@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg as la
-from .model import ModelViolationError, oracle_stack, unitary_power
+from .model import ModelViolationError, oracle_stack, out_split, unitary_power
 
 STEP_BOUND = math.pi / 2
 ABS_FLOOR = 1e-12
@@ -45,8 +45,9 @@ def _over_stack(witness, alg, u, m: int, width: int):
     """``witness(alg, us, m)`` over a (d, d) oracle, giving a complex, or over
     a (K, d, d) stack, giving K values; a stack goes through in slices of at
     most SLICE_ENTRIES entries of ``width`` entries per oracle."""
-    if alg.layout.control_index != 0:
-        raise ValueError("phase extraction needs the control qubit as factor 0")
+    if alg.layout.control_index != 0 or alg.out_factors[0] != 0:
+        raise ValueError("phase extraction needs the control qubit as factor 0, "
+                         "leading the output factors")
     us, stacked = oracle_stack(u, alg.oracle_dim)
     if not stacked:
         return complex(witness(alg, us, m)[0])
@@ -75,14 +76,6 @@ def extract_h(alg, u: np.ndarray, m: int) -> complex | np.ndarray:
     return _over_stack(_h_witness, alg, u, m, 2 * alg.total_dim)
 
 
-def _targets_first(vecs: np.ndarray, targets, dims) -> np.ndarray:
-    """(B, prod dims) vectors as (B, n, rest) with the target factors first."""
-    t = vecs.reshape(len(vecs), *dims)
-    t = np.moveaxis(t, [1 + f for f in targets], range(1, 1 + len(targets)))
-    n = math.prod(dims[f] for f in targets)
-    return t.reshape(len(vecs), n, vecs.shape[1] // n)
-
-
 def _fplus_witness(alg, us: np.ndarray, m: int) -> np.ndarray:
     half = alg.total_dim // 2
     col = np.zeros(alg.total_dim, dtype=complex)
@@ -93,11 +86,11 @@ def _fplus_witness(alg, us: np.ndarray, m: int) -> np.ndarray:
     if np.any(p_plus <= ABS_FLOOR):
         raise ModelViolationError("plus-control postselection probability vanished")
     # U^m compares the branches on the OUTPUT task register, which may be a
-    # relabeled factor; indices shift by one once the control is split off
-    out_targets = [f - 1 for f in alg.out_factors if f != 0]
-    a_rot = unitary_power(us, m) @ _targets_first(z[:, :half], out_targets, alg.dims[1:])
-    b_plus = _targets_first(z[:, half:], out_targets, alg.dims[1:])
-    return np.einsum("bij,bij->b", b_plus.conj(), a_rot) / p_plus
+    # relabeled factor: (control, output task) leads the split
+    y = out_split(alg, z.T)
+    d = alg.oracle_dim
+    a_rot = np.einsum("bij,jkb->ikb", unitary_power(us, m), y[:d])
+    return np.einsum("ikb,ikb->b", y[d:].conj(), a_rot) / p_plus
 
 
 def extract_fplus(alg, u: np.ndarray, m: int) -> complex | np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uctrl import constructions as co
 from uctrl import linalg as la
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -377,6 +378,30 @@ class TestCompleteUnitary:
         np.testing.assert_array_equal(
             la.complete_unitary(4, {0: v}), la.complete_unitary(4, {0: v})
         )
+
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            la.complete_unitary(4, {0: np.ones(3) / np.sqrt(3)})
+
+    def test_dependent_pins_rejected(self):
+        e0 = la.basis_state(4, 0)
+        with pytest.raises(ValueError, match="not linearly independent"):
+            la.complete_unitary(4, {0: e0, 1: e0})
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_preparations(self, d):
+        # the pinned states come out bit for bit; the completion is unitary
+        # and reproducible
+        stride = d ** (d - 2) if d > 2 else 1
+        cases = [(co.chi_prep_unitary, {0: co.chi_state(d)}),
+                 (co.bell_prep_unitary, {0: co.bell_state(d)}),
+                 (co.conj_prep_unitary, {j * stride: co.minor_isometry(d)[:, j] for j in range(d)})]
+        for prep, pins in cases:
+            u = prep(d)
+            for idx, v in pins.items():
+                np.testing.assert_array_equal(u[:, idx], v)
+            assert la.is_unitary(u, 1e-12)
+            np.testing.assert_array_equal(prep(d), u)
 
 
 class TestMatrixJson:

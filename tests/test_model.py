@@ -215,6 +215,14 @@ class TestPureDeviation:
         assert mo.pure_deviation(alg, mo.cum_task(2, 1), la.haar_unitary(2, 14)) > 0.1
 
 
+class TestPhaseMin:
+    @pytest.mark.parametrize("p0", [0.3, np.pi - 1e-4, -np.pi + 1e-4])
+    def test_finds_cosine_minimum(self, p0):
+        # p0 = +-(pi - 1e-4) sits across the grid's wrap-around point
+        val = mo._phase_min(lambda p: 1 - np.cos(p - p0), mo.PHASE_GRID)
+        assert 0.0 <= val <= 1e-12
+
+
 class TestEpsDistance:
     def test_exact_achievers_zero(self):
         cases = [

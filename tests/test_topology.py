@@ -75,6 +75,12 @@ class TestExtractFplus:
         u = la.haar_unitary(2, 2110)
         assert abs(tp.extract_fplus(alg, u, 2)) >= 0.5 - 1e-9
 
+    def test_control_must_lead_output_factors(self):
+        base = co.kitaev_cswap(2)
+        alg = mo.OracleAlgorithm("control-second", 2, base.layout, base.steps, task_out=(2, 0))
+        with pytest.raises(ValueError, match="leading the output factors"):
+            tp.extract_fplus(alg, la.haar_unitary(2, 2111), 1)
+
 
 class TestNeutralPhase:
     def test_neutraliser_det_phase(self):
