@@ -20,7 +20,6 @@ from . import constructions as co
 from . import linalg as la
 from . import model as mo
 from . import topology as tp
-from ._util import parallel_map
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -52,14 +51,8 @@ class RunConfig:
 
 
 def _config(args) -> RunConfig:
-    cfg = RunConfig(
-        d=args.d,
-        m=getattr(args, "m", None),
-        seed=getattr(args, "seed", 0),
-        samples=getattr(args, "samples", 10),
-        K=getattr(args, "K", 256),
-        tol=getattr(args, "tol", 1e-8),
-    )
+    cfg = RunConfig(d=args.d, m=args.m, seed=args.seed, samples=args.samples,
+                    K=args.K, tol=args.tol)
     cfg.validate()
     return cfg
 
@@ -97,8 +90,8 @@ def cmd_build(args) -> int:
 
 
 def _verify_exact(alg, task, us, cfg: RunConfig):
-    def one(iu):
-        i, u = iu
+    entries = []
+    for i, u in enumerate(us):
         res = mo.check_exact(alg, task, u, tol=cfg.tol)
         entry = {
             "check": "exact",
@@ -114,8 +107,8 @@ def _verify_exact(alg, task, us, cfg: RunConfig):
             entry["diagnostic"] = (
                 f"ancilla rank deficiency: second singular value "
                 f"{res.rank_residual:.3e} exceeds tol {cfg.tol:.1e}")
-        return entry
-    return parallel_map(one, enumerate(us))
+        entries.append(entry)
+    return entries
 
 
 def _verify_eps(alg, task, us, cfg: RunConfig):
@@ -203,6 +196,8 @@ def cmd_bu_scan(args) -> int:
     cfg = _config(args)
     if cfg.d % 2 != 0:
         raise ValueError("bu-scan needs an even oracle dimension")
+    if args.refinements < 1:
+        raise ValueError("refinements must be >= 1")
     levels = []
     n = args.resolution
     for _ in range(args.refinements):
@@ -223,12 +218,12 @@ def _sweep_points(kind: str, n: int, d: int) -> list[tuple[float, np.ndarray]]:
     pts = []
     for j in range(n):
         if kind == "diag":
-            theta = 2 * np.pi * j / max(n, 1)
+            theta = 2 * np.pi * j / n
             u = np.eye(d, dtype=complex)
             u[-1, -1] = np.exp(1j * theta)
             pts.append((theta, u))
         elif kind == "loop":
-            t = j / max(n, 1)
+            t = j / n
             pts.append((t, np.exp(2j * np.pi * t) * np.eye(d, dtype=complex)))
         else:
             raise ValueError(f"unknown sweep grid {kind!r} (use diag:N or loop:N)")
@@ -273,12 +268,12 @@ def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="uctrl", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(q, samples=10, K=256):
+    def common(q):
         q.add_argument("--d", type=int, default=2)
         q.add_argument("--m", type=int, default=None)
         q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--samples", type=int, default=samples)
-        q.add_argument("--K", type=int, default=K)
+        q.add_argument("--samples", type=int, default=10)
+        q.add_argument("--K", type=int, default=256)
         q.add_argument("--tol", type=float, default=1e-8)
         q.add_argument("--out", type=str, default=None)
 

@@ -330,17 +330,10 @@ def sym_minor(m: np.ndarray, i: int, j: int) -> complex:
     if n == 1:
         return complex(1.0)
     m = np.asarray(m, dtype=complex)
-
-    def anchored(first: int) -> tuple[np.ndarray, np.ndarray]:
-        rest = [x for x in range(n) if x != first]
-        perms = [(first,) + p for p in itertools.permutations(rest)]
-        signs = np.array([perm_sign(p) for p in perms], dtype=float)
-        return np.array(perms, dtype=np.intp), signs
-
-    taus, tau_signs = anchored(i)
-    pis, pi_signs = anchored(j)
-    g = m[taus[:, None, 1:], pis[None, :, 1:]].prod(axis=2)
-    total = tau_signs @ g @ pi_signs
+    perms, signs = signed_permutations(n)
+    at_i, at_j = perms[:, 0] == i, perms[:, 0] == j
+    g = m[perms[at_i, None, 1:], perms[None, at_j, 1:]].prod(axis=2)
+    total = signs[at_i] @ g @ signs[at_j]
     sign = -1.0 if (i + j) % 2 else 1.0
     return complex(sign * total / math.factorial(n - 1))
 

@@ -113,7 +113,7 @@ class OracleAlgorithm:
             ops.append((np.asarray(p, dtype=complex), la.check_targets(p, targets, dims)))
             if la.spectral_norm(p @ p - p) > la.UNITARY_TOL or la.spectral_norm(p - la.dagger(p)) > la.UNITARY_TOL:
                 raise ValueError(f"projector of {self.name} is not an orthogonal projector")
-        if self.task_out is not None and self.layout.subdim(self.task_out) != self.h_dim:
+        if self.task_out is not None and la.target_dim(self.task_out, dims) != self.h_dim:
             raise ValueError("output task registers do not match the task space dimension")
         self._plan = _compile(dims, ops)
 
@@ -369,10 +369,10 @@ class AchievementResult:
         return float(np.linalg.norm(self.garbage) ** 2) if self.garbage is not None else 0.0
 
 
-def _schmidt_views(alg, u):
-    """Return (Bp, T): the (out, anc, in) tensor and its (out*in) x anc
-    matricisation used for the rank-1 factorisation test."""
-    b = alg.task_block(u)
+def _schmidt_views(alg, b: np.ndarray):
+    """Return (Bp, T) for the zero-ancilla block ``b``: the (out, anc, in)
+    tensor and its (out*in) x anc matricisation used for the rank-1
+    factorisation test."""
     bp = out_split(alg, b)
     d_out, k_dim, h = bp.shape
     t = bp.transpose(0, 2, 1).reshape(d_out * h, k_dim)
@@ -412,7 +412,13 @@ def check_exact(alg, task: Task, u: np.ndarray, tol: float = EXACT_TOL) -> Achie
     is the spectral norm of the full deviation from the fitted product form.
     """
     _check_compat(alg, task)
-    bp, big_t = _schmidt_views(alg, u)
+    return _exact_from_block(alg, task, u, alg.task_block(u), tol)
+
+
+def _exact_from_block(alg, task: Task, u: np.ndarray, b: np.ndarray,
+                      tol: float) -> AchievementResult:
+    """``check_exact`` on the zero-ancilla block ``b`` already computed at u."""
+    bp, big_t = _schmidt_views(alg, b)
     left, svals, _ = np.linalg.svd(big_t, full_matrices=False)
     rank_residual = float(svals[1]) if len(svals) > 1 else 0.0
 
@@ -481,7 +487,7 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
     uniform grid and refined by golden-section search.
     """
     _check_compat(alg, task)
-    bp, big_t = _schmidt_views(alg, u)
+    bp, big_t = _schmidt_views(alg, alg.task_block(u))
 
     def dev_for(t_mat: np.ndarray) -> float:
         return _fit_residual(bp, t_mat, _fit_garbage(t_mat, big_t))
@@ -569,7 +575,7 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
     """
     _check_compat(alg, task)
     b = alg.task_block(u)
-    exact = check_exact(alg, task, u)
+    exact = _exact_from_block(alg, task, u, b, EXACT_TOL)
     fixed_member = task.member(u, exact.phase) if (exact.achieved or task.control_power is None) else None
 
     worst = 0.0
@@ -709,43 +715,63 @@ def to_ir(alg: OracleAlgorithm) -> dict:
     return ir
 
 
+def _ir_ints(obj, what: str) -> tuple[int, ...]:
+    """A JSON list of integers, as a tuple."""
+    if not isinstance(obj, (list, tuple)) or not all(
+            isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in obj):
+        raise ValueError(f"malformed circuit IR: {what} must be integers, got {obj!r:.60}")
+    return tuple(int(t) for t in obj)
+
+
 def _load_matrix(obj, base: Path | None):
     if isinstance(obj, str):
         path = Path(obj)
         if base is not None and not path.is_absolute():
-            path = base / path
-        return la.matrix_from_json(path)
-    return la.matrix_from_json(obj)
+            obj = base / path
+    try:
+        return la.matrix_from_json(obj)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed circuit IR: bad matrix ({type(exc).__name__}: {exc})") from exc
 
 
 def from_ir(obj, base: Path | None = None) -> OracleAlgorithm:
-    """Parse the circuit IR (dict, JSON string path, or Path) to a program."""
+    """Parse the circuit IR (dict, JSON string path, or Path) to a program.
+    IR of the wrong shape raises ``ValueError("malformed circuit IR: ...")``."""
     if isinstance(obj, (str, Path)):
         path = Path(obj)
         base = path.parent
         with open(path) as f:
             obj = json.load(f)
-    layout = RegisterLayout(tuple((int(f["dim"]), str(f["role"])) for f in obj["layout"]))
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed circuit IR: expected a JSON object, got {type(obj).__name__}")
+    factors, step_objs = obj["layout"], obj["steps"]
+    if not (isinstance(factors, list) and factors and isinstance(step_objs, list)
+            and all(isinstance(x, dict) for x in factors + step_objs)):
+        raise ValueError('malformed circuit IR: "layout" (non-empty) and "steps" must be lists of objects')
+    dims = _ir_ints([f["dim"] for f in factors], "layout dims")
+    layout = RegisterLayout(tuple(zip(dims, (str(f["role"]) for f in factors))))
     all_targets = tuple(range(len(layout)))
     steps = []
-    for s in obj["steps"]:
+    for s in step_objs:
         if "query" in s:
-            steps.append(QueryStep(LETTERS[s["query"]], tuple(s["targets"])))
+            if s["query"] not in tuple(LETTERS):  # a tuple: unhashable JSON values compare unequal
+                raise ValueError(f"malformed circuit IR: unknown query letter {s['query']!r:.40}")
+            steps.append(QueryStep(LETTERS[s["query"]], _ir_ints(s["targets"], "query targets")))
         else:
-            targets = tuple(s.get("targets", all_targets))
+            targets = _ir_ints(s.get("targets", all_targets), "step targets")
             steps.append(FixedStep(_load_matrix(s["unitary"], base), targets))
     proj_obj = obj.get("projector", "identity")
     if proj_obj == "identity" or proj_obj is None:
         projector = None
     elif isinstance(proj_obj, dict) and "matrix" in proj_obj:
         projector = (_load_matrix(proj_obj["matrix"], base),
-                     tuple(proj_obj.get("targets", all_targets)))
+                     _ir_ints(proj_obj.get("targets", all_targets), "projector targets"))
     else:
         projector = (_load_matrix(proj_obj, base), all_targets)
-    task_out = tuple(obj["task_out"]) if "task_out" in obj else None
+    task_out = _ir_ints(obj["task_out"], '"task_out"') if "task_out" in obj else None
     return OracleAlgorithm(
         name=obj.get("name", "ir"),
-        oracle_dim=int(obj["d"]),
+        oracle_dim=_ir_ints([obj["d"]], '"d"')[0],
         layout=layout,
         steps=tuple(steps),
         projector=projector,

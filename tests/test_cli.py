@@ -237,11 +237,57 @@ class TestSweep:
                    "--out", tmp_path / "s.csv") == cli.EXIT_INPUT_ERROR
 
 
-class TestThreadBudget:
-    def test_parallel_map_matches_serial(self, monkeypatch):
-        from uctrl._util import parallel_map
-        items = list(range(20))
-        monkeypatch.setenv("UCTRL_THREADS", "4")
-        assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
-        monkeypatch.setenv("UCTRL_THREADS", "not-a-number")
-        assert parallel_map(lambda x: x + 1, items) == [x + 1 for x in items]
+def _with(key, value):
+    return lambda ir: {**ir, key: value}
+
+
+def _first_step(key, value):
+    return lambda ir: {**ir, "steps": [{**ir["steps"][0], key: value}] + ir["steps"][1:]}
+
+
+MALFORMED = "malformed circuit IR"
+MALFORMED_IR = {  # kind: (mutation of a dong d=2 IR, expected message fragment)
+    "layout-of-bare-ints": (lambda ir: {**ir, "layout": [f["dim"] for f in ir["layout"]]},
+                            MALFORMED),
+    "top-level-list": (lambda ir: [ir], MALFORMED),
+    "steps-not-a-list": (_with("steps", 5), MALFORMED),
+    "step-is-a-string": (lambda ir: {**ir, "steps": ["hadamard"] + ir["steps"][1:]}, MALFORMED),
+    "targets-null": (_first_step("targets", None), MALFORMED),
+    "targets-not-integers": (_first_step("targets", [2.5, 3]), MALFORMED),
+    "unitary-not-a-matrix": (_first_step("unitary", 3), MALFORMED),
+    "projector-int": (_with("projector", 7), MALFORMED),
+    "task-out-null": (_with("task_out", None), MALFORMED),
+    "d-null": (_with("d", None), MALFORMED),
+    "layout-missing": (lambda ir: {k: v for k, v in ir.items() if k != "layout"}, "'layout'"),
+    "task-out-out-of-range": (_with("task_out", [9]), "target 9 outside"),
+    "task-out-duplicate": (_with("task_out", [1, 1]), "duplicate targets"),
+}
+
+
+class TestInputErrors:
+    """Malformed IR and bad flags exit 3 with a one-line message, never a
+    traceback."""
+
+    @staticmethod
+    def _input_error(code, capsys) -> str:
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT_ERROR
+        assert err.startswith("error:") and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_IR))
+    def test_malformed_ir(self, kind, tmp_path, capsys):
+        mutate, fragment = MALFORMED_IR[kind]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(mutate(mo.to_ir(co.build("dong", 2)))))
+        code = run("verify", path, "--task", "cUm", "--m", 2, "--d", 2, "--samples", 2,
+                   "--out", tmp_path / "rep.json")
+        assert fragment in self._input_error(code, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["bu-scan", "--refinements", 0],
+        ["bu-scan", "--refinements", -2],
+        ["sweep", "constant-circuit", "--task", "cUm", "--m", 0, "--grid", "diag:-1"],
+    ], ids=["refinements-0", "refinements-negative", "negative-grid"])
+    def test_bad_flags(self, argv, tmp_path, capsys):
+        self._input_error(run(*argv, "--out", tmp_path / "out"), capsys)

@@ -259,6 +259,28 @@ class TestEpsDistance:
         with pytest.raises(mo.ModelViolationError):
             mo.eps_distance_estimate(alg, mo.inverse_task(2), X, n_samples=2)
 
+    @pytest.mark.parametrize("path", ["achiever", "phase-grid"])
+    def test_program_evaluated_once(self, path, monkeypatch):
+        # the exact check inside the estimator reuses its zero-ancilla block
+        if path == "achiever":
+            alg, task = co.dong_cUd(2), mo.cum_task(2, 2)
+        else:  # a constant circuit never achieves c-U, so the phase is scanned
+            layout = RegisterLayout.of([2, 2], ["control", "task"])
+            alg = mo.OracleAlgorithm("constant", 2, layout,
+                                     (mo.FixedStep(np.eye(4, dtype=complex), (0, 1)),))
+            task = mo.cum_task(2, 1)
+        calls = []
+        apply_cols = mo.OracleAlgorithm.apply_cols
+
+        def counting(self, u, cols):
+            calls.append(u)
+            return apply_cols(self, u, cols)
+
+        monkeypatch.setattr(mo.OracleAlgorithm, "apply_cols", counting)
+        val = mo.eps_distance_estimate(alg, task, la.haar_unitary(2, 43), n_samples=1, grid=16)
+        assert len(calls) == 1
+        assert (val > 1e-3) == (path == "phase-grid")
+
 
 class TestNeutralise:
     def test_neutraliser_passes(self):
@@ -437,6 +459,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             mo.OracleAlgorithm("bad", 2, layout,
                                (mo.FixedStep(np.ones((2, 2), dtype=complex), (0,)),))
+
+    @pytest.mark.parametrize("task_out", [(1, 1), (9,)])
+    def test_task_out_targets_checked(self, task_out):
+        # (1, 1) spans the task space dimension 4 but names one factor twice
+        base = co.dong_cUd(2)
+        with pytest.raises(ValueError, match="target"):
+            mo.OracleAlgorithm("bad", 2, base.layout, base.steps, task_out=task_out)
 
     def test_query_padding(self):
         alg = whole_space_query(2)
