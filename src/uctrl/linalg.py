@@ -250,8 +250,13 @@ def swap_matrix(d: int) -> np.ndarray:
     return m
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values (square input required)."""
+def trace_norm(m: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values (square input required); for a stack
+    (..., n, n) the array of each matrix's value."""
+    if m.ndim > 2:
+        if m.shape[-1] != m.shape[-2]:
+            raise ValueError(f"trace_norm input must be a stack of square matrices, got shape {m.shape}")
+        return np.sum(np.linalg.svd(m, compute_uv=False), axis=-1)
     require_square(m, "trace_norm input")
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
@@ -432,9 +437,14 @@ def matrix_from_json(obj) -> np.ndarray:
     if isinstance(obj, (str, Path)):
         with open(obj) as f:
             obj = json.load(f)
+    shape = (obj["rows"], obj["cols"])
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in shape):
+        raise ValueError("matrix JSON rows and cols must be integers")
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
-    m = re + 1j * im
-    if m.shape != (obj["rows"], obj["cols"]):
+    if re.shape != shape or im.shape != shape:
         raise ValueError("matrix JSON shape fields disagree with data")
+    # set both parts in place: re + 1j * im would turn a -0.0 into 0.0
+    m = np.empty(shape, dtype=complex)
+    m.real, m.imag = re, im
     return m

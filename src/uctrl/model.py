@@ -23,6 +23,7 @@ from .linalg import RegisterLayout
 
 EXACT_TOL = 1e-8
 PHASE_GRID = 720
+_PHASE_CHUNK = 64  # phases per stacked evaluation in a phase scan
 
 
 class ModelViolationError(RuntimeError):
@@ -453,28 +454,50 @@ def _exact_from_block(alg, task: Task, u: np.ndarray, b: np.ndarray,
 
 
 def _phase_min(f, grid: int) -> float:
-    """Minimum of f over the phase circle: the best of ``grid`` uniform
-    phases, refined by golden-section search over the two grid cells around
-    it; never above the best grid value."""
+    """Minimum over the phase circle of f, a function of a phase array: the
+    best of ``grid`` uniform phases (one call on the whole grid), refined by
+    golden-section search over the two grid cells around it (one call per
+    point, on a length-1 array); never above the best grid value."""
     phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
-    vals = [f(p) for p in phis]
+    vals = f(phis)
     best = int(np.argmin(vals))
+
+    def at(p: float) -> float:
+        return float(f(np.array([p]))[0])
+
     step = 2 * np.pi / grid
     inv = (math.sqrt(5) - 1) / 2
     a, b = phis[best] - step, phis[best] + step
     c = b - inv * (b - a)
     d = a + inv * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = at(c), at(d)
     for _ in range(60):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv * (b - a)
-            fc = f(c)
+            fc = at(c)
         else:
             a, c, fc = c, d, fd
             d = a + inv * (b - a)
-            fd = f(d)
-    return min(float(f((a + b) / 2)), float(vals[best]))
+            fd = at(d)
+    return min(at((a + b) / 2), float(vals[best]))
+
+
+def _chunked(f):
+    """f on a phase array, evaluated _PHASE_CHUNK phases at a time so that no
+    stacked intermediate grows with the grid."""
+    def g(phis: np.ndarray) -> np.ndarray:
+        return np.concatenate([f(phis[i:i + _PHASE_CHUNK])
+                               for i in range(0, len(phis), _PHASE_CHUNK)])
+    return g
+
+
+def _affine_member(task: Task, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T0, T1) with ``task.member(u, phi) = T0 + e^{i phi} T1`` for the
+    controlled-power family: T0 = |0><0| (x) Id and T1 = |1><1| (x) U^m."""
+    w = unitary_power(u, task.control_power)
+    t0 = control_phase_matrix(np.zeros_like(w), 0.0)
+    return t0, control_phase_matrix(w, 0.0) - t0
 
 
 def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> float:
@@ -489,14 +512,36 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
     _check_compat(alg, task)
     bp, big_t = _schmidt_views(alg, alg.task_block(u))
 
-    def dev_for(t_mat: np.ndarray) -> float:
-        return _fit_residual(bp, t_mat, _fit_garbage(t_mat, big_t))
-
     if task.control_power is None:
         # a global phase on the task member is absorbed by the garbage factor
-        return dev_for(task.base(u))
+        t_mat = task.base(u)
+        return _fit_residual(bp, t_mat, _fit_garbage(t_mat, big_t))
 
-    return _phase_min(lambda p: dev_for(task.member(u, p)), grid)
+    # member(phi) = T0 + e^{i phi} T1 with T0, T1 on disjoint blocks, so the
+    # least-squares garbage is g0 + e^{-i phi} g1.  Split the ancilla space
+    # into span{g0, g1} (orthonormal basis q) and its complement: every
+    # fitted product lies in the first part, so the block's component off it
+    # is a phase-independent remainder, and only its R factor is kept.  Each
+    # phase's deviation is then the reduced deviation stacked on that R
+    # factor, at most 3 h rows, with the same spectral norm.
+    t0, t1 = _affine_member(task, u)
+    nrm2 = np.linalg.norm(t0) ** 2 + np.linalg.norm(t1) ** 2
+    g = np.stack([t.reshape(-1).conj() @ big_t for t in (t0, t1)], axis=1) / nrm2
+    q = np.linalg.qr(g)[0]
+    near = np.einsum("ykx,kr->yrx", bp, q.conj())
+    far = np.linalg.qr((bp - np.einsum("yrx,kr->ykx", near, q)).reshape(-1, bp.shape[2]),
+                       mode="r")
+    g_q = la.dagger(q) @ g
+
+    def deviations(phis: np.ndarray) -> np.ndarray:
+        e = np.exp(1j * phis)
+        t = t0 + e[:, None, None] * t1
+        gr = g_q[:, 0] + e.conj()[:, None] * g_q[:, 1]
+        dev = (near - t[:, :, None, :] * gr[:, None, :, None]).reshape(len(e), -1, t.shape[2])
+        return la.spectral_norm(np.concatenate([dev, np.broadcast_to(far, (len(e),) + far.shape)],
+                                               axis=1))
+
+    return _phase_min(_chunked(deviations), grid)
 
 
 # -- channel form ----------------------------------------------------------------
@@ -577,6 +622,8 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
     b = alg.task_block(u)
     exact = _exact_from_block(alg, task, u, b, EXACT_TOL)
     fixed_member = task.member(u, exact.phase) if (exact.achieved or task.control_power is None) else None
+    if fixed_member is None:
+        t0, t1 = _affine_member(task, u)
 
     worst = 0.0
     for rho in _state_family(alg, task, n_samples, seed):
@@ -585,15 +632,19 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
             raise ModelViolationError(
                 "postselection probability vanished on a sampled state")
         normalised = out / tr
-
-        def dist(member: np.ndarray) -> float:
-            target = member @ rho @ la.dagger(member)
-            return la.trace_norm(normalised - target)
-
         if fixed_member is not None:
-            d = dist(fixed_member)
+            d = la.trace_norm(normalised - fixed_member @ rho @ la.dagger(fixed_member))
         else:
-            d = _phase_min(lambda p: dist(task.member(u, p)), grid)
+            # member(phi) rho member(phi)^dagger has terms in 1, e^{i phi} and
+            # e^{-i phi}: the defect is X0 - e^{i phi} X1 - e^{-i phi} X1^dagger
+            x1 = t1 @ rho @ la.dagger(t0)
+            x0 = normalised - t0 @ rho @ la.dagger(t0) - t1 @ rho @ la.dagger(t1)
+
+            def defects(phis: np.ndarray) -> np.ndarray:
+                e = np.exp(1j * phis)[:, None, None]
+                return la.trace_norm(x0 - e * x1 - e.conj() * la.dagger(x1))
+
+            d = _phase_min(_chunked(defects), grid)
         worst = max(worst, float(d))
     return worst
 

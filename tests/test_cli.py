@@ -1,11 +1,18 @@
 """End-to-end tests of the command-line interface and its file formats."""
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uctrl import cli
 from uctrl import constructions as co
@@ -291,3 +298,108 @@ class TestInputErrors:
     ], ids=["refinements-0", "refinements-negative", "negative-grid"])
     def test_bad_flags(self, argv, tmp_path, capsys):
         self._input_error(run(*argv, "--out", tmp_path / "out"), capsys)
+
+
+# -- property test: random field mutations of valid IR --------------------------
+
+_DELETE = object()
+
+# JSON values of every shape; the fuzz filters out those a field accepts
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+_ACCEPTS = {  # field kind: the values from_ir accepts there
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "list": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+    "query": lambda v: isinstance(v, str) and v in ("id", "inv"),
+    "matrix": lambda v: isinstance(v, (dict, str)),  # inline, or a path
+    "projector": lambda v: v is None or isinstance(v, (dict, str)),
+    "any": lambda v: True,
+}
+
+_FUZZ_PROGRAMS = {  # name: verify flags; dong has no projector, transpose has one and task_out
+    "dong": ["--task", "cUm", "--m", 2, "--d", 2],
+    "transpose": ["--task", "transpose", "--d", 2],
+}
+
+
+def _ir_fields(ir) -> list[tuple[tuple, str, bool]]:
+    """(path, kind, required) for every field of a circuit IR a mutation may
+    touch: deleting a required key or giving any field a value outside its
+    kind makes the IR malformed."""
+    def matrix(path, m):
+        out = [(path, "matrix", True)]
+        if isinstance(m, dict):
+            out += [(path + (k,), "int" if k in ("rows", "cols") else "list", True)
+                    for k in ("rows", "cols", "re", "im")]
+        return out
+
+    def targets(path, ts, required):
+        return [(path, "list", required)] + [(path + (j,), "int", False) for j in range(len(ts))]
+
+    fields = [(("d",), "int", True), (("layout",), "list", True), (("steps",), "list", True),
+              (("projector",), "projector", False)]
+    for i in range(len(ir["layout"])):
+        fields += [(("layout", i), "object", False), (("layout", i, "dim"), "int", True),
+                   (("layout", i, "role"), "any", True)]
+    for i, s in enumerate(ir["steps"]):
+        p = ("steps", i)
+        fields.append((p, "object", False))
+        if "query" in s:
+            fields += [(p + ("query",), "query", True)] + targets(p + ("targets",), s["targets"], True)
+        else:
+            fields += matrix(p + ("unitary",), s["unitary"]) + targets(p + ("targets",), s["targets"], False)
+    if isinstance(ir["projector"], dict):
+        fields += matrix(("projector", "matrix"), ir["projector"]["matrix"])
+        fields += targets(("projector", "targets"), ir["projector"]["targets"], False)
+    if "task_out" in ir:
+        fields += targets(("task_out",), ir["task_out"], False)
+    return fields
+
+
+@functools.lru_cache(maxsize=None)
+def _ir_text(name: str) -> str:
+    return json.dumps(mo.to_ir(co.build(name, 2)))
+
+
+@st.composite
+def _mutated_ir(draw):
+    name = draw(st.sampled_from(sorted(_FUZZ_PROGRAMS)))
+    ir = json.loads(_ir_text(name))
+    fields = _ir_fields(ir)
+    picks = draw(st.lists(st.integers(0, len(fields) - 1), min_size=1, max_size=2, unique=True))
+    mutations = []
+    for k in picks:
+        path, kind, required = fields[k]
+        if kind == "any" or (required and draw(st.booleans())):
+            value = _DELETE
+        else:
+            value = draw(_JSON_VALUES.filter(lambda v, kind=kind: not _ACCEPTS[kind](v)))
+        mutations.append((path, value))
+    for path, value in sorted(mutations, key=lambda m: -len(m[0])):  # inner fields first
+        node = ir
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return name, ir
+
+
+class TestIrFuzz:
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(_mutated_ir())
+    def test_mutated_ir_exits_3(self, case):
+        name, ir = case
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ir.json"
+            path.write_text(json.dumps(ir))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run("verify", path, *_FUZZ_PROGRAMS[name], "--samples", 1)
+        assert code == cli.EXIT_INPUT_ERROR, err.getvalue()
+        assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()

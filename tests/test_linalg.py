@@ -182,6 +182,18 @@ class TestNorms:
         with pytest.raises(ValueError):
             la.op_norm(np.ones((2, 3)))
 
+    def test_trace_norm_stack(self):
+        rng = np.random.default_rng(10)
+        stack = np.stack([random_complex(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+        vals = la.trace_norm(stack)
+        assert vals.shape == (2, 3)
+        per_matrix = [[la.trace_norm(m) for m in row] for row in stack]
+        np.testing.assert_allclose(vals, per_matrix, rtol=0, atol=1e-13)
+
+    def test_nonsquare_stack_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            la.trace_norm(np.ones((4, 2, 3)))
+
     @settings(max_examples=20, deadline=None)
     @given(matrix_strategy(3), matrix_strategy(3))
     def test_tracenorm_opnorm_submultiplicative(self, x, y):
@@ -415,6 +427,21 @@ class TestMatrixJson:
         bad = {"rows": 2, "cols": 2, "re": [[1.0]], "im": [[0.0]]}
         with pytest.raises(ValueError):
             la.matrix_from_json(bad)
+
+    @pytest.mark.parametrize("field,value", [("rows", 2.0), ("cols", True), ("im", 0), ("re", [1.0, 0.0])])
+    def test_fields_checked(self, field, value):
+        # each value broadcasts or compares equal to the right shape, but
+        # is not what the wire format says
+        good = la.matrix_to_json(np.eye(2))
+        with pytest.raises(ValueError):
+            la.matrix_from_json({**good, field: value})
+
+    def test_signed_zeros_kept(self):
+        m = np.empty((1, 2), dtype=complex)
+        m.real, m.imag = [[-0.0, 1.0]], [[1.0, -0.0]]
+        back = la.matrix_from_json(la.matrix_to_json(m))
+        assert np.signbit(back.real).tolist() == [[True, False]]
+        assert np.signbit(back.imag).tolist() == [[False, True]]
 
 
 class TestLayout:

@@ -1,8 +1,12 @@
 """Tests for the oracle-program model and its verification predicates."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uctrl import constructions as co
 from uctrl import linalg as la
@@ -222,6 +226,131 @@ class TestPhaseMin:
         val = mo._phase_min(lambda p: 1 - np.cos(p - p0), mo.PHASE_GRID)
         assert 0.0 <= val <= 1e-12
 
+    def test_one_grid_call_then_length_one_calls(self):
+        sizes = []
+
+        def f(phis):
+            sizes.append(len(phis))
+            return 1 - np.cos(phis - 0.3)
+
+        mo._phase_min(f, mo.PHASE_GRID)
+        # the whole grid at once, then two golden-section starting points,
+        # 60 section steps and the final midpoint
+        assert sizes == [mo.PHASE_GRID] + [1] * 63
+
+
+def constant_circuit(d: int) -> mo.OracleAlgorithm:
+    layout = RegisterLayout.of([2, d], ["control", "task"])
+    return mo.OracleAlgorithm("constant", d, layout,
+                              (mo.FixedStep(np.eye(2 * d, dtype=complex), (0, 1)),))
+
+
+def per_phase_deviation(alg, task, u, grid):
+    """``pure_deviation`` phase by phase: the least-squares garbage for each
+    task member and the spectral norm of the full deviation."""
+    bp = mo.out_split(alg, alg.task_block(u))
+    big_t = bp.transpose(0, 2, 1).reshape(-1, bp.shape[1])
+
+    def dev(t_mat):
+        vec = t_mat.reshape(-1)
+        g = (vec.conj() @ big_t) / np.linalg.norm(vec) ** 2
+        return la.spectral_norm((bp - np.einsum("yx,k->ykx", t_mat, g)).reshape(-1, bp.shape[2]))
+
+    if task.control_power is None:
+        return dev(task.base(u))
+    return mo._phase_min(lambda phis: np.array([dev(task.member(u, p)) for p in phis]), grid)
+
+
+def per_phase_eps(alg, task, u, n_samples, grid):
+    """``eps_distance_estimate`` phase by phase: the trace distance to the
+    full target member rho member^dagger at each phase."""
+    exact = mo.check_exact(alg, task, u)
+    worst = 0.0
+    for rho in mo._state_family(alg, task, n_samples, 0):
+        out, tr = mo.apply_channel(alg, u, rho)
+
+        def dist(p):
+            member = task.member(u, p)
+            return la.trace_norm(out / tr - member @ rho @ la.dagger(member))
+
+        if exact.achieved or task.control_power is None:
+            val = dist(exact.phase)
+        else:
+            val = mo._phase_min(lambda phis: np.array([dist(p) for p in phis]), grid)
+        worst = max(worst, val)
+    return worst
+
+
+def compatible_tasks(alg, d):
+    tasks = [mo.cum_task(d, d), mo.cum_task(d, 1), mo.cum_task(d, -1),
+             mo.conjugation_task(d), mo.transpose_task(d), mo.inverse_task(d)]
+    out = []
+    for task in tasks:
+        try:
+            mo._check_compat(alg, task)
+        except ValueError:
+            continue
+        out.append(task)
+    return out
+
+
+class TestPhaseScanEquivalence:
+    """The phase scans run on reduced matrices and stacked norms; they match
+    the per-phase formulas to 1e-12.  A grid of 100 phases spans one full
+    evaluation chunk and part of a second."""
+
+    GRID = 100
+
+    def assert_match(self, alg, task, u, eps=True, grid=GRID):
+        assert abs(mo.pure_deviation(alg, task, u, grid=grid)
+                   - per_phase_deviation(alg, task, u, grid)) <= 1e-12
+        if eps:
+            assert abs(mo.eps_distance_estimate(alg, task, u, n_samples=2, grid=grid)
+                       - per_phase_eps(alg, task, u, 2, grid)) <= 1e-12
+
+    # the neutraliser has no task register, so no task applies to it
+    @pytest.mark.parametrize("name", sorted(set(co.BUILDERS) - {"neutraliser"}))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_builders(self, name, d):
+        alg = co.BUILDERS[name](d)
+        tasks = compatible_tasks(alg, d)
+        assert tasks
+        u = la.haar_unitary(d, 950 + d)
+        for task in tasks:
+            self.assert_match(alg, task, u)
+
+    def test_power_2_4(self):
+        alg = co.power_cUm(2, 4)
+        for m in (4, 2):
+            self.assert_match(alg, mo.cum_task(2, m), la.haar_unitary(2, 960))
+
+    def test_dong_d4_deviation(self):
+        alg, u = co.dong_cUd(4), la.haar_unitary(4, 961)
+        for m in (4, 1):
+            self.assert_match(alg, mo.cum_task(4, m), u, eps=False)
+
+    @pytest.mark.parametrize("theta", [np.pi - 1e-6, np.pi + 1e-6])
+    def test_composed_root_across_cut(self, theta):
+        ev = co.composed_root_cU(2, lambda u: la.principal_root(u, 2))
+        u = np.diag([1, np.exp(1j * theta)]).astype(complex)
+        for m in (1, 2):
+            self.assert_match(ev, mo.cum_task(2, m), u)
+
+    def test_ancilla_outside_garbage_span(self):
+        # a Haar-random step on every factor spreads the output over the whole
+        # three-dimensional ancilla, off the span of the two garbage parts
+        layout = RegisterLayout.of([2, 2, 3], ["control", "task", "anc"])
+        alg = mo.OracleAlgorithm("scrambled", 2, layout, (
+            mo.QueryStep(mo.ID, (1,)), mo.FixedStep(la.haar_unitary(12, 963), (0, 1, 2))))
+        for m in (1, 2):
+            self.assert_match(alg, mo.cum_task(2, m), la.haar_unitary(2, 964))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_constant_circuit(self, d):
+        # never an achiever, so both estimators scan the phase
+        self.assert_match(constant_circuit(d), mo.cum_task(d, 1), la.haar_unitary(d, 962),
+                          grid=mo.PHASE_GRID)
+
 
 class TestEpsDistance:
     def test_exact_achievers_zero(self):
@@ -431,6 +560,18 @@ class TestIrRoundTrip:
         for s in range(3):
             u = la.haar_unitary(d, 700 + s)
             np.testing.assert_allclose(back.eval(u), alg.eval(u), atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(co.BUILDERS) + ["power"])
+    @pytest.mark.parametrize("d", [2, 3])
+    @settings(max_examples=3, derandomize=True, deadline=None)
+    @given(label=st.text(max_size=12))
+    def test_ir_bytes_roundtrip(self, name, d, label):
+        # every float, signed zeros included, and any program name survive
+        alg = co.build(name, d, 2 * d if name == "power" else None)
+        alg.name = label
+        text = json.dumps(mo.to_ir(alg))
+        same = json.dumps(mo.to_ir(mo.from_ir(json.loads(text)))) == text
+        assert same  # not a string comparison: a diff of a large IR takes minutes
 
     def test_full_space_inline_projector_accepted(self):
         alg = co.transpose_via_teleport(2)
