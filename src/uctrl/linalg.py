@@ -444,6 +444,8 @@ def matrix_from_json(obj) -> np.ndarray:
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != shape or im.shape != shape:
         raise ValueError("matrix JSON shape fields disagree with data")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix JSON entries must be finite numbers")
     # set both parts in place: re + 1j * im would turn a -0.0 into 0.0
     m = np.empty(shape, dtype=complex)
     m.real, m.imag = re, im

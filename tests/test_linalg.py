@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -435,6 +436,15 @@ class TestMatrixJson:
         good = la.matrix_to_json(np.eye(2))
         with pytest.raises(ValueError):
             la.matrix_from_json({**good, field: value})
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_non_finite_rejected(self, field, text):
+        # Python's json reads each of these as a float; none is a matrix entry
+        good = la.matrix_to_json(np.eye(2))
+        bad = json.loads(f"[[{text}, 0.0], [0.0, 1.0]]")
+        with pytest.raises(ValueError, match="finite"):
+            la.matrix_from_json({**good, field: bad})
 
     def test_signed_zeros_kept(self):
         m = np.empty((1, 2), dtype=complex)

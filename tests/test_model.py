@@ -148,6 +148,54 @@ class TestApplyChannel:
             mo.apply_channel(alg, np.eye(2, dtype=complex), np.eye(2, dtype=complex))
 
 
+def kraus_channel(alg, u, rho):
+    """The postselected channel as the explicit Kraus sum over the output
+    ancilla basis: sum_a Y_a rho Y_a^dagger, Y_a the (out, in) slice of the
+    zero-ancilla block at ancilla output a."""
+    bp = mo.out_split(alg, alg.task_block(u))
+    return sum(bp[:, a, :] @ rho @ la.dagger(bp[:, a, :]) for a in range(bp.shape[1]))
+
+
+class TestChannelReference:
+    """``apply_channel`` matches the Kraus sum, and one stacked channel call
+    matches per-state calls, on every state of the eps family and on a
+    rank-two mixed state (rank-deficient wherever h > 2)."""
+
+    def assert_matches(self, alg, task, u):
+        h = alg.h_dim
+        q = la.haar_unitary(h, 970)
+        mixed = (q[:, :2] * [0.7, 0.3]) @ la.dagger(q[:, :2])
+        rhos = np.concatenate([mo._state_family(alg, task, 2, 0), mixed[None]])
+        b = alg.task_block(u)
+        outs, trs = mo._channel_from_block(alg, b, rhos)
+        assert outs.shape == rhos.shape and trs.shape == (len(rhos),)
+        for rho, out, tr in zip(rhos, outs, trs):
+            ref = kraus_channel(alg, u, rho)
+            got, got_tr = mo.apply_channel(alg, u, rho)
+            assert isinstance(got_tr, float)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+            assert abs(got_tr - np.trace(ref).real) <= 1e-12
+            one, one_tr = mo._channel_from_block(alg, b, rho)
+            np.testing.assert_allclose(out, one, rtol=0, atol=1e-14)
+            assert abs(tr - one_tr) <= 1e-14
+
+    # the neutraliser has no task register, so it has no channel to check
+    @pytest.mark.parametrize("name", sorted(set(co.BUILDERS) - {"neutraliser"}))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_builders(self, name, d):
+        alg = co.BUILDERS[name](d)
+        # the first compatible task is a controlled one wherever the program
+        # has a control, so the plus-control states are in the family
+        self.assert_matches(alg, compatible_tasks(alg, d)[0], la.haar_unitary(d, 971 + d))
+
+    def test_power_2_4(self):
+        self.assert_matches(co.power_cUm(2, 4), mo.cum_task(2, 4), la.haar_unitary(2, 974))
+
+    def test_composed_root(self):
+        ev = co.composed_root_cU(2, lambda u: la.principal_root(u, 2))
+        self.assert_matches(ev, mo.cum_task(2, 1), la.haar_unitary(2, 975))
+
+
 class TestCheckExact:
     def test_dong_details(self):
         alg = co.dong_cUd(2)
@@ -420,6 +468,26 @@ class TestNeutralise:
         assert abs(res.r - 1.0) < 1e-10
         for u, phi in zip(us, res.phases):
             assert wrap_diff(phi, np.angle(np.linalg.det(u))) < 1e-8
+
+    def test_one_pass_over_the_oracles(self, monkeypatch):
+        calls = []
+        apply_cols = mo.OracleAlgorithm.apply_cols
+
+        def counting(self, u, cols):
+            calls.append(np.shape(u))
+            return apply_cols(self, u, cols)
+
+        monkeypatch.setattr(mo.OracleAlgorithm, "apply_cols", counting)
+        alg, us = co.neutraliser_parallel(2), la.haar_unitaries(2, 5, 11)
+        res = mo.check_neutralises(alg, us)
+        assert res.passed and len(res.phases) == 5
+        assert calls == [(5, 2, 2)]
+        # the stacked pass against one apply_cols per oracle
+        e0 = la.basis_state(alg.total_dim, 0)
+        for u, r, phi, resid in zip(us, res.r_values, res.phases, res.residuals):
+            v = alg.apply_cols(u, e0)
+            assert abs(r - abs(v[0])) <= 1e-14 and wrap_diff(phi, np.angle(v[0])) <= 1e-14
+            assert abs(resid - np.linalg.norm(v - v[0] * e0)) <= 1e-14
 
     def test_plain_query_fails_at_x(self):
         alg = whole_space_query(2)
