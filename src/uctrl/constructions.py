@@ -287,7 +287,7 @@ class ComposedRootEvaluator:
         acc = np.eye(self.d, dtype=complex)
         for _ in range(self.d):
             acc = acc @ w
-        bad = np.flatnonzero(~(la.spectral_norm(acc - us) <= ROOT_TOL))
+        bad = np.flatnonzero(~la.norm_within(acc - us, ROOT_TOL))
         if bad.size:
             where = f" at index {bad[0]}" if stacked else ""
             raise ValueError(f"root map did not return a d-th root of the oracle{where}")

@@ -37,7 +37,7 @@ def require_square(m: np.ndarray, what: str = "matrix") -> int:
 
 def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     n = require_square(m)
-    return spectral_norm(dagger(m) @ m - np.eye(n)) <= tol
+    return norm_within(dagger(m) @ m - np.eye(n), tol)
 
 
 def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL, what: str = "matrix") -> np.ndarray:
@@ -51,7 +51,7 @@ def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL, what: str = "matrix
         return m
     if m.shape[1] != m.shape[2]:
         raise ValueError(f"{what} must be a stack of square matrices, got shape {m.shape}")
-    bad = np.flatnonzero(~(spectral_norm(dagger(m) @ m - np.eye(m.shape[1])) <= tol))
+    bad = np.flatnonzero(~norm_within(dagger(m) @ m - np.eye(m.shape[1]), tol))
     if bad.size:
         raise ValueError(f"{what} at index {bad[0]} is not unitary to tolerance {tol}")
     return m
@@ -71,6 +71,20 @@ def spectral_norm(m: np.ndarray) -> float | np.ndarray:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def norm_within(m: np.ndarray, tol: float) -> bool | np.ndarray:
+    """``spectral_norm(m) <= tol``; for a stack (..., r, c) the array of each
+    matrix's verdict.  Since ||X||_2 <= ||X||_F, a matrix whose Frobenius norm
+    is at most ``tol`` passes without an SVD; only the matrices that bound
+    does not settle go to :func:`spectral_norm`, so the predicate is the same.
+    A NaN fails the bound and reaches the SVD, which raises as before."""
+    ok = np.linalg.norm(m, axis=(-2, -1)) <= tol
+    if m.ndim == 2:
+        return bool(ok) or bool(spectral_norm(m) <= tol)
+    if not ok.all():
+        ok[~ok] = spectral_norm(m[~ok]) <= tol
+    return ok
 
 
 @dataclass(frozen=True)
@@ -433,6 +447,14 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _numbers_only(a: np.ndarray, rows) -> bool:
+    """Whether the entries behind ``a = np.asarray(rows)`` are all numbers.
+    np.asarray(..., dtype=float) would parse "1.5", and np.asarray turns
+    [true, 0.5] into [1.0, 0.5], so a bool among numbers shows only in the
+    entries' types."""
+    return a.dtype.kind in "iuf" and not any(bool in set(map(type, row)) for row in rows)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if isinstance(obj, (str, Path)):
         with open(obj) as f:
@@ -440,10 +462,12 @@ def matrix_from_json(obj) -> np.ndarray:
     shape = (obj["rows"], obj["cols"])
     if not all(isinstance(n, int) and not isinstance(n, bool) for n in shape):
         raise ValueError("matrix JSON rows and cols must be integers")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    re, im = np.asarray(obj["re"]), np.asarray(obj["im"])
     if re.shape != shape or im.shape != shape:
         raise ValueError("matrix JSON shape fields disagree with data")
+    if not (_numbers_only(re, obj["re"]) and _numbers_only(im, obj["im"])):
+        raise ValueError("matrix JSON entries must be numbers")
+    re, im = re.astype(float), im.astype(float)
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("matrix JSON entries must be finite numbers")
     # set both parts in place: re + 1j * im would turn a -0.0 into 0.0

@@ -112,7 +112,8 @@ class OracleAlgorithm:
         if self.projector is not None:
             p, targets = self.projector
             ops.append((np.asarray(p, dtype=complex), la.check_targets(p, targets, dims)))
-            if la.spectral_norm(p @ p - p) > la.UNITARY_TOL or la.spectral_norm(p - la.dagger(p)) > la.UNITARY_TOL:
+            if not (la.norm_within(p @ p - p, la.UNITARY_TOL)
+                    and la.norm_within(p - la.dagger(p), la.UNITARY_TOL)):
                 raise ValueError(f"projector of {self.name} is not an orthogonal projector")
         if self.task_out is not None and la.target_dim(self.task_out, dims) != self.h_dim:
             raise ValueError("output task registers do not match the task space dimension")
@@ -578,7 +579,7 @@ def apply_channel(alg, u: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, floa
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (alg.h_dim, alg.h_dim):
         raise ValueError("density matrix dimension mismatch")
-    if la.spectral_norm(rho - la.dagger(rho)) > 1e-8 or abs(np.trace(rho) - 1.0) > 1e-8:
+    if not la.norm_within(rho - la.dagger(rho), 1e-8) or abs(np.trace(rho) - 1.0) > 1e-8:
         raise ValueError("input is not a density matrix (hermitian, trace one)")
     if np.linalg.eigvalsh(rho).min() < -1e-8:
         raise ValueError("input density matrix is not positive semidefinite")
@@ -821,5 +822,6 @@ def from_ir(obj, base: Path | None = None) -> OracleAlgorithm:
 
 
 def write_ir(alg: OracleAlgorithm, path) -> None:
+    # one dumps: json.dump streams through the pure-Python encoder
     with open(path, "w") as f:
-        json.dump(to_ir(alg), f)
+        f.write(json.dumps(to_ir(alg)))

@@ -252,9 +252,11 @@ def _first_step(key, value):
     return lambda ir: {**ir, "steps": [{**ir["steps"][0], key: value}] + ir["steps"][1:]}
 
 
-def _nan_entry(ir):
-    u = ir["steps"][0]["unitary"]
-    return _first_step("unitary", {**u, "re": [[float("nan")] + u["re"][0][1:]] + u["re"][1:]})(ir)
+def _first_entry(value):
+    def mutate(ir):
+        u = ir["steps"][0]["unitary"]
+        return _first_step("unitary", {**u, "re": [[value] + u["re"][0][1:]] + u["re"][1:]})(ir)
+    return mutate
 
 
 MALFORMED = "malformed circuit IR"
@@ -267,7 +269,9 @@ MALFORMED_IR = {  # kind: (mutation of a dong d=2 IR, expected message fragment)
     "targets-null": (_first_step("targets", None), MALFORMED),
     "targets-not-integers": (_first_step("targets", [2.5, 3]), MALFORMED),
     "unitary-not-a-matrix": (_first_step("unitary", 3), MALFORMED),
-    "unitary-non-finite": (_nan_entry, "finite"),
+    "unitary-non-finite": (_first_entry(float("nan")), "finite"),
+    "unitary-string-entry": (_first_entry("1.5"), "numbers"),
+    "unitary-bool-entry": (_first_entry(True), "numbers"),
     "projector-int": (_with("projector", 7), MALFORMED),
     "task-out-null": (_with("task_out", None), MALFORMED),
     "d-null": (_with("d", None), MALFORMED),

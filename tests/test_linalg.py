@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from uctrl import constructions as co
 from uctrl import linalg as la
+from uctrl import model as mo
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -199,6 +200,77 @@ class TestNorms:
     @given(matrix_strategy(3), matrix_strategy(3))
     def test_tracenorm_opnorm_submultiplicative(self, x, y):
         assert la.trace_norm(x @ y) <= la.trace_norm(x) * la.op_norm(y) + 1e-12
+
+
+class TestNormWithin:
+    """``norm_within(m, tol)`` is ``spectral_norm(m) <= tol``, whether the
+    Frobenius bound or the SVD settles it."""
+
+    TOL = 1e-10
+
+    @staticmethod
+    def _scaled(rng, r, c, norm):
+        m = random_complex(rng, r, c)
+        return m * (norm / la.spectral_norm(m))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (1, 5)])
+    def test_single_matches_spectral(self, shape):
+        rng = np.random.default_rng(41)
+        # spectral norms from well below to above tol; the Frobenius norm of
+        # each is larger, so the middle ones need the SVD
+        for factor in (0.1, 0.5, 0.9, 0.99, 1.01, 2.0):
+            m = self._scaled(rng, *shape, factor * self.TOL)
+            assert la.norm_within(m, self.TOL) is (la.spectral_norm(m) <= self.TOL)
+
+    def test_stack_mixed_verdicts(self):
+        rng = np.random.default_rng(42)
+        factors = [0.1, 0.9, 1.1, 0.2, 3.0, 0.99]
+        stack = np.stack([self._scaled(rng, 3, 3, f * self.TOL) for f in factors]).reshape(2, 3, 3, 3)
+        got = la.norm_within(stack, self.TOL)
+        assert got.shape == (2, 3)
+        np.testing.assert_array_equal(got, la.spectral_norm(stack) <= self.TOL)
+        assert got.any() and not got.all()
+        # both ways of settling a pass occur in this stack
+        fro = np.linalg.norm(stack, axis=(-2, -1))
+        assert (got & (fro <= self.TOL)).any() and (got & (fro > self.TOL)).any()
+
+    @pytest.mark.parametrize("factor,expected", [(1 - 1e-6, True), (1 + 1e-6, False)])
+    def test_rank_one_defect_at_tol(self, factor, expected):
+        # rank one: the spectral and Frobenius norms are equal
+        rng = np.random.default_rng(43)
+        u, v = random_complex(rng, 4, 1), random_complex(rng, 1, 4)
+        m = u @ v / (np.linalg.norm(u) * np.linalg.norm(v)) * factor * self.TOL
+        assert abs(np.linalg.norm(m) - la.spectral_norm(m)) <= 1e-14 * self.TOL
+        assert la.norm_within(m, self.TOL) is expected
+        assert la.norm_within(np.stack([m, m]), self.TOL).tolist() == [expected] * 2
+        assert (la.spectral_norm(m) <= self.TOL) is expected
+
+    def test_svd_fallback_keeps_unitary(self):
+        # the unitarity defect of a slightly scaled Haar unitary is 6e-11 in
+        # the spectral norm but 9.6e-10 in the Frobenius norm: only the SVD
+        # passes it
+        q = la.haar_unitary(256, 44) * (1 + 3e-11)
+        defect = la.dagger(q) @ q - np.eye(256)
+        assert la.spectral_norm(defect) <= la.UNITARY_TOL < np.linalg.norm(defect)
+        assert la.norm_within(defect, la.UNITARY_TOL)
+        assert la.is_unitary(q)
+        la.require_unitary(np.stack([q, np.eye(256)]))
+        layout = la.RegisterLayout.of([256], ["task"])
+        mo.OracleAlgorithm("scaled", 256, layout, (mo.FixedStep(q, (0,)), mo.QueryStep(mo.ID, (0,))))
+
+    def test_empty(self):
+        assert la.norm_within(np.zeros((0, 0), dtype=complex), self.TOL) is True
+        assert la.norm_within(np.zeros((3, 0, 2)), self.TOL).tolist() == [True] * 3
+        assert la.norm_within(np.zeros((0, 2, 2)), self.TOL).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2)])
+    def test_nan_raises_like_spectral_norm(self, shape):
+        m = np.zeros(shape, dtype=complex)
+        m[..., 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            la.spectral_norm(m)
+        with pytest.raises(np.linalg.LinAlgError):
+            la.norm_within(m, self.TOL)
 
 
 class TestHaar:
@@ -445,6 +517,18 @@ class TestMatrixJson:
         bad = json.loads(f"[[{text}, 0.0], [0.0, 1.0]]")
         with pytest.raises(ValueError, match="finite"):
             la.matrix_from_json({**good, field: bad})
+
+    @pytest.mark.parametrize("entry", ["1.5", True, None], ids=["string", "bool", "null"])
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_non_numeric_rejected(self, field, entry):
+        good = la.matrix_to_json(np.eye(2))
+        with pytest.raises(ValueError, match="numbers"):
+            la.matrix_from_json({**good, field: [[entry, 0], [0, 1]]})
+
+    def test_integer_entries_accepted(self):
+        m = la.matrix_from_json({"rows": 2, "cols": 2, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, -1]]})
+        np.testing.assert_array_equal(m, [[0, 1], [1, -1j]])
+        assert m.dtype == complex
 
     def test_signed_zeros_kept(self):
         m = np.empty((1, 2), dtype=complex)

@@ -1,6 +1,7 @@
 """Tests for the oracle-program model and its verification predicates."""
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -639,6 +640,18 @@ class TestIrRoundTrip:
         alg.name = label
         text = json.dumps(mo.to_ir(alg))
         same = json.dumps(mo.to_ir(mo.from_ir(json.loads(text)))) == text
+        assert same  # not a string comparison: a diff of a large IR takes minutes
+
+    @pytest.mark.parametrize("name,d", [(n, d) for n in sorted(co.BUILDERS) for d in (2, 3)]
+                             + [("power", 2)])
+    def test_write_ir_bytes_match_json_dump(self, name, d, tmp_path):
+        # write_ir encodes in one json.dumps; the file is what json.dump writes
+        alg = co.build(name, d, 4 if name == "power" else None)
+        ref = io.StringIO()
+        json.dump(mo.to_ir(alg), ref)
+        path = tmp_path / "alg.json"
+        mo.write_ir(alg, path)
+        same = path.read_text() == ref.getvalue()
         assert same  # not a string comparison: a diff of a large IR takes minutes
 
     def test_full_space_inline_projector_accepted(self):
