@@ -447,12 +447,21 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def _numbers_only(a: np.ndarray, rows) -> bool:
-    """Whether the entries behind ``a = np.asarray(rows)`` are all numbers.
-    np.asarray(..., dtype=float) would parse "1.5", and np.asarray turns
-    [true, 0.5] into [1.0, 0.5], so a bool among numbers shows only in the
-    entries' types."""
-    return a.dtype.kind in "iuf" and not any(bool in set(map(type, row)) for row in rows)
+def _float_entries(a: np.ndarray, rows) -> np.ndarray:
+    """The entries behind ``a = np.asarray(rows)`` as floats, or ValueError
+    unless they are all numbers.  np.asarray(..., dtype=float) would parse
+    "1.5", and np.asarray turns [true, 0.5] into [1.0, 0.5], so a bool among
+    numbers shows only in the entries' types.  An integer outside int64 makes
+    ``a`` an object array; numbers there load as their floats, and one too
+    large for a float is not finite."""
+    if a.dtype == object and all(type(x) in (int, float) for row in rows for x in row):
+        try:
+            return np.array([[float(x) for x in row] for row in rows])
+        except OverflowError:
+            raise ValueError("matrix JSON entries must be finite numbers") from None
+    if a.dtype.kind not in "iuf" or any(bool in set(map(type, row)) for row in rows):
+        raise ValueError("matrix JSON entries must be numbers")
+    return a.astype(float)
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -465,9 +474,7 @@ def matrix_from_json(obj) -> np.ndarray:
     re, im = np.asarray(obj["re"]), np.asarray(obj["im"])
     if re.shape != shape or im.shape != shape:
         raise ValueError("matrix JSON shape fields disagree with data")
-    if not (_numbers_only(re, obj["re"]) and _numbers_only(im, obj["im"])):
-        raise ValueError("matrix JSON entries must be numbers")
-    re, im = re.astype(float), im.astype(float)
+    re, im = _float_entries(re, obj["re"]), _float_entries(im, obj["im"])
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("matrix JSON entries must be finite numbers")
     # set both parts in place: re + 1j * im would turn a -0.0 into 0.0

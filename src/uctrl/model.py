@@ -454,17 +454,20 @@ def _exact_from_block(alg, task: Task, u: np.ndarray, b: np.ndarray,
                              residual=residual, rank_residual=rank_residual)
 
 
-def _phase_min(f, grid: int) -> float:
-    """Minimum over the phase circle of f, a function of a phase array: the
-    best of ``grid`` uniform phases (one call on the whole grid), refined by
-    golden-section search over the two grid cells around it (one call per
-    point, on a length-1 array); never above the best grid value."""
+def _phase_min(f, grid: int) -> np.ndarray:
+    """Minimum over the phase circle of each member of a family of functions:
+    f maps a phase array p to values of shape (*family, *p.shape), and the
+    family may be empty.  Each member's best of ``grid`` uniform phases (one
+    call on the whole grid) is refined by golden-section search over the two
+    grid cells around it, all members at once (one call per point, on a
+    (*family, 1) array of each member's own phase); never above the best grid
+    value.  The result has the family's shape, 0-d for a single function."""
     phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
     vals = f(phis)
-    best = int(np.argmin(vals))
+    best = np.argmin(vals, axis=-1)
 
-    def at(p: float) -> float:
-        return float(f(np.array([p]))[0])
+    def at(p: np.ndarray) -> np.ndarray:
+        return f(p[..., None])[..., 0]
 
     step = 2 * np.pi / grid
     inv = (math.sqrt(5) - 1) / 2
@@ -473,23 +476,21 @@ def _phase_min(f, grid: int) -> float:
     d = a + inv * (b - a)
     fc, fd = at(c), at(d)
     for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = at(d)
-    return min(at((a + b) / 2), float(vals[best]))
+        # each member's bracket moves by its own comparison
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = np.where(left, b - inv * (b - a), d), np.where(left, c, a + inv * (b - a))
+        f_new = at(np.where(left, c, d))
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    return np.minimum(at((a + b) / 2), vals.min(axis=-1))
 
 
 def _chunked(f):
     """f on a phase array, evaluated _PHASE_CHUNK phases at a time so that no
     stacked intermediate grows with the grid."""
     def g(phis: np.ndarray) -> np.ndarray:
-        return np.concatenate([f(phis[i:i + _PHASE_CHUNK])
-                               for i in range(0, len(phis), _PHASE_CHUNK)])
+        return np.concatenate([f(phis[..., i:i + _PHASE_CHUNK])
+                               for i in range(0, phis.shape[-1], _PHASE_CHUNK)], axis=-1)
     return g
 
 
@@ -542,7 +543,7 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
         return la.spectral_norm(np.concatenate([dev, np.broadcast_to(far, (len(e),) + far.shape)],
                                                axis=1))
 
-    return _phase_min(_chunked(deviations), grid)
+    return float(_phase_min(_chunked(deviations), grid))
 
 
 # -- channel form ----------------------------------------------------------------
@@ -629,17 +630,14 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
     # member(phi) rho member(phi)^dagger has terms in 1, e^{i phi} and
     # e^{-i phi}: the defect is X0 - e^{i phi} X1 - e^{-i phi} X1^dagger
     t0, t1 = _affine_member(task, u)
-    x1s = t1 @ rhos @ la.dagger(t0)
-    x0s = normalised - t0 @ rhos @ la.dagger(t0) - t1 @ rhos @ la.dagger(t1)
+    x1s = (t1 @ rhos @ la.dagger(t0))[:, None]
+    x0s = (normalised - t0 @ rhos @ la.dagger(t0) - t1 @ rhos @ la.dagger(t1))[:, None]
 
-    def scan(x0: np.ndarray, x1: np.ndarray) -> float:
-        def defects(phis: np.ndarray) -> np.ndarray:
-            e = np.exp(1j * phis)[:, None, None]
-            return la.trace_norm(x0 - e * x1 - e.conj() * la.dagger(x1))
+    def defects(phis: np.ndarray) -> np.ndarray:
+        e = np.exp(1j * phis)[..., None, None]
+        return la.trace_norm(x0s - e * x1s - e.conj() * la.dagger(x1s))
 
-        return _phase_min(_chunked(defects), grid)
-
-    return max(scan(x0, x1) for x0, x1 in zip(x0s, x1s))
+    return float(np.max(_phase_min(_chunked(defects), grid)))
 
 
 # -- neutralisation, cleanness, homogeneity ------------------------------------

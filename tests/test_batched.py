@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uctrl import constructions as co
 from uctrl import linalg as la
@@ -71,6 +73,31 @@ def test_stacked_apply_cols_matches_serial(make, m):
         blocks = alg.task_block(us[:2])
         for b in range(2):
             np.testing.assert_allclose(blocks[b], alg.task_block(us[b]), rtol=0, atol=TOL)
+
+
+# (name, d, m): every builder at d = 2 and 3, and power(2, 4)
+_DRAWN = [(name, d, None) for name in co.BUILDERS for d in (2, 3)] + [("power", 2, 4)]
+
+
+# three drawn stacks per program, 45 in all: a single draw of the program
+# leaves some of the fifteen out
+@pytest.mark.parametrize("program", _DRAWN, ids=[f"{n}-{d}" for n, d, _ in _DRAWN])
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(n_oracles=st.integers(1, 5), k=st.integers(1, 3), per_oracle=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_equals_serial_property(program, n_oracles, k, per_oracle, seed):
+    alg = co.build(*program)
+    rng = np.random.default_rng(seed)
+    n = alg.total_dim
+    us = np.stack(la.haar_unitaries(alg.oracle_dim, n_oracles, seed))
+    shape = (n_oracles, n, k) if per_oracle else (n, k)
+    cols = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = alg.apply_cols(us, cols)
+    assert got.shape == (n_oracles, n, k)
+    for b, u in enumerate(us):
+        mine = cols[b] if per_oracle else cols
+        np.testing.assert_allclose(got[b], alg.apply_cols(u, mine), rtol=0, atol=TOL)
+        np.testing.assert_allclose(got[b], _reference(alg, u, mine), rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("make,m", _params(CONTROLLED))

@@ -272,6 +272,7 @@ MALFORMED_IR = {  # kind: (mutation of a dong d=2 IR, expected message fragment)
     "unitary-non-finite": (_first_entry(float("nan")), "finite"),
     "unitary-string-entry": (_first_entry("1.5"), "numbers"),
     "unitary-bool-entry": (_first_entry(True), "numbers"),
+    "unitary-huge-int": (_first_entry(10**400), "finite"),
     "projector-int": (_with("projector", 7), MALFORMED),
     "task-out-null": (_with("task_out", None), MALFORMED),
     "d-null": (_with("d", None), MALFORMED),

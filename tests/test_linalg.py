@@ -530,6 +530,28 @@ class TestMatrixJson:
         np.testing.assert_array_equal(m, [[0, 1], [1, -1j]])
         assert m.dtype == complex
 
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_integers_beyond_int64_load_as_floats(self, field):
+        # np.asarray gives such integers object dtype; they are still numbers
+        good = la.matrix_to_json(np.zeros((2, 2)))
+        m = la.matrix_from_json({**good, field: [[10**30, -(2**70)], [0.5, 2**63]]})
+        part = m.real if field == "re" else m.imag
+        np.testing.assert_array_equal(part, [[1e30, -float(2**70)], [0.5, float(2**63)]])
+        assert m.dtype == complex
+
+    @pytest.mark.parametrize("entry", [10**400, -(10**400)], ids=["positive", "negative"])
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_integer_beyond_float_not_finite(self, field, entry):
+        good = la.matrix_to_json(np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            la.matrix_from_json({**good, field: [[entry, 0], [0, 1]]})
+
+    @pytest.mark.parametrize("entry", ["1.5", True, None], ids=["string", "bool", "null"])
+    def test_non_numeric_beside_huge_integer_rejected(self, entry):
+        good = la.matrix_to_json(np.eye(2))
+        with pytest.raises(ValueError, match="numbers"):
+            la.matrix_from_json({**good, "re": [[10**30, entry], [0, 1]]})
+
     def test_signed_zeros_kept(self):
         m = np.empty((1, 2), dtype=complex)
         m.real, m.imag = [[-0.0, 1.0]], [[1.0, -0.0]]

@@ -287,6 +287,25 @@ class TestPhaseMin:
         # 60 section steps and the final midpoint
         assert sizes == [mo.PHASE_GRID] + [1] * 63
 
+    def test_family_matches_single_functions(self):
+        # seven members with their own minima, widths and second harmonics;
+        # p0 = pi - 2e-4 sits across the grid's wrap-around point
+        p0 = np.array([0.3, -2.0, np.pi - 2e-4, 1.1, -0.7, 2.9, 0.0])
+        w = np.array([1.0, 0.5, 2.0, 1.5, 0.8, 1.2, 3.0])
+        q = np.array([0.1, 1.3, -0.4, 2.2, 0.0, -1.9, 0.6])
+
+        def member(k):
+            return lambda p: w[k] * (1 - np.cos(p - p0[k])) + 0.2 * np.sin(2 * (p - q[k])) ** 2
+
+        def family(p):
+            return w[:, None] * (1 - np.cos(p - p0[:, None])) + 0.2 * np.sin(2 * (p - q[:, None])) ** 2
+
+        got = mo._phase_min(family, mo.PHASE_GRID)
+        assert got.shape == (7,)
+        single = [mo._phase_min(member(k), mo.PHASE_GRID) for k in range(7)]
+        assert all(np.ndim(v) == 0 for v in single)
+        np.testing.assert_array_equal(got, single)
+
 
 def constant_circuit(d: int) -> mo.OracleAlgorithm:
     layout = RegisterLayout.of([2, d], ["control", "task"])
@@ -418,6 +437,17 @@ class TestEpsDistance:
         for s in range(20):
             u = la.haar_unitary(2, 4200 + s)
             assert mo.eps_distance_estimate(alg, task, u, n_samples=2) <= 1e-9
+
+    @pytest.mark.parametrize("n_samples", [1, 3])
+    def test_one_phase_minimisation_for_all_states(self, monkeypatch, n_samples):
+        # one grid call and 63 golden-section calls, whatever the number of
+        # states: every state's phase is minimised in the same pass
+        calls = []
+        original = la.trace_norm
+        monkeypatch.setattr(la, "trace_norm", lambda m: calls.append(m.shape) or original(m))
+        mo.eps_distance_estimate(constant_circuit(2), mo.cum_task(2, 1), la.haar_unitary(2, 5),
+                                 n_samples=n_samples, grid=16)
+        assert len(calls) == 64
 
     def test_composed_root_loop_is_exact(self):
         # pointwise the root composition implements a controlled-U member for
