@@ -121,6 +121,9 @@ def _verify_eps(alg, task, us, cfg: RunConfig):
 
 
 def _verify_homogeneity(alg, us, cfg: RunConfig):
+    if not hasattr(alg, "query_letters"):
+        raise ValueError(f"the homogeneity check needs an oracle program with query letters; "
+                         f"{alg.name} has none")
     delta = mo.static_homogeneity(alg.query_letters)
     rng = np.random.default_rng(cfg.seed)
     entries = []
@@ -215,6 +218,8 @@ def cmd_bu_scan(args) -> int:
 
 
 def _sweep_points(kind: str, n: int, d: int) -> list[tuple[float, np.ndarray]]:
+    if kind not in ("diag", "loop"):  # checked even when the grid is empty
+        raise ValueError(f"unknown sweep grid {kind!r} (use diag:N or loop:N)")
     pts = []
     for j in range(n):
         if kind == "diag":
@@ -222,11 +227,9 @@ def _sweep_points(kind: str, n: int, d: int) -> list[tuple[float, np.ndarray]]:
             u = np.eye(d, dtype=complex)
             u[-1, -1] = np.exp(1j * theta)
             pts.append((theta, u))
-        elif kind == "loop":
+        else:
             t = j / n
             pts.append((t, np.exp(2j * np.pi * t) * np.eye(d, dtype=complex)))
-        else:
-            raise ValueError(f"unknown sweep grid {kind!r} (use diag:N or loop:N)")
     return pts
 
 

@@ -23,9 +23,9 @@ from .model import ID, INV, FixedStep, OracleAlgorithm, QueryStep, oracle_stack
 CHI_MAX_D = 5
 NEUTRALISER_MAX_D = 4
 ROOT_TOL = 1e-8
-# names a ComposedRootEvaluator resolves on its template program
-_TEMPLATE_ATTRS = frozenset({"oracle_dim", "layout", "dims", "total_dim", "h_factors",
-                             "h_dim", "out_factors", "k_out_factors"})
+# register bookkeeping a ComposedRootEvaluator copies from its template program
+_TEMPLATE_ATTRS = ("oracle_dim", "layout", "dims", "total_dim", "h_factors",
+                   "h_dim", "out_factors", "k_out_factors")
 
 
 def chi_state(d: int) -> np.ndarray:
@@ -270,12 +270,10 @@ class ComposedRootEvaluator:
     inner: OracleAlgorithm
     name: str = "root-composed"
 
-    def __getattr__(self, attr: str):
-        # the register bookkeeping is the template's; reached only for names
-        # the evaluator does not define itself
-        if attr in _TEMPLATE_ATTRS:
-            return getattr(self.inner, attr)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+    def __post_init__(self):
+        # the register bookkeeping is the template's, fixed once here
+        for attr in _TEMPLATE_ATTRS:
+            setattr(self, attr, getattr(self.inner, attr))
 
     def _root_of(self, u: np.ndarray) -> np.ndarray:
         """The root map applied oracle by oracle; a stack's unitarity and

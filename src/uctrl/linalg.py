@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -116,36 +116,34 @@ class RegisterLayout:
             roles = ["anc"] * len(dims)
         return cls(tuple(zip(dims, roles)))
 
-    @property
+    # derived once per layout; equality and hashing still use ``factors`` only
+
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self.factors)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims)) if self.factors else 1
+        return math.prod(self.dims)
 
-    @property
+    @cached_property
     def control_index(self) -> int | None:
         for i, (_, r) in enumerate(self.factors):
             if r == "control":
                 return i
         return None
 
-    @property
+    @cached_property
     def h_indices(self) -> tuple[int, ...]:
         """Factors making up the task input space (control + task, in order)."""
         return tuple(i for i, (_, r) in enumerate(self.factors) if r in ("control", "task"))
 
-    @property
+    @cached_property
     def ancilla_indices(self) -> tuple[int, ...]:
         return tuple(i for i, (_, r) in enumerate(self.factors) if r not in ("control", "task"))
 
     def subdim(self, indices) -> int:
-        dims = self.dims
-        out = 1
-        for i in indices:
-            out *= dims[i]
-        return out
+        return math.prod(self.dims[i] for i in indices)
 
     def __len__(self) -> int:
         return len(self.factors)

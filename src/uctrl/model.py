@@ -71,7 +71,10 @@ class OracleAlgorithm:
     padding is inserted so the sequence starts and ends with a fixed step.
     ``projector`` is the success projector as (matrix, targets), or None for
     a purely unitary program.  ``task_out`` lists the factors carrying the
-    task output when they differ from the input task factors.
+    task output when they differ from the input task factors.  ``validate``
+    sets the register bookkeeping (``dims``, ``total_dim``, ``h_factors``,
+    ``h_dim``, ``out_factors``, ``k_out_factors``) and ``query_letters``/
+    ``query_count`` as plain attributes.
     """
 
     name: str
@@ -93,9 +96,18 @@ class OracleAlgorithm:
         self.validate()
 
     def validate(self):
-        """Check every step and the projector, and compile the step plan that
-        ``apply_cols`` runs: targets are checked here, never per call."""
-        dims = self.dims
+        """Fix the register bookkeeping, check every step and the projector,
+        and compile the step plan that ``apply_cols`` runs: all of it is
+        settled here, never per call."""
+        lay = self.layout
+        self.dims = dims = lay.dims
+        self.total_dim = lay.total_dim
+        self.h_factors = lay.h_indices
+        self.h_dim = lay.subdim(self.h_factors)
+        self.out_factors = self.h_factors if self.task_out is None else self.task_out
+        self.k_out_factors = tuple(i for i in range(len(dims)) if i not in self.out_factors)
+        self.query_letters = tuple(s.letter for s in self.steps if isinstance(s, QueryStep))
+        self.query_count = len(self.query_letters)
         ops = []
         for s in self.steps:
             if isinstance(s, FixedStep):
@@ -118,41 +130,6 @@ class OracleAlgorithm:
         if self.task_out is not None and la.target_dim(self.task_out, dims) != self.h_dim:
             raise ValueError("output task registers do not match the task space dimension")
         self._plan = _compile(dims, ops)
-
-    # -- register bookkeeping ------------------------------------------------
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.layout.dims
-
-    @property
-    def total_dim(self) -> int:
-        return self.layout.total_dim
-
-    @property
-    def h_factors(self) -> tuple[int, ...]:
-        return self.layout.h_indices
-
-    @property
-    def h_dim(self) -> int:
-        return self.layout.subdim(self.h_factors)
-
-    @property
-    def out_factors(self) -> tuple[int, ...]:
-        return self.task_out if self.task_out is not None else self.h_factors
-
-    @property
-    def k_out_factors(self) -> tuple[int, ...]:
-        outs = set(self.out_factors)
-        return tuple(i for i in range(len(self.dims)) if i not in outs)
-
-    @property
-    def query_letters(self) -> tuple[QueryLetter, ...]:
-        return tuple(s.letter for s in self.steps if isinstance(s, QueryStep))
-
-    @property
-    def query_count(self) -> int:
-        return len(self.query_letters)
 
     # -- evaluation ----------------------------------------------------------
 

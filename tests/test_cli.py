@@ -117,6 +117,19 @@ class TestVerify:
         assert run("verify", ir, "--task", "cUm", "--m", 2, "--check", "homogeneity",
                    "--d", 2, "--samples", 3) == 0
 
+    @pytest.mark.parametrize("check", ["exact", "eps", "clean", "homogeneity", "neutralise"])
+    @pytest.mark.parametrize("program", cli.SPECIAL_PROGRAMS)
+    def test_special_programs_give_an_exit_code(self, program, check, tmp_path, capsys):
+        code = run("verify", program, "--task", "cUm", "--m", 1, "--d", 2, "--samples", 1,
+                   "--check", check, "--out", tmp_path / "rep.json")
+        assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_MODEL_VIOLATION,
+                        cli.EXIT_INPUT_ERROR)
+        if (program, check) == ("root-composed", "homogeneity"):
+            # the evaluator is not an oracle program: it has no query letters
+            err = capsys.readouterr().err
+            assert code == cli.EXIT_INPUT_ERROR
+            assert "query letters" in err and "Traceback" not in err
+
     def test_missing_file_is_input_error(self, tmp_path):
         assert run("verify", tmp_path / "nope.json", "--task", "cUm", "--m", 2,
                    "--d", 2) == cli.EXIT_INPUT_ERROR
@@ -306,7 +319,8 @@ class TestInputErrors:
         ["bu-scan", "--refinements", 0],
         ["bu-scan", "--refinements", -2],
         ["sweep", "constant-circuit", "--task", "cUm", "--m", 0, "--grid", "diag:-1"],
-    ], ids=["refinements-0", "refinements-negative", "negative-grid"])
+        ["sweep", "constant-circuit", "--task", "cUm", "--m", 1, "--grid", "bogus:0"],
+    ], ids=["refinements-0", "refinements-negative", "negative-grid", "unknown-grid-empty"])
     def test_bad_flags(self, argv, tmp_path, capsys):
         self._input_error(run(*argv, "--out", tmp_path / "out"), capsys)
 

@@ -1,6 +1,8 @@
 """Tests for the circuit builders."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,41 @@ class TestComposedRoot:
         for th in (np.pi - 1e-6, np.pi + 1e-6):
             res = mo.check_exact(ev, task, np.diag([1.0, np.exp(1j * th)]))
             assert res.achieved and res.residual <= 1e-9
+
+
+class TestRegisterBookkeeping:
+    """Each evaluator fixes its register bookkeeping at construction, as plain
+    attributes holding what its layout implies."""
+
+    NAMES = ("oracle_dim", "layout", "dims", "total_dim", "h_factors", "h_dim",
+             "out_factors", "k_out_factors")
+    CASES = [pytest.param(lambda name=name, d=d: co.build(name, d), id=f"{name}-{d}")
+             for name in co.BUILDERS for d in (2, 3)]
+    CASES += [
+        pytest.param(lambda: co.build("power", 2, 4), id="power-2-4"),
+        pytest.param(lambda: co.composed_root_cU(2, lambda u: la.principal_root(u, 2)),
+                     id="root-composed-2"),
+    ]
+
+    @pytest.mark.parametrize("make", CASES)
+    def test_plain_attributes_with_layout_values(self, make):
+        alg = make()
+        assert set(self.NAMES) <= set(vars(alg))
+        dims = alg.layout.dims
+        assert alg.dims == dims
+        assert alg.total_dim == math.prod(dims) and type(alg.total_dim) is int
+        assert alg.h_factors == alg.layout.h_indices
+        assert alg.h_dim == math.prod(dims[i] for i in alg.h_factors)
+        assert type(alg.h_dim) is int
+        assert math.prod(dims[i] for i in alg.out_factors) == alg.h_dim
+        assert sorted(alg.out_factors + alg.k_out_factors) == list(range(len(dims)))
+        if isinstance(alg, co.ComposedRootEvaluator):
+            for name in self.NAMES:
+                assert getattr(alg, name) == getattr(alg.inner, name)
+        else:
+            letters = tuple(s.letter for s in alg.steps if isinstance(s, mo.QueryStep))
+            assert {"query_letters", "query_count"} <= set(vars(alg))
+            assert alg.query_letters == letters and alg.query_count == len(letters)
 
 
 class TestHomogeneityOfAllBuilders:

@@ -568,6 +568,18 @@ class TestLayout:
         assert lay.ancilla_indices == (2,)
         assert lay.total_dim == 18
 
+    def test_derived_values_computed_once(self):
+        lay = la.RegisterLayout.of([2, 3, 3], ["control", "task", "anc"])
+        for name in ("dims", "h_indices", "ancilla_indices"):
+            assert getattr(lay, name) is getattr(lay, name)
+        assert lay.dims == (2, 3, 3)
+        assert lay.h_indices == (0, 1) and lay.ancilla_indices == (2,)
+        assert lay.total_dim == 18 and type(lay.total_dim) is int
+        # equality and hashing still come from the factors alone
+        fresh = la.RegisterLayout.of([2, 3, 3], ["control", "task", "anc"])
+        assert lay == fresh and hash(lay) == hash(fresh)
+        assert lay != la.RegisterLayout.of([2, 3, 3], ["control", "task", "task"])
+
     def test_two_controls_rejected(self):
         with pytest.raises(ValueError):
             la.RegisterLayout.of([2, 2], ["control", "control"])
