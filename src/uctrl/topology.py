@@ -292,6 +292,13 @@ class SphereGrid:
         return self.points.shape[0]
 
 
+def _sin_cos(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """math.sin and math.cos of each angle (the libm values, which numpy's
+    own vectorised sin and cos need not match to the last bit)."""
+    return (np.array([math.sin(a) for a in angles]),
+            np.array([math.cos(a) for a in angles]))
+
+
 def sphere_grid(resolution: int) -> SphereGrid:
     """Product grid in hyperspherical coordinates, offset from the poles, and
     closed under x -> -x by explicit pairing."""
@@ -301,14 +308,18 @@ def sphere_grid(resolution: int) -> SphereGrid:
     psis = np.pi * (np.arange(n) + 0.5) / n
     thetas = np.pi * (np.arange(n) + 0.5) / n
     phis = 2 * np.pi * np.arange(2 * n) / (2 * n)
-    pts = []
-    for psi in psis:
-        sp, cp = math.sin(psi), math.cos(psi)
-        for th in thetas:
-            st, ct = math.sin(th), math.cos(th)
-            for ph in phis:
-                pts.append((cp, sp * ct, sp * st * math.cos(ph), sp * st * math.sin(ph)))
-    half = np.asarray(pts)
+    # the (psi, theta, phi) product in that nesting order, with the same
+    # scalar sines and cosines and the same products as a loop over points
+    sp, cp = _sin_cos(psis)
+    st, ct = _sin_cos(thetas)
+    sph, cph = _sin_cos(phis)
+    spst = (sp[:, None] * st)[:, :, None]
+    half = np.empty((n, n, 2 * n, 4))
+    half[..., 0] = cp[:, None, None]
+    half[..., 1] = (sp[:, None] * ct)[:, :, None]
+    half[..., 2] = spst * cph
+    half[..., 3] = spst * sph
+    half = half.reshape(-1, 4)
     half /= np.linalg.norm(half, axis=1, keepdims=True)
     return SphereGrid(points=np.vstack([half, -half]), resolution=n)
 

@@ -236,6 +236,33 @@ def test_composed_root_evaluator_resolves_template_attributes():
         ev.steps
 
 
+def test_composed_root_probe_bit_identical_to_scalar_path():
+    # the stacked probe takes the batched root, the scalar loop the Schur
+    # root of each oracle: on the central loop they agree bit for bit
+    ev = co.composed_root_cU(2, principal_sqrt)
+    rep = tp.dichotomy_probe(ev, 1, 2, K=256)
+    scalar = tp.loop_trace(lambda u: tp.extract_h(ev, u, 1), 2, rep.K)
+    np.testing.assert_array_equal(rep.trace.values, scalar.values)
+
+
+def test_composed_root_map_called_once_per_stack():
+    calls = []
+    ev = co.composed_root_cU(2, lambda u: calls.append(u.shape) or principal_sqrt(u))
+    rep = tp.dichotomy_probe(ev, 1, 2, K=128)
+    assert rep.K == 128
+    assert calls == [(128, 2, 2)]
+
+
+def test_single_matrix_root_map_works_vectorized():
+    one_at_a_time = np.vectorize(lambda u: la.principal_root(u, 2), signature="(n,n)->(n,n)")
+    ev = co.composed_root_cU(2, one_at_a_time)
+    us = np.stack(la.haar_unitaries(2, 5, 4200))
+    e0 = la.basis_state(ev.total_dim, 0)
+    want = co.composed_root_cU(2, principal_sqrt).apply_cols(us, e0)
+    np.testing.assert_allclose(ev.apply_cols(us, e0), want, rtol=0, atol=TOL)
+    np.testing.assert_allclose(ev.apply_cols(us[0], e0), want[0], rtol=0, atol=TOL)
+
+
 def test_composed_root_bad_root_named_by_index():
     # the identity is a square root only of the identity, sample 0 of the loop
     ev = co.composed_root_cU(2, lambda u: np.eye(2, dtype=complex))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from uctrl import constructions as co
 from uctrl import linalg as la
 from uctrl import model as mo
+from uctrl import topology as tp
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -408,6 +409,74 @@ class TestPrincipalRoot:
     def test_nonunitary_rejected(self):
         with pytest.raises(ValueError):
             la.principal_root(np.diag([1.0, 2.0]), 2)
+
+
+class TestBatchedPrincipalRoot:
+    """A (B, n, n) stack against the Schur path of one matrix at a time."""
+
+    @staticmethod
+    def per_matrix(us, k):
+        return np.stack([la.principal_root(u, k) for u in us])
+
+    @pytest.mark.parametrize("d,K", [(2, 2 ** 14), (3, 256)])
+    def test_central_loop_bit_identical(self, d, K):
+        us = tp.central_loop(d, K)
+        got = la.principal_root(us, d)
+        assert got.shape == us.shape
+        assert got.tobytes() == self.per_matrix(us, d).tobytes()
+
+    @pytest.mark.parametrize("d,n", [(2, 4096), (3, 2048), (4, 2048)])
+    def test_haar_stack_matches_schur(self, d, n):
+        us = np.stack(la.haar_unitaries(d, n, 7000 + d))
+        np.testing.assert_allclose(la.principal_root(us, d), self.per_matrix(us, d),
+                                   rtol=0, atol=1e-12)
+
+    def test_degenerate_mix_falls_back_to_schur(self, monkeypatch):
+        # e^{i alpha} and e^{i (2 gamma - alpha)} with gamma = atan(ROOT_MIX)
+        # give the mixed Hermitian part one repeated eigenvalue, so its
+        # eigenbasis need not diagonalise U: that sample must take Schur
+        gamma = math.atan(la.ROOT_MIX)
+        us = np.stack(la.haar_unitaries(2, 8, 7100))
+        w = la.haar_unitary(2, 7101)
+        forced = [2, 5]
+        for b, alpha in zip(forced, (0.3, 2.5)):
+            us[b] = (w * np.exp(1j * np.array([alpha, 2 * gamma - alpha]))) @ w.conj().T
+        herm = (us + la.dagger(us)) / 2 + la.ROOT_MIX * (us - la.dagger(us)) / 2j
+        spec = np.linalg.eigvalsh(herm[forced])
+        assert np.all(spec[:, 1] - spec[:, 0] < 1e-12)
+        schur_calls = []
+        original = la._schur_root
+        monkeypatch.setattr(la, "_schur_root",
+                            lambda u, k: schur_calls.append(u) or original(u, k))
+        got = la.principal_root(us, 2)
+        assert len(schur_calls) == len(forced)
+        for u, b in zip(schur_calls, forced):
+            np.testing.assert_array_equal(u, us[b])
+        monkeypatch.undo()
+        np.testing.assert_allclose(got, self.per_matrix(us, 2), rtol=0, atol=1e-12)
+
+    def test_branch_cut_neighbours_bit_identical(self):
+        us = np.stack([np.diag([1.0, np.exp(1j * (np.pi + s * 1e-9))]) for s in (-1, 1)])
+        got = la.principal_root(us, 2)
+        assert got.tobytes() == self.per_matrix(us, 2).tobytes()
+        assert la.op_norm(got[0] - got[1]) >= 0.5
+
+    def test_eigenvalue_on_the_cut_takes_schur(self):
+        # an eigenvalue at -1 in a Haar basis: rounding puts it on either side
+        # of the cut, and the eigh and Schur paths need not pick the same side
+        ws = la.haar_unitaries(2, 256, 7200)
+        alphas = np.random.default_rng(7201).uniform(-3.0, 3.0, 256)
+        us = np.stack([(w * np.exp(1j * np.array([a, np.pi]))) @ w.conj().T
+                       for w, a in zip(ws, alphas)])
+        assert la.principal_root(us, 2).tobytes() == self.per_matrix(us, 2).tobytes()
+
+    def test_bad_input_rejected(self):
+        us = tp.central_loop(2, 16)
+        us[7] *= 1.5
+        with pytest.raises(ValueError, match="index 7"):
+            la.principal_root(us, 2)
+        with pytest.raises(ValueError):
+            la.principal_root(tp.central_loop(2, 16), 0)
 
 
 class TestPartialTrace:

@@ -3,6 +3,7 @@ odd-map sphere scan."""
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -266,6 +267,25 @@ class TestSphereGrid:
         grid = tp.sphere_grid(5)
         norms = np.linalg.norm(grid.points, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_points_match_the_loop_construction(self, n):
+        # the point order and every bit of each point, against a loop over
+        # (psi, theta, phi) in that nesting order: the scan's argmin and the
+        # pinned minima depend on both
+        psis = np.pi * (np.arange(n) + 0.5) / n
+        thetas = np.pi * (np.arange(n) + 0.5) / n
+        phis = 2 * np.pi * np.arange(2 * n) / (2 * n)
+        pts = []
+        for psi in psis:
+            sp, cp = math.sin(psi), math.cos(psi)
+            for th in thetas:
+                s_t, c_t = math.sin(th), math.cos(th)
+                for ph in phis:
+                    pts.append((cp, sp * c_t, sp * s_t * math.cos(ph), sp * s_t * math.sin(ph)))
+        half = np.asarray(pts)
+        half /= np.linalg.norm(half, axis=1, keepdims=True)
+        np.testing.assert_array_equal(tp.sphere_grid(n).points, np.vstack([half, -half]))
 
 
 class TestBuScan:
