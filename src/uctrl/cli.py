@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,31 +29,17 @@ BUILD_NAMES = sorted(co.BUILDERS) + ["power"]
 SPECIAL_PROGRAMS = ("root-composed", "constant-circuit")
 
 
-@dataclass
-class RunConfig:
-    d: int = 2
-    m: int | None = None
-    seed: int = 0
-    samples: int = 10
-    K: int = 256
-    tol: float = 1e-8
-
-    def validate(self):
-        if not 2 <= self.d <= 4:
-            raise ValueError("d must be in [2, 4]")
-        if self.K < 16 or self.K & (self.K - 1):
-            raise ValueError("K must be a power of two >= 16")
-        if not 0 < self.tol <= 1e-2:
-            raise ValueError("tol must lie in (0, 1e-2]")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-
-
-def _config(args) -> RunConfig:
-    cfg = RunConfig(d=args.d, m=args.m, seed=args.seed, samples=args.samples,
-                    K=args.K, tol=args.tol)
-    cfg.validate()
-    return cfg
+def _config(args) -> argparse.Namespace:
+    """The parsed flags, checked: every command reads its settings from them."""
+    if not 2 <= args.d <= 4:
+        raise ValueError("d must be in [2, 4]")
+    if args.K < 16 or args.K & (args.K - 1):
+        raise ValueError("K must be a power of two >= 16")
+    if not 0 < args.tol <= 1e-2:
+        raise ValueError("tol must lie in (0, 1e-2]")
+    if args.samples < 1:
+        raise ValueError("samples must be >= 1")
+    return args
 
 
 def _constant_circuit(d: int) -> mo.OracleAlgorithm:
@@ -63,7 +48,7 @@ def _constant_circuit(d: int) -> mo.OracleAlgorithm:
     return mo.OracleAlgorithm("constant", d, layout, (mo.FixedStep(eye, (0, 1)),))
 
 
-def _load_program(source: str, cfg: RunConfig):
+def _load_program(source: str, cfg):
     if source == "root-composed":
         return co.composed_root_cU(cfg.d, lambda u: la.principal_root(u, cfg.d))
     if source == "constant-circuit":
@@ -89,10 +74,9 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _verify_exact(alg, task, us, cfg: RunConfig):
+def _verify_exact(alg, task, us, cfg):
     entries = []
-    for i, u in enumerate(us):
-        res = mo.check_exact(alg, task, u, tol=cfg.tol)
+    for i, res in enumerate(mo.check_exact(alg, task, us, tol=cfg.tol)):
         entry = {
             "check": "exact",
             "U_seed": cfg.seed + i,
@@ -111,7 +95,7 @@ def _verify_exact(alg, task, us, cfg: RunConfig):
     return entries
 
 
-def _verify_eps(alg, task, us, cfg: RunConfig):
+def _verify_eps(alg, task, us, cfg):
     entries = []
     for i, u in enumerate(us):
         val = mo.eps_distance_estimate(alg, task, u, n_samples=4, seed=cfg.seed)
@@ -120,20 +104,15 @@ def _verify_eps(alg, task, us, cfg: RunConfig):
     return entries
 
 
-def _verify_homogeneity(alg, us, cfg: RunConfig):
+def _verify_homogeneity(alg, us, cfg):
     if not hasattr(alg, "query_letters"):
         raise ValueError(f"the homogeneity check needs an oracle program with query letters; "
                          f"{alg.name} has none")
     delta = mo.static_homogeneity(alg.query_letters)
-    rng = np.random.default_rng(cfg.seed)
-    entries = []
-    for i, u in enumerate(us):
-        lam = np.exp(2j * np.pi * rng.random())
-        resid = mo.numeric_homogeneity_check(alg, u, lam, delta)
-        entries.append({"check": "homogeneity", "U_seed": cfg.seed + i,
-                        "result": bool(resid <= cfg.tol), "residual": float(resid),
-                        "degree": delta})
-    return entries
+    lams = np.exp(2j * np.pi * np.random.default_rng(cfg.seed).random(len(us)))
+    return [{"check": "homogeneity", "U_seed": cfg.seed + i,
+             "result": bool(resid <= cfg.tol), "residual": float(resid), "degree": delta}
+            for i, resid in enumerate(mo.numeric_homogeneity_check(alg, us, lams, delta))]
 
 
 def cmd_verify(args) -> int:
@@ -142,10 +121,10 @@ def cmd_verify(args) -> int:
     check = args.check
     if check is None:
         check = "neutralise" if args.task == "neutralise" else "exact"
-    us = la.haar_unitaries(cfg.d, cfg.samples, cfg.seed)
+    us = np.stack(la.haar_unitaries(cfg.d, cfg.samples, cfg.seed))
 
     report: dict = {"check": check, "d": cfg.d, "samples": cfg.samples,
-                    "seed": cfg.seed, "tol": cfg.tol, "program": getattr(alg, "name", args.ir)}
+                    "seed": cfg.seed, "tol": cfg.tol, "program": alg.name}
     if check == "neutralise":
         res = mo.check_neutralises(alg, us, tol=cfg.tol)
         report["results"] = [
@@ -217,20 +196,19 @@ def cmd_bu_scan(args) -> int:
     return EXIT_OK if all(b < a + 1e-12 for a, b in zip(mins, mins[1:])) else EXIT_CHECK_FAILED
 
 
-def _sweep_points(kind: str, n: int, d: int) -> list[tuple[float, np.ndarray]]:
+def _sweep_points(kind: str, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's n parameters and its (n, d, d) stack of oracles:
+    diag(1, ..., 1, e^{i theta}) or the central loop e^{2 pi i t} Id."""
     if kind not in ("diag", "loop"):  # checked even when the grid is empty
         raise ValueError(f"unknown sweep grid {kind!r} (use diag:N or loop:N)")
-    pts = []
-    for j in range(n):
-        if kind == "diag":
-            theta = 2 * np.pi * j / n
-            u = np.eye(d, dtype=complex)
-            u[-1, -1] = np.exp(1j * theta)
-            pts.append((theta, u))
-        else:
-            t = j / n
-            pts.append((t, np.exp(2j * np.pi * t) * np.eye(d, dtype=complex)))
-    return pts
+    if kind == "diag":
+        params = 2 * np.pi * np.arange(n) / n
+        us = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)).copy()
+        us[:, -1, -1] = np.exp(1j * params)
+    else:
+        params = np.arange(n) / n
+        us = np.exp(2j * np.pi * params)[:, None, None] * np.eye(d, dtype=complex)
+    return params, us
 
 
 def cmd_sweep(args) -> int:
@@ -248,10 +226,10 @@ def cmd_sweep(args) -> int:
     with_eps = args.check == "eps"
     header = ["param", "success_prob", "residual", "phase"] + (["eps"] if with_eps else [])
     rows = []
-    ref_state = la.basis_state(alg.h_dim, 0)
-    for param, u in _sweep_points(kind, n, cfg.d):
-        res = mo.check_exact(alg, task, u, tol=cfg.tol)
-        prob = mo.success_prob(alg, u, ref_state)
+    params, us = _sweep_points(kind, n, cfg.d)
+    results = mo.check_exact(alg, task, us, tol=cfg.tol)
+    probs = mo.success_prob(alg, us, la.basis_state(alg.h_dim, 0))
+    for param, u, res, prob in zip(params, us, results, probs):
         row = [f"{param:.12g}", f"{prob:.17g}", f"{res.residual:.17g}",
                "" if res.phase is None else f"{res.phase:.17g}"]
         if with_eps:

@@ -25,6 +25,11 @@ EXACT_TOL = 1e-8
 PHASE_GRID = 720
 _PHASE_CHUNK = 64  # phases per stacked evaluation in a phase scan
 
+# Longest stretch of oracle-stack state evaluated at once, in complex
+# entries: a witness or checker over B oracles keeps B x (its entries per
+# oracle) of them, so long stacks at d = 4 go through in slices of about 16 MB.
+SLICE_ENTRIES = 2 ** 20
+
 
 class ModelViolationError(RuntimeError):
     """A sampled state hit postselection probability zero."""
@@ -196,6 +201,18 @@ def oracle_stack(u, d: int) -> tuple[np.ndarray, bool]:
     return (u, True) if u.ndim == 3 else (u[None], False)
 
 
+def stack_slices(us: np.ndarray, width: int, budget: int) -> list[slice]:
+    """Consecutive slices covering the (B, d, d) stack ``us``, each of at
+    most ``budget // width`` oracles (at least one) when an oracle keeps
+    ``width`` complex entries of state.  A stack cut into several slices is
+    checked unitary whole first, so an error names the oracle's index in the
+    stack, not in its slice."""
+    step = max(1, budget // width)
+    if len(us) > step:
+        la.require_unitary(us, what="oracle")
+    return [slice(i, i + step) for i in range(0, len(us), step)]
+
+
 @dataclass(frozen=True)
 class _Stage:
     """One compiled step.  The state is a (batch, *factors, k) tensor; the
@@ -233,16 +250,17 @@ def _compile(dims, ops) -> tuple[tuple[_Stage, ...], tuple[int, ...] | None]:
 
 
 def out_split(alg, cols: np.ndarray) -> np.ndarray:
-    """Reshape full-space columns to (out_task_dim, ancilla_out_dim, k)."""
+    """Reshape full-space columns (N,) or (..., N, k) to
+    (..., out_task_dim, ancilla_out_dim, k)."""
     dims = alg.dims
     single = cols.ndim == 1
     if single:
         cols = cols[:, None]
-    k = cols.shape[1]
-    t = cols.reshape(*dims, k)
-    perm = list(alg.out_factors) + list(alg.k_out_factors) + [len(dims)]
-    t = t.transpose(perm)
-    out = t.reshape(alg.h_dim, -1, k)
+    *lead, _, k = cols.shape
+    t = cols.reshape(*lead, *dims, k)
+    n = len(lead)
+    perm = [*range(n), *(n + f for f in alg.out_factors + alg.k_out_factors), n + len(dims)]
+    out = t.transpose(perm).reshape(*lead, alg.h_dim, alg.total_dim // alg.h_dim, k)
     return out[:, :, 0] if single else out
 
 
@@ -257,7 +275,8 @@ class Task:
     phase-covariant tasks the family is the unimodular orbit of the base; for
     the controlled-power family (``control_power`` set) members differ by a
     relative phase between the control blocks, which is extracted by the
-    checkers.
+    checkers.  ``base`` and ``member`` also map a (B, d, d) stack of oracles,
+    with one phase per oracle, to the stack of task operators.
     """
 
     name: str
@@ -273,16 +292,17 @@ class Task:
         if self.name == "conjugation":
             return u.conj()
         if self.name == "transpose":
-            return u.T
+            return np.swapaxes(u, -1, -2)
         if self.name == "inverse":
             return la.dagger(u)
         raise ValueError(f"task {self.name} has no base evaluator")
 
     def member(self, u: np.ndarray, phi: float | None) -> np.ndarray:
         if self.control_power is not None:
-            return control_phase_matrix(unitary_power(u, self.control_power), phi or 0.0)
+            return control_phase_matrix(unitary_power(u, self.control_power),
+                                        0.0 if phi is None else phi)
         b = self.base(u)
-        return b if phi is None else np.exp(1j * phi) * b
+        return b if phi is None else np.exp(1j * np.asarray(phi))[..., None, None] * b
 
 
 def unitary_power(u: np.ndarray, m: int) -> np.ndarray:
@@ -291,12 +311,13 @@ def unitary_power(u: np.ndarray, m: int) -> np.ndarray:
     return np.linalg.matrix_power(la.dagger(u), -m)
 
 
-def control_phase_matrix(w: np.ndarray, phi: float) -> np.ndarray:
-    """|0><0| (x) Id + e^{i phi} |1><1| (x) W on a (2w)-dimensional space."""
-    d = w.shape[0]
-    t = np.zeros((2 * d, 2 * d), dtype=complex)
-    t[:d, :d] = np.eye(d)
-    t[d:, d:] = np.exp(1j * phi) * w
+def control_phase_matrix(w: np.ndarray, phi) -> np.ndarray:
+    """|0><0| (x) Id + e^{i phi} |1><1| (x) W on a (2w)-dimensional space; a
+    (B, w, w) stack of W with one phi each gives the (B, 2w, 2w) stack."""
+    d = w.shape[-1]
+    t = np.zeros(w.shape[:-2] + (2 * d, 2 * d), dtype=complex)
+    t[..., :d, :d] = np.eye(d)
+    t[..., d:, d:] = np.exp(1j * np.asarray(phi))[..., None, None] * w
     return t
 
 
@@ -349,24 +370,30 @@ class AchievementResult:
 
 
 def _schmidt_views(alg, b: np.ndarray):
-    """Return (Bp, T) for the zero-ancilla block ``b``: the (out, anc, in)
-    tensor and its (out*in) x anc matricisation used for the rank-1
-    factorisation test."""
+    """Return (Bp, T) for the zero-ancilla block ``b`` (N, h), or a stack
+    (B, N, h) of them: the (out, anc, in) tensor and its (out*in) x anc
+    matricisation used for the rank-1 factorisation test."""
     bp = out_split(alg, b)
-    d_out, k_dim, h = bp.shape
-    t = bp.transpose(0, 2, 1).reshape(d_out * h, k_dim)
+    *lead, d_out, k_dim, h = bp.shape
+    t = np.swapaxes(bp, -1, -2).reshape(*lead, d_out * h, k_dim)
     return bp, t
 
 
 def _fit_garbage(t_mat: np.ndarray, big_t: np.ndarray) -> np.ndarray:
-    vec = t_mat.reshape(-1)
-    return (vec.conj() @ big_t) / (np.linalg.norm(vec) ** 2)
+    """Least-squares ancilla factor of T for the task member ``t_mat``; both
+    may be stacks."""
+    vec = t_mat.reshape(*t_mat.shape[:-2], 1, -1)
+    # np.linalg.norm of each member as one vector, and its scalar square:
+    # an axis norm or an array power rounds differently
+    nrm2 = np.reshape([np.linalg.norm(v) ** 2 for v in vec.reshape(-1, vec.shape[-1])],
+                      vec.shape[:-2] + (1, 1))
+    return ((vec.conj() @ big_t) / nrm2)[..., 0, :]
 
 
-def _fit_residual(bp: np.ndarray, t_mat: np.ndarray, g: np.ndarray) -> float:
-    d_out, k_dim, h = bp.shape
-    fit = np.einsum("yx,k->ykx", t_mat, g)
-    return la.spectral_norm((bp - fit).reshape(d_out * k_dim, h))
+def _fit_residual(bp: np.ndarray, t_mat: np.ndarray, g: np.ndarray) -> float | np.ndarray:
+    *lead, d_out, k_dim, h = bp.shape
+    fit = np.einsum("...yx,...k->...ykx", t_mat, g)
+    return la.spectral_norm((bp - fit).reshape(*lead, d_out * k_dim, h))
 
 
 def _check_compat(alg, task: Task):
@@ -380,7 +407,8 @@ def _check_compat(alg, task: Task):
         raise ValueError(f"program queries {letters} outside the task alphabet {task.alphabet}")
 
 
-def check_exact(alg, task: Task, u: np.ndarray, tol: float = EXACT_TOL) -> AchievementResult:
+def check_exact(alg, task: Task, u: np.ndarray,
+                tol: float = EXACT_TOL) -> AchievementResult | list[AchievementResult]:
     """Decide whether the program output factorises as (task operator) (x)
     (garbage) on the all-zero ancilla, and extract the pieces.
 
@@ -389,46 +417,55 @@ def check_exact(alg, task: Task, u: np.ndarray, tol: float = EXACT_TOL) -> Achie
     (second singular value <= tol) together with the rank-one task factor
     being proportional to a member of the task family.  The reported residual
     is the spectral norm of the full deviation from the fitted product form.
+
+    ``u`` may be a (B, d, d) stack, giving the list of B results; it is
+    evaluated in slices of at most ``SLICE_ENTRIES`` block entries.  A single
+    (d, d) oracle reaches the evaluator as it is given.
     """
     _check_compat(alg, task)
-    return _exact_from_block(alg, task, u, alg.task_block(u), tol)
+    us, stacked = oracle_stack(u, alg.oracle_dim)
+    if not stacked:
+        return _exact_from_block(alg, task, us, alg.task_block(u)[None], tol)[0]
+    return [res for s in stack_slices(us, alg.total_dim * alg.h_dim, SLICE_ENTRIES)
+            for res in _exact_from_block(alg, task, us[s], alg.task_block(us[s]), tol)]
 
 
-def _exact_from_block(alg, task: Task, u: np.ndarray, b: np.ndarray,
-                      tol: float) -> AchievementResult:
-    """``check_exact`` on the zero-ancilla block ``b`` already computed at u."""
+def _exact_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
+                      tol: float) -> list[AchievementResult]:
+    """``check_exact`` on a (B, d, d) stack of oracles and their (B, N, h)
+    zero-ancilla blocks ``b``, already computed."""
+    n = len(us)
     bp, big_t = _schmidt_views(alg, b)
     left, svals, _ = np.linalg.svd(big_t, full_matrices=False)
-    rank_residual = float(svals[1]) if len(svals) > 1 else 0.0
+    rank_residuals = svals[:, 1] if svals.shape[1] > 1 else np.zeros(n)
 
-    phi: float | None = None
     if task.control_power is not None:
-        m_fac = left[:, 0].reshape(alg.h_dim, alg.h_dim)
+        m_fac = left[:, :, 0].reshape(n, alg.h_dim, alg.h_dim)
         dt = alg.h_dim // 2
-        w = unitary_power(u, task.control_power)
-        c0 = np.trace(m_fac[:dt, :dt]) / dt
-        c1 = np.trace(la.dagger(w) @ m_fac[dt:, dt:]) / dt
-        if abs(c0) > 1e-12 and abs(c1) > 1e-12:
-            phi = float(np.angle(c1 / c0))
-        t_mat = task.member(u, phi)
+        w = unitary_power(us, task.control_power)
+        c0 = np.trace(m_fac[:, :dt, :dt], axis1=1, axis2=2) / dt
+        c1 = np.trace(la.dagger(w) @ m_fac[:, dt:, dt:], axis1=1, axis2=2) / dt
+        has_phase = (np.abs(c0) > 1e-12) & (np.abs(c1) > 1e-12)
+        phis = np.zeros(n)
+        phis[has_phase] = np.angle(c1[has_phase] / c0[has_phase])
+        t_mat = task.member(us, phis)
         g = _fit_garbage(t_mat, big_t)
     else:
-        t_mat = task.base(u)
+        t_mat = task.base(us)
         g = _fit_garbage(t_mat, big_t)
-        if task.phase_covariant and np.linalg.norm(g) > 1e-12:
-            k_star = int(np.argmax(np.abs(g)))
-            phi = float(np.angle(g[k_star]))
-            t_mat = task.member(u, phi)
-            g = g * np.exp(-1j * phi)
+        # a phase-covariant member takes the phase of its largest garbage entry
+        has_phase = task.phase_covariant & (np.linalg.norm(g, axis=-1) > 1e-12)
+        phis = np.angle(g[np.arange(n), np.argmax(np.abs(g), axis=-1)])
+        t_mat = np.where(has_phase[:, None, None], task.member(us, phis), t_mat)
+        g = np.where(has_phase[:, None], g * np.exp(-1j * phis)[:, None], g)
 
-    residual = _fit_residual(bp, t_mat, g)
-    achieved = (
-        rank_residual <= tol
-        and residual <= tol
-        and np.linalg.norm(g) > tol
-    )
-    return AchievementResult(achieved=achieved, garbage=g, phase=phi,
-                             residual=residual, rank_residual=rank_residual)
+    residuals = _fit_residual(bp, t_mat, g)
+    achieved = (rank_residuals <= tol) & (residuals <= tol) & (np.linalg.norm(g, axis=-1) > tol)
+    return [AchievementResult(achieved=bool(achieved[i]), garbage=g[i],
+                              phase=float(phis[i]) if has_phase[i] else None,
+                              residual=float(residuals[i]),
+                              rank_residual=float(rank_residuals[i]))
+            for i in range(n)]
 
 
 def _phase_min(f, grid: int) -> np.ndarray:
@@ -526,16 +563,21 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
 # -- channel form ----------------------------------------------------------------
 
 
-def success_prob(alg, u: np.ndarray, state: np.ndarray) -> float:
+def success_prob(alg, u: np.ndarray, state: np.ndarray) -> float | list[float]:
     """Postselection probability on a normalised task-space input with zero
-    ancillas."""
+    ancillas.  ``u`` may be a (B, d, d) stack, giving the list of B
+    probabilities; it is evaluated in slices like ``check_exact``."""
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.shape[0] != alg.h_dim:
         raise ValueError(f"input state must live on the {alg.h_dim}-dimensional task space")
     if abs(np.linalg.norm(state) - 1.0) > 1e-8:
         raise ValueError("input state is not normalised")
-    b = alg.task_block(u)
-    return float(np.linalg.norm(b @ state) ** 2)
+    us, stacked = oracle_stack(u, alg.oracle_dim)
+    if not stacked:
+        return float(np.linalg.norm(alg.task_block(u) @ state) ** 2)
+    return [float(np.linalg.norm(b @ state) ** 2)
+            for s in stack_slices(us, alg.total_dim * alg.h_dim, SLICE_ENTRIES)
+            for b in alg.task_block(us[s])]
 
 
 def _channel_from_block(alg, b: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -594,7 +636,7 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
     """
     _check_compat(alg, task)
     b = alg.task_block(u)
-    exact = _exact_from_block(alg, task, u, b, EXACT_TOL)
+    exact = _exact_from_block(alg, task, oracle_stack(u, alg.oracle_dim)[0], b[None], EXACT_TOL)[0]
     rhos = _state_family(alg, task, n_samples, seed)
     outs, trs = _channel_from_block(alg, b, rhos)
     if np.any(trs <= 1e-14):
@@ -659,10 +701,11 @@ class CleanResult:
 
 def check_clean(alg, task: Task, u_list, tol: float = EXACT_TOL) -> CleanResult:
     """A program is clean when all garbage vectors agree up to a unimodular
-    phase: constant norm and pairwise saturated overlaps."""
+    phase: constant norm and pairwise saturated overlaps.  ``u_list`` is a
+    list or a (B, d, d) stack of oracles, checked in one stacked
+    ``check_exact``."""
     garbages = []
-    for i, u in enumerate(u_list):
-        res = check_exact(alg, task, u, tol=tol)
+    for i, res in enumerate(check_exact(alg, task, np.stack(u_list), tol=tol)):
         if not res.achieved:
             return CleanResult(False, f"not an exact achiever at sample {i} (residual {res.residual:.3g})")
         garbages.append(res.garbage)
@@ -687,13 +730,27 @@ def static_homogeneity(seq) -> int:
     return total
 
 
-def numeric_homogeneity_check(alg, u: np.ndarray, lam: complex, delta: int) -> float:
-    """Spectral-norm residual of eval(lam*U) = lam^delta eval(U)."""
-    if abs(abs(lam) - 1.0) > 1e-12:
+def numeric_homogeneity_check(alg, u: np.ndarray, lam, delta: int) -> float | np.ndarray:
+    """Spectral-norm residual of eval(lam*U) = lam^delta eval(U).  ``u`` may
+    be a (B, d, d) stack with ``lam`` holding one value per oracle, giving the
+    B residuals; it is evaluated in slices of at most ``SLICE_ENTRIES``
+    entries of each full operator."""
+    us, stacked = oracle_stack(u, alg.oracle_dim)
+    lams = np.asarray(lam, dtype=complex)
+    if lams.shape != ((len(us),) if stacked else ()):
+        raise ValueError(f"need one lambda per oracle: shape {lams.shape} for {len(us)} oracles")
+    if np.any(np.abs(np.abs(lams) - 1.0) > 1e-12):
         raise ValueError("lambda must be unimodular")
-    lhs = alg.eval(lam * np.asarray(u, dtype=complex))
-    rhs = (lam ** delta) * alg.eval(u)
-    return la.spectral_norm(lhs - rhs)
+    # lam^delta one scalar at a time: an array power rounds differently
+    pows = np.reshape([x ** delta for x in lams.reshape(-1)], lams.shape)
+
+    def residual(s, x, p):
+        return la.spectral_norm(alg.eval(x[..., None, None] * s) - p[..., None, None] * alg.eval(s))
+
+    if not stacked:
+        return residual(us[0], lams, pows)
+    return np.concatenate([residual(us[s], lams[s], pows[s])
+                           for s in stack_slices(us, alg.total_dim ** 2, SLICE_ENTRIES)])
 
 
 def lipschitz_check(alg, u: np.ndarray, v: np.ndarray) -> bool:

@@ -18,18 +18,13 @@ from typing import Callable
 import numpy as np
 
 from . import linalg as la
-from .model import ModelViolationError, oracle_stack, out_split, unitary_power
+from .model import (SLICE_ENTRIES, ModelViolationError, oracle_stack, out_split, stack_slices,
+                    unitary_power)
 
 STEP_BOUND = math.pi / 2
 ABS_FLOOR = 1e-12
 K_MAX = 2 ** 14
 WINDING_ROUND_TOL = 0.05
-
-
-# Longest stretch of loop state evaluated at once, in complex entries: a
-# witness over K oracles needs K x (columns x total dimension) entries, so
-# long loops at d = 4 go through in slices of about 16 MB.
-SLICE_ENTRIES = 2 ** 20
 
 
 def central_loop(d: int, K: int) -> np.ndarray:
@@ -44,17 +39,16 @@ def central_loop(d: int, K: int) -> np.ndarray:
 def _over_stack(witness, alg, u, m: int, width: int):
     """``witness(alg, us, m)`` over a (d, d) oracle, giving a complex, or over
     a (K, d, d) stack, giving K values; a stack goes through in slices of at
-    most SLICE_ENTRIES entries of ``width`` entries per oracle."""
+    most SLICE_ENTRIES entries, ``width`` entries per oracle (the model's
+    budget, bound here so that a loop's slicing can be set on its own)."""
     if alg.layout.control_index != 0 or alg.out_factors[0] != 0:
         raise ValueError("phase extraction needs the control qubit as factor 0, "
                          "leading the output factors")
     us, stacked = oracle_stack(u, alg.oracle_dim)
     if not stacked:
         return complex(witness(alg, us, m)[0])
-    step = max(1, SLICE_ENTRIES // width)
-    if len(us) <= step:
-        return witness(alg, us, m)
-    return np.concatenate([witness(alg, us[i:i + step], m) for i in range(0, len(us), step)])
+    return np.concatenate([witness(alg, us[s], m)
+                           for s in stack_slices(us, width, SLICE_ENTRIES)])
 
 
 def _h_witness(alg, us: np.ndarray, m: int) -> np.ndarray:

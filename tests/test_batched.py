@@ -283,3 +283,147 @@ def test_query_targets_checked_at_construction():
     for targets in ((2,), (1, 1), (-1,)):
         with pytest.raises(ValueError):
             mo.OracleAlgorithm("bad", 2, layout, (mo.QueryStep(mo.ID, targets),))
+
+
+# -- stacked checkers ----------------------------------------------------------------
+
+NAMED_TASKS = {"conjugation": mo.conjugation_task, "transpose": mo.transpose_task,
+               "inverse": mo.inverse_task}
+
+
+def _task(label, alg, m):
+    """The task a TASKED entry targets."""
+    if m is not None:
+        return mo.cum_task(alg.oracle_dim, m)
+    return NAMED_TASKS[label.rsplit("-", 1)[0]](alg.oracle_dim)
+
+
+def _checker_oracles(d: int) -> np.ndarray:
+    # Haar oracles and central-loop samples, the root's branch cut among them
+    return np.concatenate([np.stack(la.haar_unitaries(d, 3, 4300 + d)),
+                           tp.central_loop(d, 16)[6:10]])
+
+
+def _same_result(a: mo.AchievementResult, b: mo.AchievementResult) -> bool:
+    return ((a.achieved, a.phase, a.residual, a.rank_residual)
+            == (b.achieved, b.phase, b.residual, b.rank_residual)
+            and np.array_equal(a.garbage, b.garbage))
+
+
+def _count_calls(monkeypatch, alg, name: str) -> list[int]:
+    """Record the stack size of every call of the evaluator method ``name``."""
+    calls = []
+    original = getattr(type(alg), name)
+    monkeypatch.setattr(type(alg), name,
+                        lambda self, u: calls.append(len(u)) or original(self, u))
+    return calls
+
+
+CHECKED = [pytest.param(label, make, m, id=label) for label, make, m in PROGRAMS]
+# every entry but the neutraliser, which has no task register
+TASKED = [pytest.param(label, make, m, id=label) for label, make, m in PROGRAMS
+          if m is not None or label.rsplit("-", 1)[0] in NAMED_TASKS]
+
+
+@pytest.mark.parametrize("label,make,m", TASKED)
+def test_stacked_check_exact_matches_single_calls(label, make, m):
+    alg = make()
+    task = _task(label, alg, m)
+    us = _checker_oracles(alg.oracle_dim)
+    stacked = mo.check_exact(alg, task, us)
+    assert isinstance(stacked, list) and len(stacked) == len(us)
+    for b, res in enumerate(stacked):
+        assert _same_result(res, mo.check_exact(alg, task, us[b:b + 1])[0])
+        if not isinstance(alg, co.ComposedRootEvaluator):
+            # the (d, d) call evaluates as given; the root map's single-matrix
+            # path rounds differently from its stacked one
+            single = mo.check_exact(alg, task, us[b])
+            assert isinstance(single, mo.AchievementResult) and _same_result(res, single)
+
+
+@pytest.mark.parametrize("label,make,m", TASKED)
+def test_sliced_check_exact_matches_whole_stack(monkeypatch, label, make, m):
+    alg = make()
+    task = _task(label, alg, m)
+    us = _checker_oracles(alg.oracle_dim)
+    whole = mo.check_exact(alg, task, us)
+    probs = mo.success_prob(alg, us, la.basis_state(alg.h_dim, 0))
+    calls = _count_calls(monkeypatch, alg, "task_block")
+    monkeypatch.setattr(mo, "SLICE_ENTRIES", 3 * alg.total_dim * alg.h_dim)
+    sliced = mo.check_exact(alg, task, us)
+    assert calls == [3, 3, 1]
+    assert all(_same_result(a, b) for a, b in zip(whole, sliced, strict=True))
+    assert mo.success_prob(alg, us, la.basis_state(alg.h_dim, 0)) == probs
+    assert calls == [3, 3, 1] * 2
+
+
+@pytest.mark.parametrize("label,make,m", CHECKED)
+def test_stacked_homogeneity_matches_single_calls(label, make, m):
+    alg = make()
+    us = _checker_oracles(alg.oracle_dim)
+    lams = np.exp(2j * np.pi * np.random.default_rng(4400).random(len(us)))
+    delta = m if isinstance(alg, co.ComposedRootEvaluator) else mo.static_homogeneity(
+        alg.query_letters)
+    stacked = mo.numeric_homogeneity_check(alg, us, lams, delta)
+    assert stacked.shape == (len(us),)
+    for b in range(len(us)):
+        assert stacked[b] == mo.numeric_homogeneity_check(alg, us[b:b + 1], lams[b:b + 1],
+                                                          delta)[0]
+        if not isinstance(alg, co.ComposedRootEvaluator):
+            single = mo.numeric_homogeneity_check(alg, us[b], lams[b], delta)
+            assert isinstance(single, float) and stacked[b] == single
+
+
+@pytest.mark.parametrize("label,make,m", CHECKED)
+def test_sliced_homogeneity_matches_whole_stack(monkeypatch, label, make, m):
+    alg = make()
+    us = _checker_oracles(alg.oracle_dim)
+    lams = np.exp(2j * np.pi * np.random.default_rng(4500).random(len(us)))
+    whole = mo.numeric_homogeneity_check(alg, us, lams, 1)
+    calls = _count_calls(monkeypatch, alg, "eval")
+    monkeypatch.setattr(mo, "SLICE_ENTRIES", 2 * alg.total_dim ** 2)
+    sliced = mo.numeric_homogeneity_check(alg, us, lams, 1)
+    assert calls == [2, 2, 2, 2, 2, 2, 1, 1]  # eval(lam U) and eval(U) per slice
+    np.testing.assert_array_equal(sliced, whole)
+
+
+def test_homogeneity_needs_one_unimodular_lambda_per_oracle():
+    alg = co.dong_cUd(2)
+    us = _checker_oracles(2)
+    for lam in (1.0, np.ones(len(us) - 1), np.ones((len(us), 1))):
+        with pytest.raises(ValueError, match="one lambda per oracle"):
+            mo.numeric_homogeneity_check(alg, us, lam, 2)
+    with pytest.raises(ValueError, match="one lambda per oracle"):
+        mo.numeric_homogeneity_check(alg, us[0], np.ones(1), 2)
+    lams = np.ones(len(us), dtype=complex)
+    lams[4] = 1.1
+    with pytest.raises(ValueError, match="unimodular"):
+        mo.numeric_homogeneity_check(alg, us, lams, 2)
+
+
+def test_check_clean_makes_one_stacked_check_exact(monkeypatch):
+    alg = co.conjugation(3)
+    us = la.haar_unitaries(3, 6, 4600)
+    calls = []
+    original = mo.check_exact
+    monkeypatch.setattr(mo, "check_exact",
+                        lambda alg, task, u, tol: calls.append(np.shape(u)) or original(
+                            alg, task, u, tol))
+    assert mo.check_clean(alg, mo.conjugation_task(3), us).clean
+    assert calls == [(6, 3, 3)]
+
+
+@pytest.mark.parametrize("make,m", _params(CONTROLLED))
+def test_sliced_stack_names_bad_oracle_by_stack_index(monkeypatch, make, m):
+    alg = make()
+    d = alg.oracle_dim
+    us = tp.central_loop(d, 16)
+    us[7] *= 1.5
+    monkeypatch.setattr(tp, "SLICE_ENTRIES", 5 * 2 * alg.total_dim)
+    monkeypatch.setattr(mo, "SLICE_ENTRIES", 1)  # one oracle per slice
+    for check in (lambda: tp.extract_h(alg, us, m), lambda: tp.extract_fplus(alg, us, m),
+                  lambda: mo.check_exact(alg, mo.cum_task(d, m), us),
+                  lambda: mo.success_prob(alg, us, la.basis_state(alg.h_dim, 0)),
+                  lambda: mo.numeric_homogeneity_check(alg, us, np.ones(16), m)):
+        with pytest.raises(ValueError, match="index 7 "):
+            check()

@@ -257,6 +257,91 @@ class TestSweep:
                    "--out", tmp_path / "s.csv") == cli.EXIT_INPUT_ERROR
 
 
+# (build name, d, task flags, task): verify and sweep rebuilt from per-oracle calls
+PER_ORACLE = [pytest.param(name, d, flags, task, id=f"{name}{d}") for name, d, flags, task in (
+    ("dong", 2, ["cUm", "--m", "2"], mo.cum_task(2, 2)),
+    ("kitaev", 2, ["cUm", "--m", "1"], mo.cum_task(2, 1)),
+    ("inverse", 3, ["inverse"], mo.inverse_task(3)),
+)]
+
+
+class TestStackedReports:
+    """verify and sweep check a run's oracles in one stacked call each; the
+    report bytes are those of one API call per oracle, whatever the batch."""
+
+    @pytest.mark.parametrize("check", ["exact", "homogeneity"])
+    @pytest.mark.parametrize("name,d,flags,task", PER_ORACLE)
+    def test_verify_report_matches_per_oracle_calls(self, name, d, flags, task, check,
+                                                     tmp_path):
+        ir, rep = tmp_path / f"{name}.json", tmp_path / "rep.json"
+        run("build", name, "--d", d, "--out", ir)
+        code = run("verify", ir, "--task", *flags, "--d", d, "--check", check,
+                   "--samples", 4, "--seed", 3, "--out", rep)
+        alg, tol, rng = mo.from_ir(ir), 1e-8, np.random.default_rng(3)
+        entries = []
+        for i, u in enumerate(la.haar_unitaries(d, 4, 3)):
+            if check == "exact":
+                res = mo.check_exact(alg, task, u)
+                entry = {"check": "exact", "U_seed": 3 + i, "result": bool(res.achieved),
+                         "residual": res.residual, "rank_residual": res.rank_residual,
+                         "success_prob": res.success_prob}
+                if res.phase is not None:
+                    entry["phase"] = res.phase
+                if not res.achieved and res.rank_residual > tol:
+                    entry["diagnostic"] = (
+                        f"ancilla rank deficiency: second singular value "
+                        f"{res.rank_residual:.3e} exceeds tol {tol:.1e}")
+            else:
+                delta = mo.static_homogeneity(alg.query_letters)
+                resid = mo.numeric_homogeneity_check(alg, u, np.exp(2j * np.pi * rng.random()),
+                                                     delta)
+                entry = {"check": "homogeneity", "U_seed": 3 + i, "result": bool(resid <= tol),
+                         "residual": resid, "degree": delta}
+            entries.append(entry)
+        passed = all(e["result"] for e in entries)
+        expected = {"check": check, "d": d, "samples": 4, "seed": 3, "tol": tol,
+                    "program": alg.name, "results": entries, "passed": passed}
+        assert code == (cli.EXIT_OK if passed else cli.EXIT_CHECK_FAILED)
+        assert rep.read_text() == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("eps", [False, True])
+    @pytest.mark.parametrize("grid", ["diag:8", "loop:8"])
+    @pytest.mark.parametrize("name,d,flags,task", [PER_ORACLE[0], PER_ORACLE[2]])
+    def test_sweep_csv_matches_per_oracle_calls(self, name, d, flags, task, grid, eps,
+                                                tmp_path):
+        ir, out = tmp_path / f"{name}.json", tmp_path / "sweep.csv"
+        run("build", name, "--d", d, "--out", ir)
+        assert run("sweep", ir, "--task", *flags, "--d", d, "--grid", grid,
+                   *(["--check", "eps"] if eps else []), "--out", out) == cli.EXIT_OK
+        alg, (kind, n) = mo.from_ir(ir), grid.split(":")
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["param", "success_prob", "residual", "phase"] + (["eps"] if eps else []))
+        for j in range(int(n)):
+            if kind == "diag":
+                param = 2 * np.pi * j / int(n)
+                u = np.eye(d, dtype=complex)
+                u[-1, -1] = np.exp(1j * param)
+            else:
+                param = j / int(n)
+                u = np.exp(2j * np.pi * param) * np.eye(d, dtype=complex)
+            res = mo.check_exact(alg, task, u)
+            prob = mo.success_prob(alg, u, la.basis_state(alg.h_dim, 0))
+            row = [f"{param:.12g}", f"{prob:.17g}", f"{res.residual:.17g}",
+                   "" if res.phase is None else f"{res.phase:.17g}"]
+            if eps:
+                row.append(f"{mo.eps_distance_estimate(alg, task, u, n_samples=2, seed=0):.17g}")
+            writer.writerow(row)
+        assert out.read_bytes().decode() == expected.getvalue()
+
+    def test_empty_sweep_still_checks_the_task(self, tmp_path, capsys):
+        ir = tmp_path / "dong.json"
+        run("build", "dong", "--d", 2, "--out", ir)
+        assert run("sweep", ir, "--task", "inverse", "--grid", "diag:0",
+                   "--out", tmp_path / "s.csv") == cli.EXIT_INPUT_ERROR
+        assert "task space mismatch" in capsys.readouterr().err
+
+
 def _with(key, value):
     return lambda ir: {**ir, key: value}
 
