@@ -96,12 +96,9 @@ def _verify_exact(alg, task, us, cfg):
 
 
 def _verify_eps(alg, task, us, cfg):
-    entries = []
-    for i, u in enumerate(us):
-        val = mo.eps_distance_estimate(alg, task, u, n_samples=4, seed=cfg.seed)
-        entries.append({"check": "eps", "U_seed": cfg.seed + i,
-                        "result": bool(val <= cfg.tol), "residual": float(val)})
-    return entries
+    vals = mo.eps_distance_estimate(alg, task, us, n_samples=4, seed=cfg.seed)
+    return [{"check": "eps", "U_seed": cfg.seed + i, "result": bool(val <= cfg.tol),
+             "residual": float(val)} for i, val in enumerate(vals)]
 
 
 def _verify_homogeneity(alg, us, cfg):
@@ -225,16 +222,16 @@ def cmd_sweep(args) -> int:
 
     with_eps = args.check == "eps"
     header = ["param", "success_prob", "residual", "phase"] + (["eps"] if with_eps else [])
-    rows = []
     params, us = _sweep_points(kind, n, cfg.d)
     results = mo.check_exact(alg, task, us, tol=cfg.tol)
     probs = mo.success_prob(alg, us, la.basis_state(alg.h_dim, 0))
-    for param, u, res, prob in zip(params, us, results, probs):
-        row = [f"{param:.12g}", f"{prob:.17g}", f"{res.residual:.17g}",
-               "" if res.phase is None else f"{res.phase:.17g}"]
-        if with_eps:
-            row.append(f"{mo.eps_distance_estimate(alg, task, u, n_samples=2, seed=cfg.seed):.17g}")
-        rows.append(row)
+    rows = [[f"{param:.12g}", f"{prob:.17g}", f"{res.residual:.17g}",
+             "" if res.phase is None else f"{res.phase:.17g}"]
+            for param, res, prob in zip(params, results, probs)]
+    if with_eps:
+        for row, val in zip(rows, mo.eps_distance_estimate(alg, task, us, n_samples=2,
+                                                           seed=cfg.seed)):
+            row.append(f"{val:.17g}")
 
     out = args.out or "sweep.csv"
     with open(out, "w", newline="") as f:

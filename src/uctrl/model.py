@@ -204,13 +204,30 @@ def oracle_stack(u, d: int) -> tuple[np.ndarray, bool]:
 def stack_slices(us: np.ndarray, width: int, budget: int) -> list[slice]:
     """Consecutive slices covering the (B, d, d) stack ``us``, each of at
     most ``budget // width`` oracles (at least one) when an oracle keeps
-    ``width`` complex entries of state.  A stack cut into several slices is
-    checked unitary whole first, so an error names the oracle's index in the
-    stack, not in its slice."""
+    ``width`` complex entries of state; an empty stack is one empty slice.
+    A stack cut into several slices is checked unitary whole first, so an
+    error names the oracle's index in the stack, not in its slice."""
     step = max(1, budget // width)
     if len(us) > step:
         la.require_unitary(us, what="oracle")
-    return [slice(i, i + step) for i in range(0, len(us), step)]
+    return [slice(i, i + step) for i in range(0, max(len(us), 1), step)]
+
+
+def over_stack(f, u, d: int, width: int, *per_oracle: np.ndarray, budget: int | None = None):
+    """``f(us, *per_oracle)`` over the oracles ``u``, in slices of
+    ``stack_slices`` (``width`` complex entries of state per oracle, within
+    ``budget``, by default ``SLICE_ENTRIES``); each ``per_oracle`` array
+    holds one entry per oracle and is sliced with the stack.  ``f`` returns
+    one result per oracle of its slice, as a list or an array, and the
+    slices' results are joined the same way.  A (B, d, d) stack gives the B
+    results; a single (d, d) oracle is the stack of one and gives its one
+    result.  An empty stack is one empty slice, so it gives ``f``'s empty
+    result."""
+    us, stacked = oracle_stack(u, d)
+    parts = [f(us[s], *(a[s] for a in per_oracle))
+             for s in stack_slices(us, width, SLICE_ENTRIES if budget is None else budget)]
+    out = np.concatenate(parts) if isinstance(parts[0], np.ndarray) else sum(parts, [])
+    return out if stacked else out[0]
 
 
 @dataclass(frozen=True)
@@ -382,7 +399,7 @@ def _schmidt_views(alg, b: np.ndarray):
 def _fit_garbage(t_mat: np.ndarray, big_t: np.ndarray) -> np.ndarray:
     """Least-squares ancilla factor of T for the task member ``t_mat``; both
     may be stacks."""
-    vec = t_mat.reshape(*t_mat.shape[:-2], 1, -1)
+    vec = t_mat.reshape(*t_mat.shape[:-2], 1, math.prod(t_mat.shape[-2:]))
     # np.linalg.norm of each member as one vector, and its scalar square:
     # an axis norm or an array power rounds differently
     nrm2 = np.reshape([np.linalg.norm(v) ** 2 for v in vec.reshape(-1, vec.shape[-1])],
@@ -419,15 +436,12 @@ def check_exact(alg, task: Task, u: np.ndarray,
     is the spectral norm of the full deviation from the fitted product form.
 
     ``u`` may be a (B, d, d) stack, giving the list of B results; it is
-    evaluated in slices of at most ``SLICE_ENTRIES`` block entries.  A single
-    (d, d) oracle reaches the evaluator as it is given.
+    evaluated through ``over_stack`` in slices of at most ``SLICE_ENTRIES``
+    block entries, and a single (d, d) oracle is the stack of one.
     """
     _check_compat(alg, task)
-    us, stacked = oracle_stack(u, alg.oracle_dim)
-    if not stacked:
-        return _exact_from_block(alg, task, us, alg.task_block(u)[None], tol)[0]
-    return [res for s in stack_slices(us, alg.total_dim * alg.h_dim, SLICE_ENTRIES)
-            for res in _exact_from_block(alg, task, us[s], alg.task_block(us[s]), tol)]
+    return over_stack(lambda us: _exact_from_block(alg, task, us, alg.task_block(us), tol),
+                      u, alg.oracle_dim, alg.total_dim * alg.h_dim)
 
 
 def _exact_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
@@ -572,23 +586,21 @@ def success_prob(alg, u: np.ndarray, state: np.ndarray) -> float | list[float]:
         raise ValueError(f"input state must live on the {alg.h_dim}-dimensional task space")
     if abs(np.linalg.norm(state) - 1.0) > 1e-8:
         raise ValueError("input state is not normalised")
-    us, stacked = oracle_stack(u, alg.oracle_dim)
-    if not stacked:
-        return float(np.linalg.norm(alg.task_block(u) @ state) ** 2)
-    return [float(np.linalg.norm(b @ state) ** 2)
-            for s in stack_slices(us, alg.total_dim * alg.h_dim, SLICE_ENTRIES)
-            for b in alg.task_block(us[s])]
+    return over_stack(lambda s: [float(np.linalg.norm(b @ state) ** 2) for b in alg.task_block(s)],
+                      u, alg.oracle_dim, alg.total_dim * alg.h_dim)
 
 
 def _channel_from_block(alg, b: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The unnormalised postselected channel at the zero-ancilla block ``b``
-    on rho, one (h, h) matrix or a stack (S, h, h), and its trace(s).  The
-    channel is linear in rho: with T the Schmidt matricisation of ``b`` (rows
-    (out, in), columns the ancilla) and G = T T^dagger,
-    channel(rho)[x, y] = sum_{k,l} G[(x, k), (y, l)] rho[k, l]."""
+    on rho, one (h, h) matrix or a stack (S, h, h), and its trace(s); a
+    stack (B, N, h) of blocks gives the (B, S, h, h) channels of each block
+    on each state.  The channel is linear in rho: with T the Schmidt
+    matricisation of ``b`` (rows (out, in), columns the ancilla) and
+    G = T T^dagger, channel(rho)[x, y] = sum_{k,l} G[(x, k), (y, l)] rho[k, l]."""
     _, t = _schmidt_views(alg, b)
-    g = (t @ la.dagger(t)).reshape((alg.h_dim,) * 4)
-    out = np.einsum("xkyl,...kl->...xy", g, rho)
+    # a stack of blocks keeps its axis apart from, and ahead of, the states' axis
+    g = (t @ la.dagger(t)).reshape(b.shape[:-2] + (1,) * (b.ndim - 2) + (alg.h_dim,) * 4)
+    out = np.einsum("...xkyl,...kl->...xy", g, rho)
     return out, np.trace(out, axis1=-2, axis2=-1).real
 
 
@@ -622,7 +634,7 @@ def _state_family(alg, task: Task, n_samples: int, seed: int) -> np.ndarray:
 
 
 def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
-                          seed: int = 0, grid: int = PHASE_GRID) -> float:
+                          seed: int = 0, grid: int = PHASE_GRID) -> float | np.ndarray:
     """Lower bound for the worst-case trace distance between the renormalised
     postselected channel and conjugation by the task operator.
 
@@ -633,30 +645,51 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
     controlled-power non-achiever the phase is chosen per state: the value is
     the max over states of the min over phases, a lower bound on the min over
     phases of the max over states that approximate control_phi(U) asks for.
+
+    ``u`` may be a (B, d, d) stack, giving the B estimates as an array; it is
+    evaluated through ``over_stack``, each oracle's slice width counting its
+    task block and its phase scan, and a single (d, d) oracle is the stack
+    of one.
     """
     _check_compat(alg, task)
-    b = alg.task_block(u)
-    exact = _exact_from_block(alg, task, oracle_stack(u, alg.oracle_dim)[0], b[None], EXACT_TOL)[0]
     rhos = _state_family(alg, task, n_samples, seed)
-    outs, trs = _channel_from_block(alg, b, rhos)
-    if np.any(trs <= 1e-14):
-        raise ModelViolationError("postselection probability vanished on a sampled state")
-    normalised = outs / trs[:, None, None]
-    if exact.achieved or task.control_power is None:
-        t = task.member(u, exact.phase)
-        return float(np.max(la.trace_norm(normalised - t @ rhos @ la.dagger(t))))
 
-    # member(phi) rho member(phi)^dagger has terms in 1, e^{i phi} and
-    # e^{-i phi}: the defect is X0 - e^{i phi} X1 - e^{-i phi} X1^dagger
-    t0, t1 = _affine_member(task, u)
-    x1s = (t1 @ rhos @ la.dagger(t0))[:, None]
-    x0s = (normalised - t0 @ rhos @ la.dagger(t0) - t1 @ rhos @ la.dagger(t1))[:, None]
+    def estimates(us: np.ndarray) -> np.ndarray:
+        b = alg.task_block(us)
+        exact = _exact_from_block(alg, task, us, b, EXACT_TOL)
+        outs, trs = _channel_from_block(alg, b, rhos)
+        if np.any(trs <= 1e-14):
+            raise ModelViolationError("postselection probability vanished on a sampled state")
+        normalised = outs / trs[..., None, None]
+        vals = np.empty(len(us))
+        # achievers, and every oracle when the task has no phase family, are
+        # compared with their fixed member
+        fixed = np.array([r.achieved or task.control_power is None for r in exact], dtype=bool)
+        if fixed.any():
+            phis = np.array([r.phase for r in exact], dtype=float)  # no phase as NaN
+            t = np.where(np.isnan(phis)[:, None, None], task.member(us, None),
+                         task.member(us, np.nan_to_num(phis)))[fixed][:, None]
+            vals[fixed] = np.max(la.trace_norm(normalised[fixed] - t @ rhos @ la.dagger(t)),
+                                 axis=-1)
+        if not fixed.all():
+            # member(phi) rho member(phi)^dagger has terms in 1, e^{i phi} and
+            # e^{-i phi}: the defect is X0 - e^{i phi} X1 - e^{-i phi} X1^dagger,
+            # minimised over every (oracle, state) pair in one pass
+            t0, t1 = (t[:, None] for t in _affine_member(task, us[~fixed]))
+            x1s = (t1 @ rhos @ la.dagger(t0))[:, :, None]
+            x0s = (normalised[~fixed] - t0 @ rhos @ la.dagger(t0)
+                   - t1 @ rhos @ la.dagger(t1))[:, :, None]
 
-    def defects(phis: np.ndarray) -> np.ndarray:
-        e = np.exp(1j * phis)[..., None, None]
-        return la.trace_norm(x0s - e * x1s - e.conj() * la.dagger(x1s))
+            def defects(p: np.ndarray) -> np.ndarray:
+                e = np.exp(1j * p)[..., None, None]
+                return la.trace_norm(x0s - e * x1s - e.conj() * la.dagger(x1s))
 
-    return float(np.max(_phase_min(_chunked(defects), grid)))
+            vals[~fixed] = np.max(_phase_min(_chunked(defects), grid), axis=-1)
+        return vals
+
+    # a phase scan keeps _PHASE_CHUNK phases of every state's h x h defect
+    width = alg.total_dim * alg.h_dim + len(rhos) * _PHASE_CHUNK * alg.h_dim ** 2
+    return over_stack(estimates, u, alg.oracle_dim, width)
 
 
 # -- neutralisation, cleanness, homogeneity ------------------------------------
@@ -733,8 +766,9 @@ def static_homogeneity(seq) -> int:
 def numeric_homogeneity_check(alg, u: np.ndarray, lam, delta: int) -> float | np.ndarray:
     """Spectral-norm residual of eval(lam*U) = lam^delta eval(U).  ``u`` may
     be a (B, d, d) stack with ``lam`` holding one value per oracle, giving the
-    B residuals; it is evaluated in slices of at most ``SLICE_ENTRIES``
-    entries of each full operator."""
+    B residuals; it is evaluated through ``over_stack`` in slices of at most
+    ``SLICE_ENTRIES`` entries of each full operator, the lambdas sliced with
+    their oracles."""
     us, stacked = oracle_stack(u, alg.oracle_dim)
     lams = np.asarray(lam, dtype=complex)
     if lams.shape != ((len(us),) if stacked else ()):
@@ -742,15 +776,12 @@ def numeric_homogeneity_check(alg, u: np.ndarray, lam, delta: int) -> float | np
     if np.any(np.abs(np.abs(lams) - 1.0) > 1e-12):
         raise ValueError("lambda must be unimodular")
     # lam^delta one scalar at a time: an array power rounds differently
-    pows = np.reshape([x ** delta for x in lams.reshape(-1)], lams.shape)
+    pows = np.array([x ** delta for x in lams.reshape(-1)], dtype=complex)
 
-    def residual(s, x, p):
-        return la.spectral_norm(alg.eval(x[..., None, None] * s) - p[..., None, None] * alg.eval(s))
+    def residuals(s, x, p):
+        return la.spectral_norm(alg.eval(x[:, None, None] * s) - p[:, None, None] * alg.eval(s))
 
-    if not stacked:
-        return residual(us[0], lams, pows)
-    return np.concatenate([residual(us[s], lams[s], pows[s])
-                           for s in stack_slices(us, alg.total_dim ** 2, SLICE_ENTRIES)])
+    return over_stack(residuals, u, alg.oracle_dim, alg.total_dim ** 2, lams.reshape(-1), pows)
 
 
 def lipschitz_check(alg, u: np.ndarray, v: np.ndarray) -> bool:

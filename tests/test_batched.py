@@ -424,6 +424,92 @@ def test_sliced_stack_names_bad_oracle_by_stack_index(monkeypatch, make, m):
     for check in (lambda: tp.extract_h(alg, us, m), lambda: tp.extract_fplus(alg, us, m),
                   lambda: mo.check_exact(alg, mo.cum_task(d, m), us),
                   lambda: mo.success_prob(alg, us, la.basis_state(alg.h_dim, 0)),
-                  lambda: mo.numeric_homogeneity_check(alg, us, np.ones(16), m)):
+                  lambda: mo.numeric_homogeneity_check(alg, us, np.ones(16), m),
+                  lambda: mo.eps_distance_estimate(alg, mo.cum_task(d, m), us, n_samples=1)):
         with pytest.raises(ValueError, match="index 7 "):
             check()
+
+
+def _constant_circuit(d: int) -> mo.OracleAlgorithm:
+    layout = la.RegisterLayout.of([2, d], ["control", "task"])
+    return mo.OracleAlgorithm("constant", d, layout,
+                              (mo.FixedStep(np.eye(2 * d, dtype=complex), (0, 1)),))
+
+
+# every TASKED entry, and the constant circuit against c-U^1, which achieves
+# it at the central-loop samples and at no Haar oracle: one stack mixes the
+# fixed-member comparison with the phase scan
+EPS_CASES = TASKED + [pytest.param(f"constant-{d}", lambda d=d: _constant_circuit(d), 1,
+                                   id=f"constant-{d}") for d in (2, 3)]
+
+
+def _eps_width(alg, task, n_samples: int) -> int:
+    """An oracle's eps slice width: its task block, and a phase chunk of
+    every state's h x h defect."""
+    states = len(mo._state_family(alg, task, n_samples, 0))
+    return alg.total_dim * alg.h_dim + states * mo._PHASE_CHUNK * alg.h_dim ** 2
+
+
+@pytest.mark.parametrize("label,make,m", EPS_CASES)
+def test_stacked_eps_matches_single_calls(label, make, m):
+    alg = make()
+    task = _task(label, alg, m)
+    us = _checker_oracles(alg.oracle_dim)
+    stacked = mo.eps_distance_estimate(alg, task, us, n_samples=2)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (len(us),)
+    for b in range(len(us)):
+        assert stacked[b] == mo.eps_distance_estimate(alg, task, us[b:b + 1], n_samples=2)[0]
+        # a (d, d) oracle is the stack of one, on the root map's path too
+        single = mo.eps_distance_estimate(alg, task, us[b], n_samples=2)
+        assert isinstance(single, float) and stacked[b] == single
+    if label.startswith("constant"):
+        achieved = [r.achieved for r in mo.check_exact(alg, task, us)]
+        assert achieved == [False] * 3 + [True] * 4
+
+
+@pytest.mark.parametrize("label,make,m", EPS_CASES)
+def test_sliced_eps_matches_whole_stack(monkeypatch, label, make, m):
+    alg = make()
+    task = _task(label, alg, m)
+    us = _checker_oracles(alg.oracle_dim)
+    calls = _count_calls(monkeypatch, alg, "task_block")
+    whole = mo.eps_distance_estimate(alg, task, us, n_samples=2)
+    assert calls == [7]
+    monkeypatch.setattr(mo, "SLICE_ENTRIES", 3 * _eps_width(alg, task, 2))
+    sliced = mo.eps_distance_estimate(alg, task, us, n_samples=2)
+    assert calls == [7, 3, 3, 1]
+    np.testing.assert_array_equal(sliced, whole)
+
+
+# each stacked checker on an empty stack, and the empty result it gives
+EMPTY_STACK_CHECKS = {
+    "check_exact": (lambda alg, us, m: mo.check_exact(alg, mo.cum_task(2, m), us),
+                    lambda alg: []),
+    "success_prob": (lambda alg, us, m: mo.success_prob(alg, us, la.basis_state(alg.h_dim, 0)),
+                     lambda alg: []),
+    "homogeneity": (lambda alg, us, m: mo.numeric_homogeneity_check(alg, us, np.ones(0), m),
+                    lambda alg: np.empty(0)),
+    "eps": (lambda alg, us, m: mo.eps_distance_estimate(alg, mo.cum_task(2, m), us),
+            lambda alg: np.empty(0)),
+    "extract_h": (lambda alg, us, m: tp.extract_h(alg, us, m), lambda alg: np.empty(0, complex)),
+    "extract_fplus": (lambda alg, us, m: tp.extract_fplus(alg, us, m),
+                      lambda alg: np.empty(0, complex)),
+    "apply_cols": (lambda alg, us, m: alg.apply_cols(us, la.basis_state(alg.total_dim, 0)),
+                   lambda alg: np.empty((0, alg.total_dim), complex)),
+    "task_block": (lambda alg, us, m: alg.task_block(us),
+                   lambda alg: np.empty((0, alg.total_dim, alg.h_dim), complex)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(EMPTY_STACK_CHECKS))
+@pytest.mark.parametrize("make,m", [
+    pytest.param(lambda: co.dong_cUd(2), 2, id="dong-2"),
+    pytest.param(lambda: co.composed_root_cU(2, principal_sqrt), 1, id="root-composed-2"),
+])
+def test_empty_stack_gives_empty_result(make, m, check):
+    alg = make()
+    call, empty = EMPTY_STACK_CHECKS[check]
+    got, want = call(alg, np.empty((0, 2, 2)), m), empty(alg)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype

@@ -269,7 +269,7 @@ class TestStackedReports:
     """verify and sweep check a run's oracles in one stacked call each; the
     report bytes are those of one API call per oracle, whatever the batch."""
 
-    @pytest.mark.parametrize("check", ["exact", "homogeneity"])
+    @pytest.mark.parametrize("check", ["exact", "homogeneity", "eps"])
     @pytest.mark.parametrize("name,d,flags,task", PER_ORACLE)
     def test_verify_report_matches_per_oracle_calls(self, name, d, flags, task, check,
                                                      tmp_path):
@@ -291,6 +291,10 @@ class TestStackedReports:
                     entry["diagnostic"] = (
                         f"ancilla rank deficiency: second singular value "
                         f"{res.rank_residual:.3e} exceeds tol {tol:.1e}")
+            elif check == "eps":
+                val = mo.eps_distance_estimate(alg, task, u, n_samples=4, seed=3)
+                entry = {"check": "eps", "U_seed": 3 + i, "result": bool(val <= tol),
+                         "residual": float(val)}
             else:
                 delta = mo.static_homogeneity(alg.query_letters)
                 resid = mo.numeric_homogeneity_check(alg, u, np.exp(2j * np.pi * rng.random()),
@@ -333,6 +337,49 @@ class TestStackedReports:
                 row.append(f"{mo.eps_distance_estimate(alg, task, u, n_samples=2, seed=0):.17g}")
             writer.writerow(row)
         assert out.read_bytes().decode() == expected.getvalue()
+
+    @pytest.mark.parametrize("name,d", [("neutraliser", 2), ("neutraliser", 3),
+                                        ("root-composed", 2)])
+    def test_neutralise_report_matches_per_oracle_calls(self, name, d, tmp_path):
+        rep = tmp_path / "rep.json"
+        if name == "root-composed":
+            ir, alg = name, co.composed_root_cU(d, lambda u: la.principal_root(u, d))
+        else:
+            ir = tmp_path / f"{name}.json"
+            run("build", name, "--d", d, "--out", ir)
+            alg = mo.from_ir(ir)
+        code = run("verify", ir, "--task", "neutralise", "--d", d, "--samples", 4,
+                   "--seed", 3, "--out", rep)
+        us = la.haar_unitaries(d, 4, 3)
+        whole = mo.check_neutralises(alg, us)  # r, passed and diagnostic
+        entries = []
+        for i, u in enumerate(us):
+            one = mo.check_neutralises(alg, [u])
+            entries.append({"check": "neutralise", "U_seed": 3 + i, "result": whole.passed,
+                            "residual": one.residuals[0], "r": one.r_values[0],
+                            "phase": one.phases[0]})
+        expected = {"check": "neutralise", "d": d, "samples": 4, "seed": 3, "tol": 1e-8,
+                    "program": alg.name, "results": entries, "r": whole.r,
+                    "passed": whole.passed}
+        if whole.reason:
+            expected["diagnostic"] = whole.reason
+        assert code == (cli.EXIT_OK if whole.passed else cli.EXIT_CHECK_FAILED)
+        assert rep.read_text() == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "constant-circuit", "--task", "cUm", "--m", 1, "--check", "eps",
+         "--samples", 5],
+        ["sweep", "constant-circuit", "--task", "cUm", "--m", 1, "--check", "eps",
+         "--grid", "diag:5"],
+    ], ids=["verify", "sweep"])
+    def test_eps_is_one_call_per_stack(self, argv, monkeypatch, tmp_path):
+        calls = []
+        original = mo.eps_distance_estimate
+        monkeypatch.setattr(mo, "eps_distance_estimate",
+                            lambda alg, task, u, **kw: calls.append(np.shape(u)) or original(
+                                alg, task, u, **kw))
+        run(*argv, "--out", tmp_path / "out")
+        assert calls == [(5, 2, 2)]
 
     def test_empty_sweep_still_checks_the_task(self, tmp_path, capsys):
         ir = tmp_path / "dong.json"
