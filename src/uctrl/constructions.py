@@ -276,15 +276,16 @@ class ComposedRootEvaluator:
             setattr(self, attr, getattr(self.inner, attr))
 
     def _root_of(self, u: np.ndarray) -> np.ndarray:
-        """The root map applied once, to the whole (B, d, d) stack or to the
-        single (d, d) oracle; its output is broadcast against the stack, so a
-        map that returns one (d, d) matrix serves every oracle.  A stack's
-        unitarity and the d-th powers are checked in one vectorised pass
-        each."""
+        """The root map applied once, to the whole (B, d, d) stack; a single
+        (d, d) oracle goes to it as the stack of one, so it takes the same
+        root as inside a stack.  The map's output is broadcast against the
+        stack, so a map that returns one (d, d) matrix serves every oracle.
+        A stack's unitarity and the d-th powers are checked in one vectorised
+        pass each."""
         us, stacked = oracle_stack(u, self.d)
         if stacked:  # name the bad index before the root map sees the stack
             la.require_unitary(us, what="oracle")
-        w = np.broadcast_to(self.root(us if stacked else us[0]), us.shape)
+        w = np.broadcast_to(self.root(us), us.shape)
         acc = np.eye(self.d, dtype=complex)
         for _ in range(self.d):
             acc = acc @ w

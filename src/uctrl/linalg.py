@@ -481,34 +481,98 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def _float_entries(a: np.ndarray, rows) -> np.ndarray:
+def float_array_json(a: np.ndarray) -> str:
+    """``json.dumps(a.tolist())`` for a 2-D float array, with the encoder run
+    once per distinct bit pattern (so -0.0 keeps its sign) rather than once
+    per entry: program matrices hold few distinct values, mostly zeros."""
+    bits = np.ascontiguousarray(a, dtype=float).view(np.uint64)
+    distinct = np.unique(bits)
+    # the JSON text of a float never holds ", "
+    text = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+    rows = text[np.searchsorted(distinct, bits)].tolist()
+    return "[" + ", ".join(["[" + ", ".join(row) + "]" for row in rows]) + "]"
+
+
+# json.dumps text of the arrays of a matrix stub in ``dumps_with_matrices``.
+# Within a JSON string every quote is escaped, so the quote after ``re`` closes
+# a key: this text marks the stubs and nothing else, whatever the strings of
+# the skeleton hold.
+_STUB_ARRAYS = '"re": NaN, "im": NaN'
+
+
+def dumps_with_matrices(build) -> str:
+    """``json.dumps(build(matrix_to_json))``, byte for byte, without listing
+    the matrices: ``build`` gets a stand-in that records each matrix and
+    returns a stub whose arrays are NaN, and the text of each matrix's arrays
+    (from :func:`float_array_json`) replaces its stub's in one pass over the
+    ``json.dumps`` text of the skeleton.  ``build`` must put no NaN under a
+    key "re" outside the stubs."""
+    arrays = []
+
+    def stub(m: np.ndarray) -> dict:
+        m = np.atleast_2d(np.asarray(m, dtype=complex))
+        arrays.append(f'"re": {float_array_json(m.real)}, "im": {float_array_json(m.imag)}')
+        return {"rows": m.shape[0], "cols": m.shape[1], "re": math.nan, "im": math.nan}
+
+    pieces = json.dumps(build(stub)).split(_STUB_ARRAYS)
+    return "".join(itertools.chain.from_iterable(zip(pieces, arrays))) + pieces[-1]
+
+
+def _float_entries(a: np.ndarray, rows, bool_free: bool) -> np.ndarray:
     """The entries behind ``a = np.asarray(rows)`` as floats, or ValueError
     unless they are all numbers.  np.asarray(..., dtype=float) would parse
     "1.5", and np.asarray turns [true, 0.5] into [1.0, 0.5], so a bool among
-    numbers shows only in the entries' types.  An integer outside int64 makes
-    ``a`` an object array; numbers there load as their floats, and one too
-    large for a float is not finite."""
+    numbers shows only in the entries' types, which are scanned unless
+    ``bool_free`` (the rows came from JSON text without a boolean).  An
+    integer outside int64 makes ``a`` an object array; numbers there load as
+    their floats, and one too large for a float is not finite."""
     if a.dtype == object and all(type(x) in (int, float) for row in rows for x in row):
         try:
             return np.array([[float(x) for x in row] for row in rows])
         except OverflowError:
             raise ValueError("matrix JSON entries must be finite numbers") from None
-    if a.dtype.kind not in "iuf" or any(bool in set(map(type, row)) for row in rows):
+    if a.dtype.kind not in "iuf" or not bool_free and any(bool in set(map(type, row))
+                                                          for row in rows):
         raise ValueError("matrix JSON entries must be numbers")
     return a.astype(float)
 
 
-def matrix_from_json(obj) -> np.ndarray:
+def load_json(path) -> tuple[object, bool]:
+    """The JSON value in the file at ``path``, whose text is read once, and
+    whether that text is free of booleans: JSON spells one only as the
+    literal ``true`` or ``false``."""
+    text = Path(path).read_text()
+    return json.loads(text), not any(_holds_word(text, w) for w in ("true", "false"))
+
+
+def _holds_word(text: str, word: str) -> bool:
+    """``word in text``, found through its first letter: a single-character
+    search is a memchr, many times faster than a substring search over the
+    megabytes of numbers in a program's JSON, where t and f occur only in
+    keys and strings."""
+    i = text.find(word[0])
+    while i >= 0:
+        if text.startswith(word, i):
+            return True
+        i = text.find(word[0], i + 1)
+    return False
+
+
+def matrix_from_json(obj, *, _bool_free: bool = False) -> np.ndarray:
+    """Parse the wire format, given as a dict or as the path of a JSON file.
+    Entries must be finite numbers; a JSON boolean is rejected.
+    ``_bool_free`` says that ``obj`` was parsed from JSON text without a
+    boolean literal, so the entries' types need no scan (a file's own text
+    decides that)."""
     if isinstance(obj, (str, Path)):
-        with open(obj) as f:
-            obj = json.load(f)
+        obj, _bool_free = load_json(obj)
     shape = (obj["rows"], obj["cols"])
     if not all(isinstance(n, int) and not isinstance(n, bool) for n in shape):
         raise ValueError("matrix JSON rows and cols must be integers")
     re, im = np.asarray(obj["re"]), np.asarray(obj["im"])
     if re.shape != shape or im.shape != shape:
         raise ValueError("matrix JSON shape fields disagree with data")
-    re, im = _float_entries(re, obj["re"]), _float_entries(im, obj["im"])
+    re, im = _float_entries(re, obj["re"], _bool_free), _float_entries(im, obj["im"], _bool_free)
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("matrix JSON entries must be finite numbers")
     # set both parts in place: re + 1j * im would turn a -0.0 into 0.0

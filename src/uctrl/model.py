@@ -11,7 +11,6 @@ register list.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -797,17 +796,21 @@ def lipschitz_check(alg, u: np.ndarray, v: np.ndarray) -> bool:
 
 def to_ir(alg: OracleAlgorithm) -> dict:
     """Serialise a program to the circuit IR dictionary."""
+    return _ir(alg, la.matrix_to_json)
+
+
+def _ir(alg: OracleAlgorithm, matrix) -> dict:
+    """The circuit IR dictionary with each matrix ``m`` as ``matrix(m)``."""
     steps = []
     for s in alg.steps:
         if isinstance(s, FixedStep):
-            steps.append({"unitary": la.matrix_to_json(s.op), "targets": list(s.targets)})
+            steps.append({"unitary": matrix(s.op), "targets": list(s.targets)})
         else:
             steps.append({"query": s.letter.name, "targets": list(s.targets)})
     if alg.projector is None:
         proj = "identity"
     else:
-        proj = {"matrix": la.matrix_to_json(alg.projector[0]),
-                "targets": list(alg.projector[1])}
+        proj = {"matrix": matrix(alg.projector[0]), "targets": list(alg.projector[1])}
     ir = {
         "name": alg.name,
         "d": alg.oracle_dim,
@@ -828,25 +831,27 @@ def _ir_ints(obj, what: str) -> tuple[int, ...]:
     return tuple(int(t) for t in obj)
 
 
-def _load_matrix(obj, base: Path | None):
+def _load_matrix(obj, base: Path | None, bool_free: bool):
     if isinstance(obj, str):
         path = Path(obj)
         if base is not None and not path.is_absolute():
             obj = base / path
     try:
-        return la.matrix_from_json(obj)
+        return la.matrix_from_json(obj, _bool_free=bool_free)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed circuit IR: bad matrix ({type(exc).__name__}: {exc})") from exc
 
 
 def from_ir(obj, base: Path | None = None) -> OracleAlgorithm:
     """Parse the circuit IR (dict, JSON string path, or Path) to a program.
-    IR of the wrong shape raises ``ValueError("malformed circuit IR: ...")``."""
+    IR of the wrong shape raises ``ValueError("malformed circuit IR: ...")``.
+    A file's inline matrices skip the scan for JSON booleans among their
+    entries when its text holds no boolean literal."""
+    bool_free = False
     if isinstance(obj, (str, Path)):
         path = Path(obj)
         base = path.parent
-        with open(path) as f:
-            obj = json.load(f)
+        obj, bool_free = la.load_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"malformed circuit IR: expected a JSON object, got {type(obj).__name__}")
     factors, step_objs = obj["layout"], obj["steps"]
@@ -864,15 +869,15 @@ def from_ir(obj, base: Path | None = None) -> OracleAlgorithm:
             steps.append(QueryStep(LETTERS[s["query"]], _ir_ints(s["targets"], "query targets")))
         else:
             targets = _ir_ints(s.get("targets", all_targets), "step targets")
-            steps.append(FixedStep(_load_matrix(s["unitary"], base), targets))
+            steps.append(FixedStep(_load_matrix(s["unitary"], base, bool_free), targets))
     proj_obj = obj.get("projector", "identity")
     if proj_obj == "identity" or proj_obj is None:
         projector = None
     elif isinstance(proj_obj, dict) and "matrix" in proj_obj:
-        projector = (_load_matrix(proj_obj["matrix"], base),
+        projector = (_load_matrix(proj_obj["matrix"], base, bool_free),
                      _ir_ints(proj_obj.get("targets", all_targets), "projector targets"))
     else:
-        projector = (_load_matrix(proj_obj, base), all_targets)
+        projector = (_load_matrix(proj_obj, base, bool_free), all_targets)
     task_out = _ir_ints(obj["task_out"], '"task_out"') if "task_out" in obj else None
     return OracleAlgorithm(
         name=obj.get("name", "ir"),
@@ -885,6 +890,8 @@ def from_ir(obj, base: Path | None = None) -> OracleAlgorithm:
 
 
 def write_ir(alg: OracleAlgorithm, path) -> None:
-    # one dumps: json.dump streams through the pure-Python encoder
+    """Write ``json.dumps(to_ir(alg))`` to ``path``; each matrix value is
+    formatted once however often it occurs (see ``la.dumps_with_matrices``)."""
+    text = la.dumps_with_matrices(lambda matrix: _ir(alg, matrix))
     with open(path, "w") as f:
-        f.write(json.dumps(to_ir(alg)))
+        f.write(text)

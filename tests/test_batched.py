@@ -263,6 +263,21 @@ def test_single_matrix_root_map_works_vectorized():
     np.testing.assert_allclose(ev.apply_cols(us[0], e0), want[0], rtol=0, atol=TOL)
 
 
+def test_composed_root_single_oracle_is_the_stack_of_one():
+    # a (d, d) oracle reaches the root map as a stack of one, so every entry
+    # point takes the root a stack would, bit for bit
+    calls = []
+    ev = co.composed_root_cU(2, lambda u: calls.append(u.shape) or principal_sqrt(u))
+    rho = np.eye(ev.h_dim) / ev.h_dim
+    for seed in range(5):
+        u = la.haar_unitary(2, seed)
+        assert np.array_equal(ev.task_block(u), ev.task_block(u[None])[0])
+        assert np.array_equal(ev.eval(u), ev.eval(u[None])[0])
+        mo.apply_channel(ev, u, rho)
+        mo.pure_deviation(ev, mo.cum_task(2, 1), u)
+    assert set(calls) == {(1, 2, 2)}
+
+
 def test_composed_root_bad_root_named_by_index():
     # the identity is a square root only of the identity, sample 0 of the loop
     ev = co.composed_root_cU(2, lambda u: np.eye(2, dtype=complex))
@@ -334,11 +349,8 @@ def test_stacked_check_exact_matches_single_calls(label, make, m):
     assert isinstance(stacked, list) and len(stacked) == len(us)
     for b, res in enumerate(stacked):
         assert _same_result(res, mo.check_exact(alg, task, us[b:b + 1])[0])
-        if not isinstance(alg, co.ComposedRootEvaluator):
-            # the (d, d) call evaluates as given; the root map's single-matrix
-            # path rounds differently from its stacked one
-            single = mo.check_exact(alg, task, us[b])
-            assert isinstance(single, mo.AchievementResult) and _same_result(res, single)
+        single = mo.check_exact(alg, task, us[b])
+        assert isinstance(single, mo.AchievementResult) and _same_result(res, single)
 
 
 @pytest.mark.parametrize("label,make,m", TASKED)
@@ -369,9 +381,8 @@ def test_stacked_homogeneity_matches_single_calls(label, make, m):
     for b in range(len(us)):
         assert stacked[b] == mo.numeric_homogeneity_check(alg, us[b:b + 1], lams[b:b + 1],
                                                           delta)[0]
-        if not isinstance(alg, co.ComposedRootEvaluator):
-            single = mo.numeric_homogeneity_check(alg, us[b], lams[b], delta)
-            assert isinstance(single, float) and stacked[b] == single
+        single = mo.numeric_homogeneity_check(alg, us[b], lams[b], delta)
+        assert isinstance(single, float) and stacked[b] == single
 
 
 @pytest.mark.parametrize("label,make,m", CHECKED)

@@ -628,6 +628,31 @@ class TestMatrixJson:
         assert np.signbit(back.real).tolist() == [[True, False]]
         assert np.signbit(back.imag).tolist() == [[False, True]]
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(shape=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, 5e-324, 1e300,
+                                            math.nan, math.inf, -math.inf]) | st.floats(),
+                           min_size=16, max_size=16))
+    def test_float_array_json_is_json_dumps(self, shape, values):
+        a = np.array(values[:shape[0] * shape[1]]).reshape(shape)
+        assert la.float_array_json(a) == json.dumps(a.tolist())
+        assert la.float_array_json(a.T) == json.dumps(a.T.tolist())  # not contiguous
+
+    @settings(max_examples=200, derandomize=True)
+    @given(text=st.text(alphabet="truefals \"", max_size=12),
+           word=st.sampled_from(["true", "false"]))
+    def test_boolean_literal_search(self, text, word):
+        assert la._holds_word(text, word) == (word in text)
+
+    @pytest.mark.parametrize("entry", ["true", "false"])
+    def test_boolean_in_a_file_rejected(self, entry, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": 1, "cols": 2, "re": [[0.5, %s]], "im": [[0, 0]]}' % entry)
+        with pytest.raises(ValueError, match="numbers"):
+            la.matrix_from_json(path)
+        path.write_text('{"rows": 1, "cols": 2, "re": [[0.5, 1]], "im": [[0, 0]]}')
+        np.testing.assert_array_equal(la.matrix_from_json(str(path)), [[0.5, 1]])
+
 
 class TestLayout:
     def test_roles(self):

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -643,6 +645,18 @@ class TestModelSoundness:
                 assert probs.min() > 1e-10, alg.name
 
 
+def _assert_writes_json_dump(alg, tmp_path) -> str:
+    """write_ir's file holds what json.dump writes for to_ir; returns it."""
+    ref = io.StringIO()
+    json.dump(mo.to_ir(alg), ref)
+    path = tmp_path / "alg.json"
+    mo.write_ir(alg, path)
+    text = path.read_text()
+    same = text == ref.getvalue()
+    assert same  # not a string comparison: a diff of a large IR takes minutes
+    return text
+
+
 class TestIrRoundTrip:
     @pytest.mark.parametrize("builder,d", [
         (co.kitaev_cswap, 2), (co.dong_cUd, 2), (co.neutraliser_parallel, 2),
@@ -673,16 +687,37 @@ class TestIrRoundTrip:
         assert same  # not a string comparison: a diff of a large IR takes minutes
 
     @pytest.mark.parametrize("name,d", [(n, d) for n in sorted(co.BUILDERS) for d in (2, 3)]
-                             + [("power", 2)])
+                             + [("power", 2)]
+                             + [(n, 4) for n in ("conjugation", "dong", "kitaev", "neutraliser",
+                                                 "transpose", "power")])
     def test_write_ir_bytes_match_json_dump(self, name, d, tmp_path):
-        # write_ir encodes in one json.dumps; the file is what json.dump writes
-        alg = co.build(name, d, 4 if name == "power" else None)
-        ref = io.StringIO()
-        json.dump(mo.to_ir(alg), ref)
-        path = tmp_path / "alg.json"
-        mo.write_ir(alg, path)
-        same = path.read_text() == ref.getvalue()
-        assert same  # not a string comparison: a diff of a large IR takes minutes
+        _assert_writes_json_dump(co.build(name, d, 2 * d if name == "power" else None), tmp_path)
+
+    def test_write_ir_bytes_dense_haar_step(self, tmp_path):
+        # every entry its own value: no repeats for the writer to share
+        layout = RegisterLayout.of([2, 4, 4], ["control", "task", "anc"])
+        alg = mo.OracleAlgorithm("haar", 4, layout, (
+            mo.FixedStep(la.haar_unitary(32, 5), (0, 1, 2)), mo.QueryStep(mo.ID, (1,))))
+        _assert_writes_json_dump(alg, tmp_path)
+
+    def test_write_ir_bytes_keep_signed_zeros(self, tmp_path):
+        op = np.array([[1.0, -0.0], [-0.0, 1.0]], dtype=complex)
+        op.imag[0, 0] = op.imag[1, 0] = -0.0
+        alg = mo.OracleAlgorithm("zeros", 2, RegisterLayout.of([2], ["task"]),
+                                 (mo.FixedStep(op, (0,)), mo.QueryStep(mo.ID, (0,))))
+        text = _assert_writes_json_dump(alg, tmp_path)
+        assert '"re": [[1.0, -0.0], [-0.0, 1.0]], "im": [[-0.0, 0.0], [-0.0, 0.0]]' in text
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(label=st.lists(st.sampled_from(["\x00", '"re": NaN', '"re": NaN, "im": NaN', "NaN",
+                                           "true", '\\', '"', "re"]) | st.text(max_size=3),
+                          max_size=6).map("".join))
+    def test_write_ir_bytes_any_name(self, label):
+        # the name may spell the writer's stub marker, escaped or not
+        alg = co.build("transpose", 2)
+        alg.name = label
+        with tempfile.TemporaryDirectory() as tmp:
+            _assert_writes_json_dump(alg, Path(tmp))
 
     def test_full_space_inline_projector_accepted(self):
         alg = co.transpose_via_teleport(2)
@@ -692,6 +727,45 @@ class TestIrRoundTrip:
         back = mo.from_ir(ir)
         u = la.haar_unitary(2, 71)
         np.testing.assert_allclose(back.eval(u), alg.eval(u), atol=1e-12)
+
+
+class TestIrReader:
+    """from_ir on a file skips the entry-type scan only when the file's text
+    holds no JSON boolean, so booleans are rejected wherever they appear."""
+
+    @pytest.mark.parametrize("where", [("steps", 0, "unitary"), ("projector", "matrix")])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_entry_rejected(self, where, part, value, tmp_path):
+        ir = mo.to_ir(co.build("transpose", 2))
+        node = ir
+        for key in where:
+            node = node[key]
+        node[part][1][0] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(ir))
+        with pytest.raises(ValueError, match="must be numbers"):
+            mo.from_ir(path)
+
+    @pytest.mark.parametrize("name", ["true", "false"])
+    def test_boolean_literal_in_a_name_loads(self, name, tmp_path):
+        alg = co.build("transpose", 2)
+        alg.name = name
+        path = tmp_path / "alg.json"
+        mo.write_ir(alg, path)
+        assert mo.to_ir(mo.from_ir(path)) == mo.to_ir(alg)
+
+    def test_external_matrix_file_decides_its_own_scan(self, tmp_path):
+        ir = mo.to_ir(co.build("dong", 2))
+        matrix = ir["steps"][0]["unitary"]
+        matrix["re"][0][0] = True
+        (tmp_path / "step.json").write_text(json.dumps(matrix))
+        ir["steps"][0]["unitary"] = "step.json"
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(ir))
+        assert "true" not in path.read_text() and "false" not in path.read_text()
+        with pytest.raises(ValueError, match="must be numbers"):
+            mo.from_ir(path)
 
 
 class TestValidation:
