@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -291,10 +292,16 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused by the later
+    ones: ``parse_args`` keeps no state between calls."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep 2 reserved for model
         # violations and report bad flags as input errors instead

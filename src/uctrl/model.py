@@ -23,6 +23,7 @@ from .linalg import RegisterLayout
 EXACT_TOL = 1e-8
 PHASE_GRID = 720
 _PHASE_CHUNK = 64  # phases per stacked evaluation in a phase scan
+_PHASE_STRIDE = 8  # a phase scan first evaluates every 8th grid phase
 
 # Longest stretch of oracle-stack state evaluated at once, in complex
 # entries: a witness or checker over B oracles keeps B x (its entries per
@@ -481,22 +482,50 @@ def _exact_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
             for i in range(n)]
 
 
-def _phase_min(f, grid: int) -> np.ndarray:
+def _phase_min(f, grid: int, lip=np.inf) -> np.ndarray:
     """Minimum over the phase circle of each member of a family of functions:
     f maps a phase array p to values of shape (*family, *p.shape), and the
-    family may be empty.  Each member's best of ``grid`` uniform phases (one
-    call on the whole grid) is refined by golden-section search over the two
-    grid cells around it, all members at once (one call per point, on a
-    (*family, 1) array of each member's own phase); never above the best grid
-    value.  The result has the family's shape, 0-d for a single function."""
+    family may be empty.  ``lip`` (a scalar, or one value per member) bounds
+    each member's Lipschitz constant in the phase.
+
+    Each member's best of ``grid`` uniform phases is found without evaluating
+    every phase: one call on every _PHASE_STRIDE-th phase, then one call on
+    the phases that some member cannot rule out.  A skipped phase is bounded
+    below by ``f(neighbour) - lip * distance`` from its nearest evaluated
+    phase on either side, around the circle, and is evaluated only where that
+    bound is not above the coarse best plus a rounding slack; a member with
+    ``lip == 0`` is constant and keeps its coarse values.  Every phase left
+    out lies above the grid minimum, so the best grid phase is the full
+    scan's (``lip=np.inf`` scans the whole grid).  It is refined by
+    golden-section search over the two grid cells around it, all members at
+    once (one call per point, on a (*family, 1) array of each member's own
+    phase); never above the best grid value.  The result has the family's
+    shape, 0-d for a single function."""
     phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
-    vals = f(phis)
+    step = 2 * np.pi / grid
+    coarse = np.arange(0, grid, _PHASE_STRIDE)
+    first = f(phis[coarse])
+    vals = np.full(first.shape[:-1] + (grid,), np.inf)
+    vals[..., coarse] = first
+
+    # the nearest coarse phases left and right of each skipped phase, the
+    # right one of the last cell being phase 0 one turn on
+    skipped = np.flatnonzero(np.arange(grid) % _PHASE_STRIDE)
+    cell = skipped // _PHASE_STRIDE
+    lip = np.asarray(lip, dtype=float)[..., None]
+    bound = np.maximum(first[..., cell] - lip * ((skipped - coarse[cell]) * step),
+                       first[..., (cell + 1) % len(coarse)]
+                       - lip * ((np.append(coarse, grid)[cell + 1] - skipped) * step))
+    best = first.min(axis=-1, keepdims=True)
+    keep = ~(bound > best + 1e-9 * (1 + np.abs(best))) & (lip > 0)
+    wanted = np.flatnonzero(keep.any(axis=tuple(range(keep.ndim - 1))))
+    if len(wanted):
+        vals[..., skipped[wanted]] = np.where(keep[..., wanted], f(phis[skipped[wanted]]), np.inf)
     best = np.argmin(vals, axis=-1)
 
     def at(p: np.ndarray) -> np.ndarray:
         return f(p[..., None])[..., 0]
 
-    step = 2 * np.pi / grid
     inv = (math.sqrt(5) - 1) / 2
     a, b = phis[best] - step, phis[best] + step
     c = b - inv * (b - a)
@@ -570,7 +599,11 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
         return la.spectral_norm(np.concatenate([dev, np.broadcast_to(far, (len(e),) + far.shape)],
                                                axis=1))
 
-    return float(_phase_min(_chunked(deviations), grid))
+    # d/dphi of the deviation is i e^{i phi} T1 (x) g_q0 - i e^{-i phi} T0 (x) g_q1,
+    # whose spectral norm is at most |T1|_F |g_q0| + |T0|_F |g_q1|
+    lip = (np.linalg.norm(t1) * np.linalg.norm(g_q[:, 0])
+           + np.linalg.norm(t0) * np.linalg.norm(g_q[:, 1])) * (1 + 1e-9)
+    return float(_phase_min(_chunked(deviations), grid, lip))
 
 
 # -- channel form ----------------------------------------------------------------
@@ -683,7 +716,9 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
                 e = np.exp(1j * p)[..., None, None]
                 return la.trace_norm(x0s - e * x1s - e.conj() * la.dagger(x1s))
 
-            vals[~fixed] = np.max(_phase_min(_chunked(defects), grid), axis=-1)
+            # d/dphi of the defect has trace norm at most 2 |X1|_* <= 2 sqrt(h) |X1|_F
+            lip = 2 * math.sqrt(alg.h_dim) * np.linalg.norm(x1s[:, :, 0], axis=(-2, -1))
+            vals[~fixed] = np.max(_phase_min(_chunked(defects), grid, lip), axis=-1)
         return vals
 
     # a phase scan keeps _PHASE_CHUNK phases of every state's h x h defect

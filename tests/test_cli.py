@@ -457,6 +457,37 @@ class TestInputErrors:
         self._input_error(run(*argv, "--out", tmp_path / "out"), capsys)
 
 
+class TestConsecutiveCalls:
+    """``main`` reuses one parser; each call parses, exits and reports as a
+    freshly built parser does."""
+
+    def test_calls_in_a_row(self, tmp_path, capsys):
+        fresh = cli.make_parser()
+        with pytest.raises(SystemExit):
+            fresh.parse_args(["build", "dong", "--bogus", "1"])
+        usage_error = capsys.readouterr().err
+        assert "unrecognized arguments: --bogus 1" in usage_error
+
+        # a bad flag, then good calls of other commands
+        assert run("build", "dong", "--bogus", 1) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == usage_error
+        assert run("build", "kitaev", "--d", 3, "--out", tmp_path / "kit.json") == cli.EXIT_OK
+        # the previous call's --d does not carry over: dong takes the default d = 2
+        assert run("build", "dong", "--out", tmp_path / "dong.json") == cli.EXIT_OK
+        assert json.loads((tmp_path / "dong.json").read_text())["d"] == 2
+        assert run("verify", tmp_path / "dong.json", "--task", "cUm", "--m", 2, "--d", 2,
+                   "--samples", 2, "--out", tmp_path / "rep.json") == cli.EXIT_OK
+        assert run("verify", tmp_path / "dong.json", "--task", "bogus") == cli.EXIT_INPUT_ERROR
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert run("build", "dong", "--bogus", 1) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == usage_error
+        assert run("--help") == cli.EXIT_OK
+        assert capsys.readouterr().out == fresh.format_help()
+        assert run("sweep", "constant-circuit", "--task", "cUm", "--m", 1, "--grid", "diag:2",
+                   "--out", tmp_path / "s.csv") == cli.EXIT_OK
+        assert len((tmp_path / "s.csv").read_text().splitlines()) == 3
+
+
 # -- property test: random field mutations of valid IR --------------------------
 
 _DELETE = object()

@@ -277,17 +277,25 @@ class TestPhaseMin:
         val = mo._phase_min(lambda p: 1 - np.cos(p - p0), mo.PHASE_GRID)
         assert 0.0 <= val <= 1e-12
 
-    def test_one_grid_call_then_length_one_calls(self):
+    @staticmethod
+    def call_sizes(lip) -> list[int]:
         sizes = []
 
         def f(phis):
             sizes.append(len(phis))
             return 1 - np.cos(phis - 0.3)
 
-        mo._phase_min(f, mo.PHASE_GRID)
-        # the whole grid at once, then two golden-section starting points,
-        # 60 section steps and the final midpoint
-        assert sizes == [mo.PHASE_GRID] + [1] * 63
+        mo._phase_min(f, mo.PHASE_GRID, lip)
+        return sizes
+
+    def test_one_grid_call_then_length_one_calls(self):
+        # every 8th phase at once, then the 38 phases the bound |f'| <= 1
+        # cannot rule out, then two golden-section starting points, 60
+        # section steps and the final midpoint
+        assert self.call_sizes(1.0) == [90, 38] + [1] * 63
+
+    def test_no_bound_scans_the_whole_grid(self):
+        assert self.call_sizes(np.inf) == [90, 630] + [1] * 63
 
     def test_family_matches_single_functions(self):
         # seven members with their own minima, widths and second harmonics;
@@ -307,6 +315,127 @@ class TestPhaseMin:
         single = [mo._phase_min(member(k), mo.PHASE_GRID) for k in range(7)]
         assert all(np.ndim(v) == 0 for v in single)
         np.testing.assert_array_equal(got, single)
+
+    @staticmethod
+    def assert_pruned_is_full_scan(a, b, c, norm, lip=None):
+        """The members norm(A + e^{i phi} B + e^{-i phi} C), with the bound
+        norm(B) + norm(C) on |f'| unless ``lip`` is given: the pruned scan
+        gives the full scan's values, bit for bit, and starts every member's
+        golden section from the same grid phase."""
+        def f(p):
+            calls.append(np.array(p))
+            e = np.exp(1j * p)[..., None, None]
+            return norm(a[:, None] + e * b[:, None] + e.conj() * c[:, None])
+
+        if lip is None:
+            lip = norm(b) + norm(c)
+        for grid in (720, 100, 16):
+            calls = []
+            pruned = mo._phase_min(f, grid, lip)
+            pruned_section = calls[-63:]
+            calls = []
+            full = mo._phase_min(f, grid, np.inf)
+            np.testing.assert_array_equal(pruned, full)
+            for p, q in zip(pruned_section, calls[-63:]):
+                np.testing.assert_array_equal(p, q)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(members=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+           flat=st.lists(st.booleans(), min_size=4, max_size=4),
+           scale=st.floats(0.0, 3.0), trace=st.booleans())
+    def test_pruned_scan_is_full_scan(self, members, n, seed, flat, scale, trace):
+        rng = np.random.default_rng(seed)
+        a, b, c = (rng.standard_normal((3, members, n, n))
+                   + 1j * rng.standard_normal((3, members, n, n)))
+        # some members have B = C = 0: a zero bound, constant in the phase
+        zero = np.array(flat[:members])[:, None, None]
+        b, c = np.where(zero, 0, scale * b), np.where(zero, 0, scale * c)
+        self.assert_pruned_is_full_scan(a, b, c, la.trace_norm if trace else la.spectral_norm)
+
+    @pytest.mark.parametrize("norm", [la.spectral_norm, la.trace_norm], ids=["spectral", "trace"])
+    def test_pruned_scan_minimum_across_the_wrap(self, norm):
+        # |1 - cos(phi - p0)| (x) Id, with p0 just either side of phi = +-pi,
+        # then the V-shaped |1 - e^{i (phi - p0)}| (x) Id, whose grid minimum
+        # lies in the last coarse cell (short at 100 phases): its right
+        # neighbour is phase 0 one turn on
+        p0 = np.array([np.pi - 1e-4, -np.pi + 1e-4, np.pi - 0.05, 0.3, np.pi - 0.05, np.pi - 0.006])
+        eye = np.eye(2)
+        a = np.broadcast_to(eye, (6, 2, 2)).astype(complex)
+        b = -0.5 * np.exp(-1j * p0)[:, None, None] * eye
+        c = b.conj()
+        b[4:], c[4:] = 2 * b[4:], 0
+        self.assert_pruned_is_full_scan(a, b, c, norm)
+
+    @pytest.mark.parametrize("lip", [0.0, 1.0], ids=["zero-bound", "loose-bound"])
+    def test_pruned_scan_all_tied(self, lip):
+        # every member constant, so every phase ties and each member's golden
+        # section starts from grid index 0, with or without the zero-bound rule
+        a = np.random.default_rng(5).standard_normal((3, 2, 2)).astype(complex)
+        zero = np.zeros_like(a)
+        self.assert_pruned_is_full_scan(a, zero, zero, la.spectral_norm, np.full(3, lip))
+
+    def test_pruned_scan_mixed_bounds(self):
+        # a flat member beside phase-dependent ones, in one family
+        rng = np.random.default_rng(7)
+        a, b, c = rng.standard_normal((3, 3, 2, 2)) + 0j
+        b[1], c[1] = 0, 0
+        self.assert_pruned_is_full_scan(a, b, c, la.trace_norm)
+
+
+def benchmark_haar(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A Haar unitary from the benchmark's own stream (QR of a Ginibre
+    matrix, R's diagonal rephased)."""
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+class TestPhaseScanSaving:
+    """The Lipschitz bounds leave most phases unevaluated, counted by phase."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("d", [4, 3])
+    def test_pure_deviation_evaluates_few_phases(self, monkeypatch, d, seed):
+        counts = []
+        original = mo._phase_min
+
+        def counting(f, grid, lip=np.inf):
+            sizes = []
+            out = original(lambda p: sizes.append(np.shape(p)[-1]) or f(p), grid, lip)
+            # every call but the 63 golden-section calls scans the grid
+            counts.append(sum(sizes[:-63]))
+            return out
+
+        monkeypatch.setattr(mo, "_phase_min", counting)
+        rng = np.random.default_rng([seed, 2])  # the verify-dense oracle stream
+        if d == 3:
+            for _ in range(2):
+                benchmark_haar(rng, 4)
+        val = mo.pure_deviation(co.dong_cUd(d), mo.cum_task(d, d), benchmark_haar(rng, d))
+        assert val <= 1e-9
+        assert len(counts) == 1 and counts[0] <= 150
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_bound_states_are_constant(self, monkeypatch, d):
+        # basis states and I/h have X1 = 0: the zero-bound rule keeps their
+        # coarse values only, which is exact because every grid value is equal
+        scans = []
+        original = mo._phase_min
+
+        def capture(f, grid, lip=np.inf):
+            scans.append((f, grid, np.asarray(lip)))
+            return original(f, grid, lip)
+
+        monkeypatch.setattr(mo, "_phase_min", capture)
+        mo.eps_distance_estimate(constant_circuit(d), mo.cum_task(d, 1), la.haar_unitary(d, 962),
+                                 n_samples=2)
+        (f, grid, lip), = scans
+        h = 2 * d
+        zero = lip == 0
+        assert zero.sum() == h + 1 and lip.size == h + 1 + d + 2
+        vals = f(np.linspace(-np.pi, np.pi, grid, endpoint=False))[zero]
+        assert vals.shape == (h + 1, mo.PHASE_GRID)
+        np.testing.assert_array_equal(vals, np.broadcast_to(vals[:, :1], vals.shape))
 
 
 def constant_circuit(d: int) -> mo.OracleAlgorithm:
@@ -442,14 +571,16 @@ class TestEpsDistance:
 
     @pytest.mark.parametrize("n_samples", [1, 3])
     def test_one_phase_minimisation_for_all_states(self, monkeypatch, n_samples):
-        # one grid call and 63 golden-section calls, whatever the number of
-        # states: every state's phase is minimised in the same pass
+        # one call on the 2 coarse phases, one on the 14 phases some state
+        # cannot rule out, and 63 golden-section calls, whatever the number
+        # of states: every state's phase is minimised in the same pass
         calls = []
         original = la.trace_norm
         monkeypatch.setattr(la, "trace_norm", lambda m: calls.append(m.shape) or original(m))
         mo.eps_distance_estimate(constant_circuit(2), mo.cum_task(2, 1), la.haar_unitary(2, 5),
                                  n_samples=n_samples, grid=16)
-        assert len(calls) == 64
+        # (oracle, state, phase, h, h) stacks
+        assert [shape[2] for shape in calls] == [2, 14] + [1] * 63
 
     def test_composed_root_loop_is_exact(self):
         # pointwise the root composition implements a controlled-U member for
