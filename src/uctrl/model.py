@@ -116,8 +116,14 @@ class OracleAlgorithm:
         ops = []
         for s in self.steps:
             if isinstance(s, FixedStep):
-                op = la.require_unitary(s.op, what=f"fixed step in {self.name}")
-                ops.append((op, la.check_targets(op, s.targets, dims)))
+                op = np.asarray(s.op, dtype=complex)
+                moved = _moved_block(op)
+                # op is the identity off its moved support and zero between it
+                # and the rest, so op^dagger op - I is B^dagger B - I (B the
+                # moved block) padded with zeros: the same spectral norm
+                la.require_unitary(op if moved is None else moved[1],
+                                   what=f"fixed step in {self.name}")
+                ops.append((op, la.check_targets(op, s.targets, dims), moved))
             else:
                 sub = la.target_dim(s.targets, dims)
                 if sub != self.oracle_dim:
@@ -125,10 +131,11 @@ class OracleAlgorithm:
                         f"query targets {s.targets} span dimension {sub}, "
                         f"expected oracle dimension {self.oracle_dim}"
                     )
-                ops.append((s.letter, tuple(int(t) for t in s.targets)))
+                ops.append((s.letter, tuple(int(t) for t in s.targets), None))
         if self.projector is not None:
             p, targets = self.projector
-            ops.append((np.asarray(p, dtype=complex), la.check_targets(p, targets, dims)))
+            p = np.asarray(p, dtype=complex)
+            ops.append((p, la.check_targets(p, targets, dims), _moved_block(p)))
             if not (la.norm_within(p @ p - p, la.UNITARY_TOL)
                     and la.norm_within(p - la.dagger(p), la.UNITARY_TOL)):
                 raise ValueError(f"projector of {self.name} is not an orthogonal projector")
@@ -144,7 +151,8 @@ class OracleAlgorithm:
         ``u`` is one (d, d) oracle or a stack (B, d, d); ``cols`` is a column
         (N,), a block (N, k) shared by every oracle, or per-oracle blocks
         (B, N, k).  A stack gives a leading batch axis on the output.  Every
-        step is one batched product over the whole stack, and a single
+        step is one batched product over the whole stack, of the step's
+        moved rows only where ``_compile`` restricted it, and a single
         oracle is the stack of one.
         """
         us, stacked = oracle_stack(u, self.oracle_dim)
@@ -165,8 +173,15 @@ class OracleAlgorithm:
         for st in stages:
             if st.perm is not None:
                 t = t.transpose(st.perm)
-            op = st.op if st.letter is None else st.letter.apply(us)
-            t = np.matmul(op, t.reshape(len(t), st.n, st.rest * k))
+            t = t.reshape(len(t), st.n, st.rest * k)
+            if st.rows is None:
+                t = np.matmul(st.op if st.letter is None else st.letter.apply(us), t)
+            else:
+                # the other rows pass through as they are; the state is
+                # updated in place, so first copied while it may be ``cols``
+                if np.may_share_memory(t, x):
+                    t = t.copy()
+                t[:, st.rows] = np.matmul(st.op, t[:, st.rows])
             t = t.reshape(len(t), *st.shape, k)
         if final is not None:
             t = t.transpose(final)
@@ -230,6 +245,28 @@ def over_stack(f, u, d: int, width: int, *per_oracle: np.ndarray, budget: int | 
     return out if stacked else out[0]
 
 
+# A fixed operator on n >= _RESTRICT_MIN_DIM target states that moves at most
+# half of them acts on its moved rows only.  Smaller steps, which include
+# every step of the d = 2, 3 programs, keep the dense product bit for bit.
+_RESTRICT_MIN_DIM = 32
+
+
+def _moved_block(op: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(S, op[S, S])`` for a finite square ``op`` on at least
+    _RESTRICT_MIN_DIM states, S being the indices i where row i or column i
+    of ``op`` differs from e_i, compared exactly.  Off S ``op`` is the
+    identity, and its entries between S and the other indices are zero, so
+    a non-finite entry lies in the block.  None for any other ``op``, which
+    is checked and applied whole."""
+    if op.ndim != 2 or op.shape[0] != op.shape[1] or len(op) < _RESTRICT_MIN_DIM:
+        return None
+    off = op != 0
+    np.fill_diagonal(off, op.diagonal() != 1)
+    moved = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+    block = op[np.ix_(moved, moved)]
+    return (moved, block) if np.isfinite(block).all() else None
+
+
 @dataclass(frozen=True)
 class _Stage:
     """One compiled step.  The state is a (batch, *factors, k) tensor; the
@@ -237,7 +274,9 @@ class _Stage:
     place) so its target factors lead, multiplies those ``n`` dimensions by
     the fixed ``op`` or by the query image of ``letter`` (``rest`` being the
     dimension of the other factors), and leaves the factor axes in the order
-    whose dimensions are ``shape``."""
+    whose dimensions are ``shape``.  A restricted fixed stage has its moved
+    support as ``rows`` and its moved block as ``op``, and multiplies only
+    those rows of the target dimensions."""
 
     perm: tuple[int, ...] | None
     n: int
@@ -245,23 +284,29 @@ class _Stage:
     shape: tuple[int, ...]
     op: np.ndarray | None
     letter: QueryLetter | None
+    rows: np.ndarray | None
 
 
 def _compile(dims, ops) -> tuple[tuple[_Stage, ...], tuple[int, ...] | None]:
-    """Step plan for (operator or query letter, targets) pairs applied in
-    order, and the permutation that restores the layout's factor order."""
+    """Step plan for (operator or query letter, targets, ``_moved_block`` of
+    the operator or None) triples applied in order, and the permutation that
+    restores the layout's factor order.  A fixed operator that moves at most
+    half of its states is restricted to its moved rows."""
     def perm(order, new):
         p = (0,) + tuple(1 + order.index(f) for f in new) + (len(order) + 1,)
         return None if p == tuple(range(len(p))) else p
 
     order = list(range(len(dims)))
     stages = []
-    for what, targets in ops:
+    for what, targets, moved in ops:
         new = list(targets) + [f for f in order if f not in targets]
         letter = what if isinstance(what, QueryLetter) else None
         n = math.prod(dims[f] for f in targets)
+        op, rows = None if letter else what, None
+        if moved is not None and 2 * len(moved[0]) <= n:
+            rows, op = moved
         stages.append(_Stage(perm(order, new), n, math.prod(dims) // n,
-                             tuple(dims[f] for f in new), None if letter else what, letter))
+                             tuple(dims[f] for f in new), op, letter, rows))
         order = new
     return tuple(stages), perm(order, range(len(dims)))
 
@@ -424,8 +469,8 @@ def _check_compat(alg, task: Task):
         raise ValueError(f"program queries {letters} outside the task alphabet {task.alphabet}")
 
 
-def check_exact(alg, task: Task, u: np.ndarray,
-                tol: float = EXACT_TOL) -> AchievementResult | list[AchievementResult]:
+def check_exact(alg, task: Task, u: np.ndarray, tol: float = EXACT_TOL, *,
+                _zero_prob: bool = False) -> AchievementResult | list[AchievementResult]:
     """Decide whether the program output factorises as (task operator) (x)
     (garbage) on the all-zero ancilla, and extract the pieces.
 
@@ -438,10 +483,21 @@ def check_exact(alg, task: Task, u: np.ndarray,
     ``u`` may be a (B, d, d) stack, giving the list of B results; it is
     evaluated through ``over_stack`` in slices of at most ``SLICE_ENTRIES``
     block entries, and a single (d, d) oracle is the stack of one.
+
+    The private ``_zero_prob`` pairs each result with the success
+    probability of the all-zero task input, ``|b[:, 0]|^2`` of the same
+    block: ``success_prob`` on that input without a second block.
     """
     _check_compat(alg, task)
-    return over_stack(lambda us: _exact_from_block(alg, task, us, alg.task_block(us), tol),
-                      u, alg.oracle_dim, alg.total_dim * alg.h_dim)
+
+    def results(us: np.ndarray) -> list:
+        b = alg.task_block(us)
+        res = _exact_from_block(alg, task, us, b, tol)
+        if not _zero_prob:
+            return res
+        return [(r, float(np.linalg.norm(c) ** 2)) for r, c in zip(res, b[:, :, 0])]
+
+    return over_stack(results, u, alg.oracle_dim, alg.total_dim * alg.h_dim)
 
 
 def _exact_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
@@ -716,8 +772,12 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
                 e = np.exp(1j * p)[..., None, None]
                 return la.trace_norm(x0s - e * x1s - e.conj() * la.dagger(x1s))
 
-            # d/dphi of the defect has trace norm at most 2 |X1|_* <= 2 sqrt(h) |X1|_F
-            lip = 2 * math.sqrt(alg.h_dim) * np.linalg.norm(x1s[:, :, 0], axis=(-2, -1))
+            # d/dphi of the defect has trace norm at most 2 |X1|_*.  Every
+            # state of the family but I/h is pure, rho = v v^dagger, so
+            # X1 = (T1 v)(T0 v)^dagger has rank at most 1; for I/h it is
+            # T1 T0^dagger / h = 0, the control blocks being disjoint.  So
+            # |X1|_* = |X1|_F, up to rounding far below _phase_min's slack
+            lip = 2 * np.linalg.norm(x1s[:, :, 0], axis=(-2, -1))
             vals[~fixed] = np.max(_phase_min(_chunked(defects), grid, lip), axis=-1)
         return vals
 

@@ -424,6 +424,21 @@ def test_check_clean_makes_one_stacked_check_exact(monkeypatch):
     assert calls == [(6, 3, 3)]
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_zero_input_success_prob_from_the_exact_blocks(monkeypatch, d):
+    # the sweep's success probabilities come with check_exact's results, from
+    # the same blocks: bit for bit success_prob's, and no second task_block
+    alg, task = co.build("dong", d), mo.cum_task(d, d)
+    us = np.concatenate([np.stack(la.haar_unitaries(d, 2, 4650 + d)), tp.central_loop(d, 16)[6:9]])
+    probs = mo.success_prob(alg, us, la.basis_state(alg.h_dim, 0))
+    calls = _count_calls(monkeypatch, alg, "task_block")
+    pairs = mo.check_exact(alg, task, us, _zero_prob=True)
+    assert calls == [len(us)]
+    assert [prob for _, prob in pairs] == probs
+    for (res, _), want in zip(pairs, mo.check_exact(alg, task, us)):
+        assert _same_result(res, want)
+
+
 @pytest.mark.parametrize("make,m", _params(CONTROLLED))
 def test_sliced_stack_names_bad_oracle_by_stack_index(monkeypatch, make, m):
     alg = make()
@@ -524,3 +539,110 @@ def test_empty_stack_gives_empty_result(make, m, check):
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     if isinstance(want, np.ndarray):
         assert got.dtype == want.dtype
+
+
+# -- fixed steps restricted to their moved rows --------------------------------------
+
+# every builder at d = 2, 3, where no step is restricted, and at d = 4 dong and
+# the neutraliser, whose 256 x 256 steps (25 moved states) and 32 x 32 swaps
+# (12) are, and conjugation, whose 64 x 64 steps move 55 states and stay dense
+KERNEL = [(name, d) for name in co.BUILDERS for d in (2, 3)] + [
+    ("dong", 4), ("neutraliser", 4), ("conjugation", 4)]
+
+
+def _zero_ancilla_inputs(alg) -> np.ndarray:
+    """The columns ``task_block`` applies the program to: each task basis
+    state with every ancilla at 0."""
+    at_zero = tuple(slice(None) if f in alg.h_factors else 0 for f in range(len(alg.dims)))
+    rows = np.arange(alg.total_dim).reshape(alg.dims)[at_zero].reshape(-1)
+    return np.eye(alg.total_dim, dtype=complex)[:, rows]
+
+
+@pytest.mark.parametrize("name,d", KERNEL, ids=[f"{name}-{d}" for name, d in KERNEL])
+def test_plan_matches_dense_reference(name, d):
+    alg = co.build(name, d)
+    stages, _ = alg._plan
+    assert any(st.rows is not None for st in stages) == (name in ("dong", "neutraliser")
+                                                         and d == 4)
+    n = alg.total_dim
+    us = np.stack(la.haar_unitaries(d, 2, 4600 + d))
+    rng = np.random.default_rng(4600 + d)
+    cols = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    got, blocks = alg.apply_cols(us, cols), alg.task_block(us)
+    inputs = _zero_ancilla_inputs(alg)
+    for b, u in enumerate(us):
+        np.testing.assert_allclose(got[b], _reference(alg, u, cols), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(blocks[b], _reference(alg, u, inputs), rtol=0, atol=1e-13)
+    if n <= 256:  # dong d = 4's full operator would be 64 MB per oracle
+        full = alg.eval(us)
+        for b, u in enumerate(us):
+            np.testing.assert_allclose(full[b], _reference(alg, u, np.eye(n)), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["dong", "neutraliser", "kitaev", "conjugation"])
+def test_restricted_stack_equals_stacks_of_one(name):
+    alg = co.build(name, 4)
+    n = alg.total_dim
+    us = np.stack(la.haar_unitaries(4, 3, 4700))
+    rng = np.random.default_rng(4700)
+    cols = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    per = rng.standard_normal((3, n, 2)) + 1j * rng.standard_normal((3, n, 2))
+    shared, own, blocks = alg.apply_cols(us, cols), alg.apply_cols(us, per), alg.task_block(us)
+    for b, u in enumerate(us):
+        np.testing.assert_array_equal(shared[b], alg.apply_cols(us[b:b + 1], cols)[0])
+        np.testing.assert_array_equal(shared[b], alg.apply_cols(u, cols))
+        np.testing.assert_array_equal(own[b], alg.apply_cols(us[b:b + 1], per[b:b + 1])[0])
+        np.testing.assert_array_equal(blocks[b], alg.task_block(us[b:b + 1])[0])
+        np.testing.assert_array_equal(blocks[b], alg.task_block(u))
+
+
+def test_restricted_first_stage_leaves_cols_alone():
+    # the neutraliser's first step acts on every factor in layout order, so
+    # the state it updates in place is a view of the caller's columns
+    alg = co.build("neutraliser", 4)
+    first = alg._plan[0][0]
+    assert first.perm is None and first.rows is not None
+    us = np.stack(la.haar_unitaries(4, 2, 4800))
+    rng = np.random.default_rng(4800)
+    n = alg.total_dim
+    for shape in ((n,), (n, 3), (2, n, 3)):
+        cols = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        before = cols.copy()
+        out = alg.apply_cols(us, cols)
+        np.testing.assert_array_equal(cols, before)
+        assert not np.shares_memory(out, cols)
+    eye = np.eye(n, dtype=complex)
+    alg.apply_cols(us[0], eye)
+    np.testing.assert_array_equal(eye, np.eye(n))
+
+
+@pytest.mark.parametrize("dropped", ["extra-3", "task-0-extra-0"])
+def test_restricted_projector_keeps_check_exact_verdicts(monkeypatch, dropped):
+    # dong d = 2 with one more, idle, 4-state ancilla, postselected on its
+    # task and ancilla factors (32 states) by a projector that drops 8
+    # unreached states (achieved) or 2 reached ones (not achieved); the
+    # all-dense plan is the reference
+    base = co.build("dong", 2)
+    layout = la.RegisterLayout(base.layout.factors + ((4, "extra"),))
+    t, _, _, e = np.unravel_index(np.arange(32), layout.dims[1:])
+    drop = (e == 3) if dropped == "extra-3" else (t == 0) & (e == 0)
+    proj = (np.diag((~drop).astype(complex)), (1, 2, 3, 4))
+
+    def program():
+        return mo.OracleAlgorithm("dong-post", 2, layout, base.steps, projector=proj)
+
+    alg = program()
+    assert alg._plan[0][-1].rows is not None
+    monkeypatch.setattr(mo, "_RESTRICT_MIN_DIM", 10 ** 9)
+    dense = program()
+    assert all(st.rows is None for st in dense._plan[0])
+    task, us = mo.cum_task(2, 2), np.stack(la.haar_unitaries(2, 3, 4900))
+    got, want = mo.check_exact(alg, task, us), mo.check_exact(dense, task, us)
+    assert [r.achieved for r in got] == [r.achieved for r in want]
+    assert [r.achieved for r in got] == [dropped == "extra-3"] * 3
+    for r, w in zip(got, want):
+        assert (r.phase is None) == (w.phase is None)
+        np.testing.assert_allclose([r.residual, r.rank_residual, r.phase or 0.0],
+                                   [w.residual, w.rank_residual, w.phase or 0.0],
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(r.garbage, w.garbage, rtol=0, atol=1e-13)

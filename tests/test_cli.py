@@ -447,6 +447,21 @@ class TestInputErrors:
                    "--out", tmp_path / "rep.json")
         assert fragment in self._input_error(code, capsys)
 
+    @pytest.mark.parametrize("value,fragment", [
+        (float("nan"), "finite"),
+        (1e-9, "fixed step in neutraliser is not unitary to tolerance 1e-10"),
+    ], ids=["nan", "off-tolerance"])
+    def test_bad_entry_in_a_restricted_step(self, value, fragment, tmp_path, capsys):
+        # an entry off the identity in a row of the neutraliser's 256 x 256
+        # step that the step otherwise leaves alone
+        ir = mo.to_ir(co.build("neutraliser", 4))
+        ir["steps"][0]["unitary"]["re"][5][200] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(ir))
+        code = run("verify", path, "--task", "neutralise", "--d", 4, "--samples", 2,
+                   "--out", tmp_path / "rep.json")
+        assert fragment in self._input_error(code, capsys)
+
     @pytest.mark.parametrize("argv", [
         ["bu-scan", "--refinements", 0],
         ["bu-scan", "--refinements", -2],

@@ -393,9 +393,9 @@ def benchmark_haar(rng: np.random.Generator, d: int) -> np.ndarray:
 class TestPhaseScanSaving:
     """The Lipschitz bounds leave most phases unevaluated, counted by phase."""
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("d", [4, 3])
-    def test_pure_deviation_evaluates_few_phases(self, monkeypatch, d, seed):
+    @staticmethod
+    def _count_phases(monkeypatch) -> list[int]:
+        """Record the number of grid phases each ``_phase_min`` call evaluates."""
         counts = []
         original = mo._phase_min
 
@@ -407,6 +407,12 @@ class TestPhaseScanSaving:
             return out
 
         monkeypatch.setattr(mo, "_phase_min", counting)
+        return counts
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("d", [4, 3])
+    def test_pure_deviation_evaluates_few_phases(self, monkeypatch, d, seed):
+        counts = self._count_phases(monkeypatch)
         rng = np.random.default_rng([seed, 2])  # the verify-dense oracle stream
         if d == 3:
             for _ in range(2):
@@ -414,6 +420,18 @@ class TestPhaseScanSaving:
         val = mo.pure_deviation(co.dong_cUd(d), mo.cum_task(d, d), benchmark_haar(rng, d))
         assert val <= 1e-9
         assert len(counts) == 1 and counts[0] <= 150
+
+    def test_eps_constant_evaluates_few_phases(self, monkeypatch):
+        # the constant circuit's oracle in the verify-dense stream at seed 0,
+        # after two d = 4 and two d = 3 draws; the bound 2 |X1|_F leaves
+        # 90 + 170 phases (2 sqrt(h) |X1|_F left 90 + 248)
+        counts = self._count_phases(monkeypatch)
+        rng = np.random.default_rng([0, 2])
+        for d in (4, 4, 3, 3):
+            benchmark_haar(rng, d)
+        mo.eps_distance_estimate(constant_circuit(2), mo.cum_task(2, 1), benchmark_haar(rng, 2),
+                                 n_samples=2)
+        assert len(counts) == 1 and counts[0] <= 270
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_zero_bound_states_are_constant(self, monkeypatch, d):
@@ -568,6 +586,20 @@ class TestEpsDistance:
         for s in range(20):
             u = la.haar_unitary(2, 4200 + s)
             assert mo.eps_distance_estimate(alg, task, u, n_samples=2) <= 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_x1_has_rank_at_most_one(self, d):
+        # the eps Lipschitz bound 2 |X1|_F is 2 |X1|_* because every X1 of
+        # the state family has rank at most one, and X1 of I/h is zero
+        alg, task = co.dong_cUd(d), mo.cum_task(d, d)
+        rhos = mo._state_family(alg, task, 8, 0)
+        t0, t1 = mo._affine_member(task, la.haar_unitary(d, 964))
+        x1 = t1 @ rhos @ la.dagger(t0)
+        assert np.array_equal(rhos[alg.h_dim], np.eye(alg.h_dim) / alg.h_dim)
+        assert not x1[alg.h_dim].any()
+        svals = np.linalg.svd(x1, compute_uv=False)
+        assert np.all(svals[:, 1] <= 1e-12 * svals[:, 0])
+        assert np.count_nonzero(svals[:, 0]) == len(rhos) - 1 - alg.h_dim
 
     @pytest.mark.parametrize("n_samples", [1, 3])
     def test_one_phase_minimisation_for_all_states(self, monkeypatch, n_samples):
@@ -916,6 +948,61 @@ class TestValidation:
         with pytest.raises(ValueError):
             mo.OracleAlgorithm("bad", 2, layout,
                                (mo.FixedStep(np.ones((2, 2), dtype=complex), (0,)),))
+
+    @staticmethod
+    def _wide(op, targets=(0, 1, 2, 3)) -> mo.OracleAlgorithm:
+        """A program of one fixed step on a (4, 4, 4, 4) register, 256 states."""
+        return mo.OracleAlgorithm("bad", 4, RegisterLayout.of([4, 4, 4, 4]),
+                                  (mo.FixedStep(op, targets),))
+
+    @pytest.mark.parametrize("entry", [(5, 200), (200, 5), (5, 5)])
+    @pytest.mark.parametrize("eps,accepted", [(1e-9, False), (2e-10, False), (2e-11, True)])
+    def test_perturbed_identity_row(self, entry, eps, accepted):
+        # one entry off the identity: the step is checked on its moved block
+        # ({5, 200} or {5}) with the same predicate as the whole 256 x 256 op
+        op = np.eye(256, dtype=complex)
+        op[entry] += eps
+        if accepted:
+            self._wide(op)
+            return
+        with pytest.raises(ValueError) as exc:
+            self._wide(op)
+        assert str(exc.value) == "fixed step in bad is not unitary to tolerance 1e-10"
+
+    def test_identity_step_moves_nothing(self):
+        alg = self._wide(np.eye(256, dtype=complex))
+        (stage,), _ = alg._plan
+        assert stage.rows is not None and stage.rows.size == 0
+        cols = np.random.default_rng(7).standard_normal((256, 3)) + 0j
+        np.testing.assert_array_equal(alg.apply_cols(la.haar_unitary(4, 7), cols), cols)
+
+    def test_dense_step_takes_the_dense_product(self):
+        op = la.haar_unitary(64, 8)
+        alg = self._wide(op, (0, 1, 2))
+        (stage,), _ = alg._plan
+        assert stage.rows is None and stage.op is not None and stage.op.shape == (64, 64)
+        cols = np.random.default_rng(8).standard_normal((256, 2)) + 0j
+        np.testing.assert_allclose(alg.apply_cols(la.haar_unitary(4, 8), cols),
+                                   la.apply_to_factors(cols, op, (0, 1, 2), alg.dims),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("op,message", [
+        (np.eye(256)[:, :255], "matrix must be square, got shape (256, 255)"),
+        (np.ones(256), "matrix must be square, got shape (256,)"),
+        (np.eye(64), "operator dimension 64 does not match target dims (product 256)"),
+    ], ids=["non-square", "vector", "wrong-dimension"])
+    def test_shape_errors(self, op, message):
+        with pytest.raises(ValueError) as exc:
+            self._wide(op)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("entry", [(5, 5), (5, 200)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_step_rejected(self, entry, value):
+        op = np.eye(256, dtype=complex)
+        op[entry] = value
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            self._wide(op)
 
     @pytest.mark.parametrize("task_out", [(1, 1), (9,)])
     def test_task_out_targets_checked(self, task_out):
