@@ -216,53 +216,54 @@ def oracle_stack(u, d: int) -> tuple[np.ndarray, bool]:
     return (u, True) if u.ndim == 3 else (u[None], False)
 
 
-def stack_slices(us: np.ndarray, width: int, budget: int) -> list[slice]:
+def _one_oracle(u, d: int, what: str) -> None:
+    """Raise unless ``u`` is one (d, d) oracle: ``what`` takes no stack."""
+    if np.shape(u) != (d, d):
+        raise ValueError(f"{what} takes one ({d}, {d}) oracle, got shape {np.shape(u)}")
+
+
+def stack_slices(us: np.ndarray, width: int) -> list[slice]:
     """Consecutive slices covering the (B, d, d) stack ``us``, each of at
-    most ``budget // width`` oracles (at least one) when an oracle keeps
-    ``width`` complex entries of state; an empty stack is one empty slice.
-    A stack cut into several slices is checked unitary whole first, so an
-    error names the oracle's index in the stack, not in its slice."""
-    step = max(1, budget // width)
+    most ``SLICE_ENTRIES // width`` oracles (at least one) when an oracle
+    keeps ``width`` complex entries of state; an empty stack is one empty
+    slice.  A stack cut into several slices is checked unitary whole first,
+    so an error names the oracle's index in the stack, not in its slice."""
+    step = max(1, SLICE_ENTRIES // width)
     if len(us) > step:
         la.require_unitary(us, what="oracle")
     return [slice(i, i + step) for i in range(0, max(len(us), 1), step)]
 
 
-def over_stack(f, u, d: int, width: int, *per_oracle: np.ndarray, budget: int | None = None):
+def over_stack(f, u, d: int, width: int, *per_oracle: np.ndarray):
     """``f(us, *per_oracle)`` over the oracles ``u``, in slices of
-    ``stack_slices`` (``width`` complex entries of state per oracle, within
-    ``budget``, by default ``SLICE_ENTRIES``); each ``per_oracle`` array
-    holds one entry per oracle and is sliced with the stack.  ``f`` returns
-    one result per oracle of its slice, as a list or an array, and the
-    slices' results are joined the same way.  A (B, d, d) stack gives the B
-    results; a single (d, d) oracle is the stack of one and gives its one
-    result.  An empty stack is one empty slice, so it gives ``f``'s empty
-    result."""
+    ``stack_slices`` (``width`` complex entries of state per oracle); each
+    ``per_oracle`` array holds one entry per oracle and is sliced with the
+    stack.  ``f`` returns one result per oracle of its slice, as a list or
+    an array, and the slices' results are joined the same way.  A
+    (B, d, d) stack gives the B results; a single (d, d) oracle is the
+    stack of one and gives its one result.  An empty stack is one empty
+    slice, so it gives ``f``'s empty result."""
     us, stacked = oracle_stack(u, d)
-    parts = [f(us[s], *(a[s] for a in per_oracle))
-             for s in stack_slices(us, width, SLICE_ENTRIES if budget is None else budget)]
+    parts = [f(us[s], *(a[s] for a in per_oracle)) for s in stack_slices(us, width)]
     out = np.concatenate(parts) if isinstance(parts[0], np.ndarray) else sum(parts, [])
     return out if stacked else out[0]
 
 
-# A fixed operator on n >= _RESTRICT_MIN_DIM target states that moves at most
-# half of them acts on its moved rows only.  Smaller steps, which include
-# every step of the d = 2, 3 programs, keep the dense product bit for bit.
-_RESTRICT_MIN_DIM = 32
-
-
 def _moved_block(op: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(S, op[S, S])`` for a finite square ``op`` on at least
-    _RESTRICT_MIN_DIM states, S being the indices i where row i or column i
-    of ``op`` differs from e_i, compared exactly.  Off S ``op`` is the
-    identity, and its entries between S and the other indices are zero, so
-    a non-finite entry lies in the block.  None for any other ``op``, which
-    is checked and applied whole."""
-    if op.ndim != 2 or op.shape[0] != op.shape[1] or len(op) < _RESTRICT_MIN_DIM:
+    """``(S, op[S, S])`` for a finite square ``op`` that moves at most half
+    of its states, S being the indices i where row i or column i of ``op``
+    differs from e_i, compared exactly.  Off S ``op`` is the identity, and
+    its entries between S and the other indices are zero, so a non-finite
+    entry lies in the block.  None for any other ``op``, which is checked
+    and applied whole.  This is the one rule that decides whether a fixed
+    step or projector acts on its moved rows only."""
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
         return None
     off = op != 0
     np.fill_diagonal(off, op.diagonal() != 1)
     moved = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+    if 2 * len(moved) > len(op):
+        return None
     block = op[np.ix_(moved, moved)]
     return (moved, block) if np.isfinite(block).all() else None
 
@@ -274,9 +275,9 @@ class _Stage:
     place) so its target factors lead, multiplies those ``n`` dimensions by
     the fixed ``op`` or by the query image of ``letter`` (``rest`` being the
     dimension of the other factors), and leaves the factor axes in the order
-    whose dimensions are ``shape``.  A restricted fixed stage has its moved
-    support as ``rows`` and its moved block as ``op``, and multiplies only
-    those rows of the target dimensions."""
+    whose dimensions are ``shape``.  A fixed stage whose operator has a
+    ``_moved_block`` has its moved support as ``rows`` and its moved block
+    as ``op``, and multiplies only those rows of the target dimensions."""
 
     perm: tuple[int, ...] | None
     n: int
@@ -290,8 +291,8 @@ class _Stage:
 def _compile(dims, ops) -> tuple[tuple[_Stage, ...], tuple[int, ...] | None]:
     """Step plan for (operator or query letter, targets, ``_moved_block`` of
     the operator or None) triples applied in order, and the permutation that
-    restores the layout's factor order.  A fixed operator that moves at most
-    half of its states is restricted to its moved rows."""
+    restores the layout's factor order.  A fixed operator with a moved block
+    is restricted to its moved rows."""
     def perm(order, new):
         p = (0,) + tuple(1 + order.index(f) for f in new) + (len(order) + 1,)
         return None if p == tuple(range(len(p))) else p
@@ -302,9 +303,7 @@ def _compile(dims, ops) -> tuple[tuple[_Stage, ...], tuple[int, ...] | None]:
         new = list(targets) + [f for f in order if f not in targets]
         letter = what if isinstance(what, QueryLetter) else None
         n = math.prod(dims[f] for f in targets)
-        op, rows = None if letter else what, None
-        if moved is not None and 2 * len(moved[0]) <= n:
-            rows, op = moved
+        rows, op = moved if moved is not None else (None, None if letter else what)
         stages.append(_Stage(perm(order, new), n, math.prod(dims) // n,
                              tuple(dims[f] for f in new), op, letter, rows))
         order = new
@@ -445,10 +444,7 @@ def _fit_garbage(t_mat: np.ndarray, big_t: np.ndarray) -> np.ndarray:
     """Least-squares ancilla factor of T for the task member ``t_mat``; both
     may be stacks."""
     vec = t_mat.reshape(*t_mat.shape[:-2], 1, math.prod(t_mat.shape[-2:]))
-    # np.linalg.norm of each member as one vector, and its scalar square:
-    # an axis norm or an array power rounds differently
-    nrm2 = np.reshape([np.linalg.norm(v) ** 2 for v in vec.reshape(-1, vec.shape[-1])],
-                      vec.shape[:-2] + (1, 1))
+    nrm2 = np.linalg.norm(vec, axis=-1, keepdims=True) ** 2
     return ((vec.conj() @ big_t) / nrm2)[..., 0, :]
 
 
@@ -621,9 +617,11 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
 
     The garbage vector is the least-squares ancilla factor for the candidate
     task member; for the controlled family the relative phase is scanned on a
-    uniform grid and refined by golden-section search.
+    uniform grid and refined by golden-section search.  ``u`` is one (d, d)
+    oracle, not a stack.
     """
     _check_compat(alg, task)
+    _one_oracle(u, alg.oracle_dim, "pure_deviation")
     bp, big_t = _schmidt_views(alg, alg.task_block(u))
 
     if task.control_power is None:
@@ -695,7 +693,9 @@ def _channel_from_block(alg, b: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray
 def apply_channel(alg, u: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:
     """Unnormalised postselected channel on the task register: trace out the
     output ancillas of A(U) (rho (x) |0><0|) A(U)^dagger; also returns its
-    trace (the postselection probability)."""
+    trace (the postselection probability).  ``u`` is one (d, d) oracle, not
+    a stack."""
+    _one_oracle(u, alg.oracle_dim, "apply_channel")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (alg.h_dim, alg.h_dim):
         raise ValueError("density matrix dimension mismatch")
@@ -714,9 +714,9 @@ def _state_family(alg, task: Task, n_samples: int, seed: int) -> np.ndarray:
     dt = h // 2 if task.control_power is not None else 0
     eye = np.eye(h, dtype=complex)
     z = np.random.default_rng(seed).standard_normal((n_samples, 2, h))
-    # one norm per vector: norm(axis=1) sums in another order
-    haar = [x / np.linalg.norm(x) for x in z[:, 0] + 1j * z[:, 1]]
-    v = np.concatenate([eye, (eye[:dt] + eye[dt:2 * dt]) / math.sqrt(2), np.reshape(haar, (-1, h))])
+    haar = z[:, 0] + 1j * z[:, 1]
+    haar = haar / np.linalg.norm(haar, axis=-1, keepdims=True)
+    v = np.concatenate([eye, (eye[:dt] + eye[dt:2 * dt]) / math.sqrt(2), haar])
     # pure states, with the maximally mixed state after the basis states
     return np.insert(v[:, :, None] * v.conj()[:, None, :], h, eye / h, axis=0)
 
@@ -869,13 +869,12 @@ def numeric_homogeneity_check(alg, u: np.ndarray, lam, delta: int) -> float | np
         raise ValueError(f"need one lambda per oracle: shape {lams.shape} for {len(us)} oracles")
     if np.any(np.abs(np.abs(lams) - 1.0) > 1e-12):
         raise ValueError("lambda must be unimodular")
-    # lam^delta one scalar at a time: an array power rounds differently
-    pows = np.array([x ** delta for x in lams.reshape(-1)], dtype=complex)
+    lams = lams.reshape(-1)
 
     def residuals(s, x, p):
         return la.spectral_norm(alg.eval(x[:, None, None] * s) - p[:, None, None] * alg.eval(s))
 
-    return over_stack(residuals, u, alg.oracle_dim, alg.total_dim ** 2, lams.reshape(-1), pows)
+    return over_stack(residuals, u, alg.oracle_dim, alg.total_dim ** 2, lams, lams ** delta)
 
 
 def lipschitz_check(alg, u: np.ndarray, v: np.ndarray) -> bool:

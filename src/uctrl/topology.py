@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg as la
-from .model import SLICE_ENTRIES, ModelViolationError, out_split, over_stack, unitary_power
+from .model import ModelViolationError, out_split, over_stack, unitary_power
 
 STEP_BOUND = math.pi / 2
 ABS_FLOOR = 1e-12
@@ -38,12 +38,11 @@ def central_loop(d: int, K: int) -> np.ndarray:
 def _over_stack(witness, alg, u, m: int, width: int):
     """``witness(alg, us, m)`` through ``model.over_stack``: a (d, d) oracle
     gives a complex, a (K, d, d) stack K values, in slices of at most
-    SLICE_ENTRIES entries, ``width`` entries per oracle (the model's budget,
-    bound here so that a loop's slicing can be set on its own)."""
+    ``model.SLICE_ENTRIES`` entries, ``width`` entries per oracle."""
     if alg.layout.control_index != 0 or alg.out_factors[0] != 0:
         raise ValueError("phase extraction needs the control qubit as factor 0, "
                          "leading the output factors")
-    return over_stack(lambda s: witness(alg, s, m), u, alg.oracle_dim, width, budget=SLICE_ENTRIES)
+    return over_stack(lambda s: witness(alg, s, m), u, alg.oracle_dim, width)
 
 
 def _h_witness(alg, us: np.ndarray, m: int) -> np.ndarray:

@@ -186,7 +186,7 @@ def test_long_loop_sliced_gives_same_trace(monkeypatch, label, make, m, d):
     monkeypatch.setattr(type(alg), "apply_cols",
                         lambda self, u, cols: calls.append(len(u)) or original(self, u, cols))
     # five oracles per slice of the two-column h witness
-    monkeypatch.setattr(tp, "SLICE_ENTRIES", 5 * 2 * alg.total_dim)
+    monkeypatch.setattr(mo, "SLICE_ENTRIES", 5 * 2 * alg.total_dim)
     sliced_h = tp.loop_trace(lambda us: tp.extract_h(alg, us, m), d, K, stacked=True)
     assert max(calls) == 5 and sum(calls) == K
     sliced_f = tp.loop_trace(lambda us: tp.extract_fplus(alg, us, m), d, K, stacked=True)
@@ -445,7 +445,6 @@ def test_sliced_stack_names_bad_oracle_by_stack_index(monkeypatch, make, m):
     d = alg.oracle_dim
     us = tp.central_loop(d, 16)
     us[7] *= 1.5
-    monkeypatch.setattr(tp, "SLICE_ENTRIES", 5 * 2 * alg.total_dim)
     monkeypatch.setattr(mo, "SLICE_ENTRIES", 1)  # one oracle per slice
     for check in (lambda: tp.extract_h(alg, us, m), lambda: tp.extract_fplus(alg, us, m),
                   lambda: mo.check_exact(alg, mo.cum_task(d, m), us),
@@ -543,9 +542,9 @@ def test_empty_stack_gives_empty_result(make, m, check):
 
 # -- fixed steps restricted to their moved rows --------------------------------------
 
-# every builder at d = 2, 3, where no step is restricted, and at d = 4 dong and
-# the neutraliser, whose 256 x 256 steps (25 moved states) and 32 x 32 swaps
-# (12) are, and conjugation, whose 64 x 64 steps move 55 states and stay dense
+# every builder at d = 2, 3, and at d = 4 dong and the neutraliser, whose
+# 256 x 256 steps (25 moved states) and 32 x 32 swaps (12) are restricted, and
+# conjugation, whose 64 x 64 steps move 55 states and stay dense
 KERNEL = [(name, d) for name in co.BUILDERS for d in (2, 3)] + [
     ("dong", 4), ("neutraliser", 4), ("conjugation", 4)]
 
@@ -562,8 +561,18 @@ def _zero_ancilla_inputs(alg) -> np.ndarray:
 def test_plan_matches_dense_reference(name, d):
     alg = co.build(name, d)
     stages, _ = alg._plan
-    assert any(st.rows is not None for st in stages) == (name in ("dong", "neutraliser")
-                                                         and d == 4)
+    # a fixed stage acts on its moved rows S exactly when 2 |S| <= n, S being
+    # the indices whose row or column of the operator differs from e_i
+    ops = [s.op for s in alg.steps if isinstance(s, mo.FixedStep)]
+    ops += [] if alg.projector is None else [alg.projector[0]]
+    fixed = [st for st in stages if st.letter is None]
+    assert len(fixed) == len(ops)
+    for st, op in zip(fixed, ops):
+        off = np.asarray(op) != np.eye(len(op))
+        moved = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+        assert (st.rows is not None) == (2 * len(moved) <= st.n)
+        if st.rows is not None:
+            np.testing.assert_array_equal(st.rows, moved)
     n = alg.total_dim
     us = np.stack(la.haar_unitaries(d, 2, 4600 + d))
     rng = np.random.default_rng(4600 + d)
@@ -594,6 +603,23 @@ def test_restricted_stack_equals_stacks_of_one(name):
         np.testing.assert_array_equal(own[b], alg.apply_cols(us[b:b + 1], per[b:b + 1])[0])
         np.testing.assert_array_equal(blocks[b], alg.task_block(us[b:b + 1])[0])
         np.testing.assert_array_equal(blocks[b], alg.task_block(u))
+
+
+def test_mostly_moved_op_has_no_moved_block():
+    # conjugation d = 4's 64 x 64 steps move 55 states, a Haar op all 64
+    steps = [s.op for s in co.build("conjugation", 4).steps
+             if isinstance(s, mo.FixedStep) and s.op.shape == (64, 64)]
+    assert steps
+    for op in steps + [la.haar_unitary(64, 4650)]:
+        assert mo._moved_block(np.asarray(op, dtype=complex)) is None
+
+
+@pytest.mark.parametrize("name,d,restricted,fixed", [
+    ("dong", 2, 4, 6), ("dong", 3, 8, 8), ("neutraliser", 2, 0, 2),
+    ("conjugation", 2, 0, 2), ("conjugation", 3, 0, 3), ("conjugation", 4, 0, 3)])
+def test_restricted_stage_counts(name, d, restricted, fixed):
+    stages = [st for st in co.build(name, d)._plan[0] if st.letter is None]
+    assert (sum(st.rows is not None for st in stages), len(stages)) == (restricted, fixed)
 
 
 def test_restricted_first_stage_leaves_cols_alone():
@@ -633,7 +659,7 @@ def test_restricted_projector_keeps_check_exact_verdicts(monkeypatch, dropped):
 
     alg = program()
     assert alg._plan[0][-1].rows is not None
-    monkeypatch.setattr(mo, "_RESTRICT_MIN_DIM", 10 ** 9)
+    monkeypatch.setattr(mo, "_moved_block", lambda op: None)
     dense = program()
     assert all(st.rows is None for st in dense._plan[0])
     task, us = mo.cum_task(2, 2), np.stack(la.haar_unitaries(2, 3, 4900))

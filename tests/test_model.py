@@ -150,6 +150,13 @@ class TestApplyChannel:
         with pytest.raises(ValueError):
             mo.apply_channel(alg, np.eye(2, dtype=complex), np.eye(2, dtype=complex))
 
+    def test_stack_rejected(self):
+        alg = co.dong_cUd(2)
+        us = np.stack(la.haar_unitaries(2, 3, 33))
+        with pytest.raises(ValueError, match=r"^apply_channel takes one \(2, 2\) oracle, "
+                                             r"got shape \(3, 2, 2\)$"):
+            mo.apply_channel(alg, us, np.eye(alg.h_dim) / alg.h_dim)
+
 
 def kraus_channel(alg, u, rho):
     """The postselected channel as the explicit Kraus sum over the output
@@ -268,6 +275,15 @@ class TestPureDeviation:
     def test_kitaev_far(self):
         alg = co.kitaev_cswap(2)
         assert mo.pure_deviation(alg, mo.cum_task(2, 1), la.haar_unitary(2, 14)) > 0.1
+
+    @pytest.mark.parametrize("name,task", [("dong", mo.cum_task(2, 2)),
+                                           ("conjugation", mo.conjugation_task(2))])
+    def test_stack_rejected(self, name, task):
+        # one oracle only, on a controlled task and on one without a phase
+        us = np.stack(la.haar_unitaries(2, 3, 32))
+        with pytest.raises(ValueError, match=r"^pure_deviation takes one \(2, 2\) oracle, "
+                                             r"got shape \(3, 2, 2\)$"):
+            mo.pure_deviation(co.build(name, 2), task, us)
 
 
 class TestPhaseMin:
