@@ -224,11 +224,11 @@ def cmd_sweep(args) -> int:
     with_eps = args.check == "eps"
     header = ["param", "success_prob", "residual", "phase"] + (["eps"] if with_eps else [])
     params, us = _sweep_points(kind, n, cfg.d)
-    # each result with the all-zero input's success probability, from one block
-    results = mo.check_exact(alg, task, us, tol=cfg.tol, _zero_prob=True)
-    rows = [[f"{param:.12g}", f"{prob:.17g}", f"{res.residual:.17g}",
+    # each result carries the all-zero input's success probability
+    results = mo.check_exact(alg, task, us, tol=cfg.tol)
+    rows = [[f"{param:.12g}", f"{res.zero_input_prob:.17g}", f"{res.residual:.17g}",
              "" if res.phase is None else f"{res.phase:.17g}"]
-            for param, (res, prob) in zip(params, results)]
+            for param, res in zip(params, results)]
     if with_eps:
         for row, val in zip(rows, mo.eps_distance_estimate(alg, task, us, n_samples=2,
                                                            seed=cfg.seed)):

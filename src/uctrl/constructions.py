@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg as la
 from .linalg import RegisterLayout
-from .model import ID, INV, FixedStep, OracleAlgorithm, QueryStep, oracle_stack
+from .model import ID, INV, FixedStep, OracleAlgorithm, QueryStep, oracle_stack, unitary_power
 
 CHI_MAX_D = 5
 NEUTRALISER_MAX_D = 4
@@ -286,10 +286,7 @@ class ComposedRootEvaluator:
         if stacked:  # name the bad index before the root map sees the stack
             la.require_unitary(us, what="oracle")
         w = np.broadcast_to(self.root(us), us.shape)
-        acc = np.eye(self.d, dtype=complex)
-        for _ in range(self.d):
-            acc = acc @ w
-        bad = np.flatnonzero(~la.norm_within(acc - us, ROOT_TOL))
+        bad = np.flatnonzero(~la.norm_within(unitary_power(w, self.d) - us, ROOT_TOL))
         if bad.size:
             where = f" at index {bad[0]}" if stacked else ""
             raise ValueError(f"root map did not return a d-th root of the oracle{where}")

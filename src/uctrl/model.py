@@ -424,6 +424,9 @@ class AchievementResult:
     phase: float | None
     residual: float
     rank_residual: float
+    # |b[:, 0]|^2 of the checked zero-ancilla block b: ``success_prob`` on
+    # the all-zero task input
+    zero_input_prob: float | None = None
 
     @property
     def success_prob(self) -> float:
@@ -465,8 +468,8 @@ def _check_compat(alg, task: Task):
         raise ValueError(f"program queries {letters} outside the task alphabet {task.alphabet}")
 
 
-def check_exact(alg, task: Task, u: np.ndarray, tol: float = EXACT_TOL, *,
-                _zero_prob: bool = False) -> AchievementResult | list[AchievementResult]:
+def check_exact(alg, task: Task, u: np.ndarray,
+                tol: float = EXACT_TOL) -> AchievementResult | list[AchievementResult]:
     """Decide whether the program output factorises as (task operator) (x)
     (garbage) on the all-zero ancilla, and extract the pieces.
 
@@ -479,21 +482,10 @@ def check_exact(alg, task: Task, u: np.ndarray, tol: float = EXACT_TOL, *,
     ``u`` may be a (B, d, d) stack, giving the list of B results; it is
     evaluated through ``over_stack`` in slices of at most ``SLICE_ENTRIES``
     block entries, and a single (d, d) oracle is the stack of one.
-
-    The private ``_zero_prob`` pairs each result with the success
-    probability of the all-zero task input, ``|b[:, 0]|^2`` of the same
-    block: ``success_prob`` on that input without a second block.
     """
     _check_compat(alg, task)
-
-    def results(us: np.ndarray) -> list:
-        b = alg.task_block(us)
-        res = _exact_from_block(alg, task, us, b, tol)
-        if not _zero_prob:
-            return res
-        return [(r, float(np.linalg.norm(c) ** 2)) for r, c in zip(res, b[:, :, 0])]
-
-    return over_stack(results, u, alg.oracle_dim, alg.total_dim * alg.h_dim)
+    return over_stack(lambda us: _exact_from_block(alg, task, us, alg.task_block(us), tol),
+                      u, alg.oracle_dim, alg.total_dim * alg.h_dim)
 
 
 def _exact_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
@@ -506,15 +498,16 @@ def _exact_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
     rank_residuals = svals[:, 1] if svals.shape[1] > 1 else np.zeros(n)
 
     if task.control_power is not None:
+        # the leading left singular vector's overlaps with T0 and T1, each of
+        # squared norm dt, give the member's relative phase
         m_fac = left[:, :, 0].reshape(n, alg.h_dim, alg.h_dim)
         dt = alg.h_dim // 2
-        w = unitary_power(us, task.control_power)
-        c0 = np.trace(m_fac[:, :dt, :dt], axis1=1, axis2=2) / dt
-        c1 = np.trace(la.dagger(w) @ m_fac[:, dt:, dt:], axis1=1, axis2=2) / dt
+        t0, t1 = _affine_member(task, us)
+        c0, c1 = (np.sum(t.conj() * m_fac, axis=(1, 2)) / dt for t in (t0, t1))
         has_phase = (np.abs(c0) > 1e-12) & (np.abs(c1) > 1e-12)
         phis = np.zeros(n)
         phis[has_phase] = np.angle(c1[has_phase] / c0[has_phase])
-        t_mat = task.member(us, phis)
+        t_mat = t0 + np.exp(1j * phis)[:, None, None] * t1
         g = _fit_garbage(t_mat, big_t)
     else:
         t_mat = task.base(us)
@@ -530,7 +523,8 @@ def _exact_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
     return [AchievementResult(achieved=bool(achieved[i]), garbage=g[i],
                               phase=float(phis[i]) if has_phase[i] else None,
                               residual=float(residuals[i]),
-                              rank_residual=float(rank_residuals[i]))
+                              rank_residual=float(rank_residuals[i]),
+                              zero_input_prob=float(np.linalg.norm(b[i, :, 0]) ** 2))
             for i in range(n)]
 
 
@@ -593,13 +587,23 @@ def _phase_min(f, grid: int, lip=np.inf) -> np.ndarray:
     return np.minimum(at((a + b) / 2), vals.min(axis=-1))
 
 
-def _chunked(f):
-    """f on a phase array, evaluated _PHASE_CHUNK phases at a time so that no
-    stacked intermediate grows with the grid."""
-    def g(phis: np.ndarray) -> np.ndarray:
-        return np.concatenate([f(phis[..., i:i + _PHASE_CHUNK])
-                               for i in range(0, phis.shape[-1], _PHASE_CHUNK)], axis=-1)
-    return g
+def _affine_min(norm, a: np.ndarray, b: np.ndarray, c: np.ndarray, grid: int,
+                lip) -> np.ndarray:
+    """Minimum over the phase of ``norm(A + e^{i phi} B + e^{-i phi} C)`` for
+    a family of fixed (A, B, C): (*family, r, k) arrays, ``norm`` taking
+    (..., r, k) stacks.  ``lip`` bounds each member's Lipschitz constant in
+    the phase, as in ``_phase_min``; the phases are evaluated _PHASE_CHUNK at
+    a time, so that no stacked intermediate grows with the grid."""
+    a, b, c = (x[..., None, :, :] for x in (a, b, c))
+
+    def f(phis: np.ndarray) -> np.ndarray:
+        out = []
+        for i in range(0, phis.shape[-1], _PHASE_CHUNK):
+            e = np.exp(1j * phis[..., i:i + _PHASE_CHUNK])[..., None, None]
+            out.append(norm(a + e * b + e.conj() * c))
+        return np.concatenate(out, axis=-1)
+
+    return _phase_min(f, grid, lip)
 
 
 def _affine_member(task: Task, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -635,7 +639,8 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
     # fitted product lies in the first part, so the block's component off it
     # is a phase-independent remainder, and only its R factor is kept.  Each
     # phase's deviation is then the reduced deviation stacked on that R
-    # factor, at most 3 h rows, with the same spectral norm.
+    # factor, at most 3 h rows, with the same spectral norm:
+    # near - (T0 + e^{i phi} T1) (x) (g_q0 + e^{-i phi} g_q1) above R.
     t0, t1 = _affine_member(task, u)
     nrm2 = np.linalg.norm(t0) ** 2 + np.linalg.norm(t1) ** 2
     g = np.stack([t.reshape(-1).conj() @ big_t for t in (t0, t1)], axis=1) / nrm2
@@ -645,19 +650,17 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
                        mode="r")
     g_q = la.dagger(q) @ g
 
-    def deviations(phis: np.ndarray) -> np.ndarray:
-        e = np.exp(1j * phis)
-        t = t0 + e[:, None, None] * t1
-        gr = g_q[:, 0] + e.conj()[:, None] * g_q[:, 1]
-        dev = (near - t[:, :, None, :] * gr[:, None, :, None]).reshape(len(e), -1, t.shape[2])
-        return la.spectral_norm(np.concatenate([dev, np.broadcast_to(far, (len(e),) + far.shape)],
-                                               axis=1))
-
-    # d/dphi of the deviation is i e^{i phi} T1 (x) g_q0 - i e^{-i phi} T0 (x) g_q1,
-    # whose spectral norm is at most |T1|_F |g_q0| + |T0|_F |g_q1|
+    # A, B and C as (out, r, in) tensors, tg[i][j] = Ti (x) g_qj, then as rows
+    # above far (A) or above as many zero rows (B, C)
+    tg = [[t[:, None] * g_q[:, j, None] for j in (0, 1)] for t in (t0, t1)]
+    abc = np.stack([near - tg[0][0] - tg[1][1], -tg[1][0], -tg[0][1]])
+    pad = np.stack([far, np.zeros_like(far), np.zeros_like(far)])
+    a, b, c = np.concatenate([abc.reshape(3, -1, far.shape[1]), pad], axis=1)
+    # the spectral norm of T (x) g is |T|_2 |g| <= |T|_F |g|, so |B| + |C|
+    # is at most |T1|_F |g_q0| + |T0|_F |g_q1|
     lip = (np.linalg.norm(t1) * np.linalg.norm(g_q[:, 0])
            + np.linalg.norm(t0) * np.linalg.norm(g_q[:, 1])) * (1 + 1e-9)
-    return float(_phase_min(_chunked(deviations), grid, lip))
+    return float(_affine_min(la.spectral_norm, a, b, c, grid, lip))
 
 
 # -- channel form ----------------------------------------------------------------
@@ -754,9 +757,9 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
         # compared with their fixed member
         fixed = np.array([r.achieved or task.control_power is None for r in exact], dtype=bool)
         if fixed.any():
-            phis = np.array([r.phase for r in exact], dtype=float)  # no phase as NaN
-            t = np.where(np.isnan(phis)[:, None, None], task.member(us, None),
-                         task.member(us, np.nan_to_num(phis)))[fixed][:, None]
+            # no phase as NaN, and member(u, 0) is member(u, None)
+            phis = np.array([r.phase for r in exact], dtype=float)[fixed]
+            t = task.member(us[fixed], np.nan_to_num(phis))[:, None]
             vals[fixed] = np.max(la.trace_norm(normalised[fixed] - t @ rhos @ la.dagger(t)),
                                  axis=-1)
         if not fixed.all():
@@ -764,21 +767,16 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
             # e^{-i phi}: the defect is X0 - e^{i phi} X1 - e^{-i phi} X1^dagger,
             # minimised over every (oracle, state) pair in one pass
             t0, t1 = (t[:, None] for t in _affine_member(task, us[~fixed]))
-            x1s = (t1 @ rhos @ la.dagger(t0))[:, :, None]
-            x0s = (normalised[~fixed] - t0 @ rhos @ la.dagger(t0)
-                   - t1 @ rhos @ la.dagger(t1))[:, :, None]
-
-            def defects(p: np.ndarray) -> np.ndarray:
-                e = np.exp(1j * p)[..., None, None]
-                return la.trace_norm(x0s - e * x1s - e.conj() * la.dagger(x1s))
-
+            x1s = t1 @ rhos @ la.dagger(t0)
+            x0s = normalised[~fixed] - t0 @ rhos @ la.dagger(t0) - t1 @ rhos @ la.dagger(t1)
             # d/dphi of the defect has trace norm at most 2 |X1|_*.  Every
             # state of the family but I/h is pure, rho = v v^dagger, so
             # X1 = (T1 v)(T0 v)^dagger has rank at most 1; for I/h it is
             # T1 T0^dagger / h = 0, the control blocks being disjoint.  So
             # |X1|_* = |X1|_F, up to rounding far below _phase_min's slack
-            lip = 2 * np.linalg.norm(x1s[:, :, 0], axis=(-2, -1))
-            vals[~fixed] = np.max(_phase_min(_chunked(defects), grid, lip), axis=-1)
+            lip = 2 * np.linalg.norm(x1s, axis=(-2, -1))
+            vals[~fixed] = np.max(_affine_min(la.trace_norm, x0s, -x1s, -la.dagger(x1s),
+                                              grid, lip), axis=-1)
         return vals
 
     # a phase scan keeps _PHASE_CHUNK phases of every state's h x h defect

@@ -432,11 +432,9 @@ def test_zero_input_success_prob_from_the_exact_blocks(monkeypatch, d):
     us = np.concatenate([np.stack(la.haar_unitaries(d, 2, 4650 + d)), tp.central_loop(d, 16)[6:9]])
     probs = mo.success_prob(alg, us, la.basis_state(alg.h_dim, 0))
     calls = _count_calls(monkeypatch, alg, "task_block")
-    pairs = mo.check_exact(alg, task, us, _zero_prob=True)
+    results = mo.check_exact(alg, task, us)
     assert calls == [len(us)]
-    assert [prob for _, prob in pairs] == probs
-    for (res, _), want in zip(pairs, mo.check_exact(alg, task, us)):
-        assert _same_result(res, want)
+    assert [res.zero_input_prob for res in results] == probs
 
 
 @pytest.mark.parametrize("make,m", _params(CONTROLLED))

@@ -254,6 +254,31 @@ class TestCheckExact:
         assert abs(res.success_prob - 0.25) < 1e-10
 
 
+class TestAffineMember:
+    """The checkers take the controlled family as member(u, phi) =
+    T0 + e^{i phi} T1, and the fixed member at phase 0 for a missing one."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("power", [1, -1, "d"])
+    def test_affine_member_is_the_member(self, d, power):
+        task = mo.cum_task(d, d if power == "d" else power)
+        us = np.stack(la.haar_unitaries(d, 4, 970 + d))
+        phis = np.array([0.0, 0.7, -np.pi, 2.5])
+        t0, t1 = mo._affine_member(task, us)
+        np.testing.assert_array_equal(t0 + np.exp(1j * phis)[:, None, None] * t1,
+                                      task.member(us, phis))
+        t0, t1 = mo._affine_member(task, us[1])
+        np.testing.assert_array_equal(t0 + np.exp(1j * 0.7) * t1, task.member(us[1], 0.7))
+
+    @pytest.mark.parametrize("name,m", [("cUm", 2), ("cUm", -1), ("conjugation", None),
+                                        ("transpose", None), ("inverse", None)])
+    def test_phase_zero_is_no_phase(self, name, m):
+        task = mo.make_task(name, 2, m)
+        us = np.stack(la.haar_unitaries(2, 3, 975))
+        np.testing.assert_array_equal(task.member(us, np.zeros(3)), task.member(us, None))
+        np.testing.assert_array_equal(task.member(us[0], 0.0), task.member(us[0], None))
+
+
 class TestPureDeviation:
     def test_exact_achiever_zero(self):
         alg = co.dong_cUd(2)
@@ -396,6 +421,55 @@ class TestPhaseMin:
         a, b, c = rng.standard_normal((3, 3, 2, 2)) + 0j
         b[1], c[1] = 0, 0
         self.assert_pruned_is_full_scan(a, b, c, la.trace_norm)
+
+
+    @staticmethod
+    def affine_cases():
+        """(norm, A, B, C, bound on |f'|) for the phase scans' two norms over
+        the family shapes (), (B,) and (B, S).  Members whose varying part is
+        |1 - e^{i (phi - p0)}| (x) Id have their minimum between coarse phases,
+        where the bound alone decides whether it is scanned."""
+        rng = np.random.default_rng(11)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        # spectral: random members, then V-shaped ones off the coarse grid
+        p0 = np.array([0.3 + 0.01, -2.0 + 0.02, np.pi - 0.06])
+        a = np.concatenate([cplx(3, 5, 3), np.broadcast_to(np.eye(5, 3), (3, 5, 3))])
+        b = np.concatenate([cplx(3, 5, 3), -np.exp(-1j * p0)[:, None, None] * np.eye(5, 3)])
+        c = np.concatenate([cplx(3, 5, 3), np.zeros((3, 5, 3))])
+        spec = la.spectral_norm(b) + la.spectral_norm(c)
+        yield la.spectral_norm, a[3], b[3], c[3], spec[3]
+        yield la.spectral_norm, a, b, c, spec
+        # trace: rank-one B and C = B^dagger, as in the eps scan, bound 2 |B|_F
+        v, w = cplx(2, 3, 4, 1), cplx(2, 3, 4, 1)
+        b = v @ la.dagger(w)
+        b[0, 0] = 0  # a member constant in the phase
+        a = cplx(2, 3, 4, 4)
+        yield la.trace_norm, a, b, la.dagger(b), 2 * np.linalg.norm(b, axis=(-2, -1))
+
+    def test_affine_min_is_the_full_scan(self):
+        # the pruned, chunked helper against _phase_min's full scan over a
+        # per-phase loop of the same expression, bit for bit; a bound halved
+        # on purpose prunes some member's true grid minimum
+        halved_differs = False
+        for norm, a, b, c, lip in self.affine_cases():
+            def per_phase(p):
+                out = []
+                for j in range(p.shape[-1]):
+                    e = np.exp(1j * p[..., j])[..., None, None]
+                    out.append(norm(a + e * b + e.conj() * c))
+                return np.stack(out, axis=-1)
+
+            for grid in (mo.PHASE_GRID, 100):
+                full = mo._phase_min(per_phase, grid, np.inf)
+                got = mo._affine_min(norm, a, b, c, grid, lip)
+                assert got.shape == a.shape[:-2]
+                np.testing.assert_array_equal(got, full)
+                halved = mo._affine_min(norm, a, b, c, grid, lip / 2)
+                halved_differs |= not np.array_equal(halved, full)
+        assert halved_differs
 
 
 def benchmark_haar(rng: np.random.Generator, d: int) -> np.ndarray:
