@@ -66,8 +66,7 @@ def _emit(obj: dict, out: str | None):
 
 
 def cmd_build(args) -> int:
-    cfg = _config(args)
-    alg = co.build(args.name, cfg.d, cfg.m)
+    alg = co.build(args.name, args.d, args.m)
     out = args.out or f"{alg.name}.json"
     mo.write_ir(alg, out)
     print(f"wrote {out}: layout {list(alg.dims)}, "
@@ -114,19 +113,18 @@ def _verify_homogeneity(alg, us, cfg):
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
-    alg = _load_program(args.ir, cfg)
+    alg = _load_program(args.ir, args)
     check = args.check
     if check is None:
         check = "neutralise" if args.task == "neutralise" else "exact"
-    us = np.stack(la.haar_unitaries(cfg.d, cfg.samples, cfg.seed))
+    us = np.stack(la.haar_unitaries(args.d, args.samples, args.seed))
 
-    report: dict = {"check": check, "d": cfg.d, "samples": cfg.samples,
-                    "seed": cfg.seed, "tol": cfg.tol, "program": alg.name}
+    report: dict = {"check": check, "d": args.d, "samples": args.samples,
+                    "seed": args.seed, "tol": args.tol, "program": alg.name}
     if check == "neutralise":
-        res = mo.check_neutralises(alg, us, tol=cfg.tol)
+        res = mo.check_neutralises(alg, us, tol=args.tol)
         report["results"] = [
-            {"check": "neutralise", "U_seed": cfg.seed + i, "result": res.passed,
+            {"check": "neutralise", "U_seed": args.seed + i, "result": res.passed,
              "residual": res.residuals[i], "r": res.r_values[i], "phase": res.phases[i]}
             for i in range(len(us))]
         report["r"] = res.r
@@ -134,21 +132,19 @@ def cmd_verify(args) -> int:
         if res.reason:
             report["diagnostic"] = res.reason
     else:
-        task = mo.make_task(args.task, cfg.d, cfg.m)
+        task = mo.make_task(args.task, args.d, args.m)
         if check == "exact":
-            entries = _verify_exact(alg, task, us, cfg)
+            entries = _verify_exact(alg, task, us, args)
         elif check == "eps":
-            entries = _verify_eps(alg, task, us, cfg)
+            entries = _verify_eps(alg, task, us, args)
         elif check == "clean":
-            res = mo.check_clean(alg, task, us, tol=cfg.tol)
-            entries = [{"check": "clean", "U_seed": cfg.seed, "result": res.clean,
+            res = mo.check_clean(alg, task, us, tol=args.tol)
+            entries = [{"check": "clean", "U_seed": args.seed, "result": res.clean,
                         "residual": 0.0}]
             if res.reason:
                 entries[0]["diagnostic"] = res.reason
-        elif check == "homogeneity":
-            entries = _verify_homogeneity(alg, us, cfg)
         else:
-            raise ValueError(f"unknown check {check}")
+            entries = _verify_homogeneity(alg, us, args)
         report["results"] = entries
         report["passed"] = all(e["result"] for e in entries)
 
@@ -157,15 +153,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    cfg = _config(args)
-    if cfg.m is None:
+    if args.m is None:
         raise ValueError("probe needs --m")
-    alg = _load_program(args.ir, cfg)
-    rep = tp.dichotomy_probe(alg, cfg.m, cfg.d, K=cfg.K)
+    alg = _load_program(args.ir, args)
+    rep = tp.dichotomy_probe(alg, args.m, args.d, K=args.K)
     base = args.out or "probe"
     _emit(rep.to_json(), f"{base}.json")
     rep.trace.to_csv(f"{base}.csv")
-    print(f"probe m={cfg.m} d={cfg.d}: valid={rep.valid} winding={rep.winding} "
+    print(f"probe m={args.m} d={args.d}: valid={rep.valid} winding={rep.winding} "
           f"min|f|={rep.min_abs:.3g}" +
           (f" jump near t={rep.jump_location}" if rep.jump_location is not None else ""))
     ok = rep.valid and rep.winding_matches_m and rep.divisibility_ok
@@ -173,8 +168,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_bu_scan(args) -> int:
-    cfg = _config(args)
-    if cfg.d % 2 != 0:
+    if args.d % 2 != 0:
         raise ValueError("bu-scan needs an even oracle dimension")
     if args.refinements < 1:
         raise ValueError("refinements must be >= 1")
@@ -182,13 +176,13 @@ def cmd_bu_scan(args) -> int:
     n = args.resolution
     for _ in range(args.refinements):
         grid = tp.sphere_grid(n)
-        rep = tp.bu_scan(lambda u: complex(u[0, 0]), cfg.d, grid)
+        rep = tp.bu_scan(lambda u: complex(u[0, 0]), args.d, grid)
         levels.append({"resolution": n, "points": rep.n_points,
                        "min_abs": rep.min_abs,
                        "argmin": [float(x) for x in rep.argmin],
                        "oddness_residual": rep.oddness_residual})
         n *= 2
-    report = {"d": cfg.d, "test_function": "zero-zero matrix element", "levels": levels}
+    report = {"d": args.d, "test_function": "zero-zero matrix element", "levels": levels}
     _emit(report, args.out)
     mins = [lv["min_abs"] for lv in levels]
     return EXIT_OK if all(b < a + 1e-12 for a, b in zip(mins, mins[1:])) else EXIT_CHECK_FAILED
@@ -210,9 +204,8 @@ def _sweep_points(kind: str, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config(args)
-    alg = _load_program(args.ir, cfg)
-    task = mo.make_task(args.task, cfg.d, cfg.m)
+    alg = _load_program(args.ir, args)
+    task = mo.make_task(args.task, args.d, args.m)
     try:
         kind, n_str = args.grid.split(":")
         n = int(n_str)
@@ -223,15 +216,15 @@ def cmd_sweep(args) -> int:
 
     with_eps = args.check == "eps"
     header = ["param", "success_prob", "residual", "phase"] + (["eps"] if with_eps else [])
-    params, us = _sweep_points(kind, n, cfg.d)
+    params, us = _sweep_points(kind, n, args.d)
     # each result carries the all-zero input's success probability
-    results = mo.check_exact(alg, task, us, tol=cfg.tol)
+    results = mo.check_exact(alg, task, us, tol=args.tol)
     rows = [[f"{param:.12g}", f"{res.zero_input_prob:.17g}", f"{res.residual:.17g}",
              "" if res.phase is None else f"{res.phase:.17g}"]
             for param, res in zip(params, results)]
     if with_eps:
         for row, val in zip(rows, mo.eps_distance_estimate(alg, task, us, n_samples=2,
-                                                           seed=cfg.seed)):
+                                                           seed=args.seed)):
             row.append(f"{val:.17g}")
 
     out = args.out or "sweep.csv"
@@ -307,7 +300,7 @@ def main(argv=None) -> int:
         # violations and report bad flags as input errors instead
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT_ERROR
     try:
-        return args.fn(args)
+        return args.fn(_config(args))
     except mo.ModelViolationError as exc:
         print(f"model violation: {exc}", file=sys.stderr)
         return EXIT_MODEL_VIOLATION

@@ -89,9 +89,7 @@ def conj_prep_unitary(d: int) -> np.ndarray:
     """Unitary on d-1 qudits sending |j> (x) |0...0> to the j-th
     minor-expansion state."""
     e = minor_isometry(d)
-    stride = d ** (d - 2) if d > 2 else 1
-    pins = {j * stride: e[:, j] for j in range(d)}
-    return la.complete_unitary(d ** (d - 1), pins)
+    return la.complete_unitary(d ** (d - 1), {j * d ** (d - 2): e[:, j] for j in range(d)})
 
 
 def _cswap_block(d: int) -> np.ndarray:
@@ -214,12 +212,8 @@ def inverse(d: int) -> OracleAlgorithm:
     steps = [FixedStep(bell_prep_unitary(d), (1, 2)), FixedStep(v, conj_factors)]
     steps += [QueryStep(ID, (i,)) for i in conj_factors]
     steps.append(FixedStep(la.dagger(v), conj_factors))
-    p_bell = np.outer(psi, psi.conj())
-    if d > 2:
-        proj_op = la.kron(p_bell, zero_projector(d ** (d - 2)))
-        proj_targets = (0, 1) + tuple(range(3, 3 + d - 2))
-    else:
-        proj_op, proj_targets = p_bell, (0, 1)
+    proj_op = la.kron(np.outer(psi, psi.conj()), zero_projector(d ** (d - 2)))
+    proj_targets = (0, 1) + tuple(range(3, 3 + d - 2))
     return OracleAlgorithm("inverse", d, layout, tuple(steps),
                            projector=(proj_op, proj_targets), task_out=(2,))
 
@@ -245,11 +239,8 @@ def spin_echo_cUd(d: int) -> OracleAlgorithm:
         cswap = FixedStep(_cswap_block(d), (0, 1, 1 + i))
         steps += [cswap, QueryStep(ID, (1,)), cswap]
     steps.append(FixedStep(la.controlled_block(la.dagger(v), 0), (0,) + conj_factors))
-    if d > 2:
-        proj_op = la.kron(np.outer(psi, psi.conj()), zero_projector(d ** (d - 2)))
-        proj_targets = (1, 2) + tuple(range(3, d + 1))
-    else:
-        proj_op, proj_targets = np.outer(psi, psi.conj()), (1, 2)
+    proj_op = la.kron(np.outer(psi, psi.conj()), zero_projector(d ** (d - 2)))
+    proj_targets = (1, 2) + tuple(range(3, d + 1))
     return OracleAlgorithm("spin-echo", d, layout, tuple(steps),
                            projector=(proj_op, proj_targets), task_out=(0, d + 1))
 

@@ -139,6 +139,15 @@ class RegisterLayout:
         return tuple(i for i, (_, r) in enumerate(self.factors) if r in ("control", "task"))
 
     @cached_property
+    def task_rows(self) -> np.ndarray:
+        """Full-space index of each task-input basis state, in task-space
+        order, with every ancilla at 0 (read-only)."""
+        at_zero = tuple(slice(None) if i in self.h_indices else 0 for i in range(len(self)))
+        rows = np.arange(self.total_dim).reshape(self.dims)[at_zero].reshape(-1)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
     def ancilla_indices(self) -> tuple[int, ...]:
         return tuple(i for i, (_, r) in enumerate(self.factors) if r not in ("control", "task"))
 
@@ -344,8 +353,6 @@ def sym_minor(m: np.ndarray, i: int, j: int) -> complex:
         raise ValueError(f"sym_minor supports n <= {SYM_MINOR_MAX}, got {n}")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"minor indices ({i}, {j}) out of range for n = {n}")
-    if n == 1:
-        return complex(1.0)
     m = np.asarray(m, dtype=complex)
     perms, signs = signed_permutations(n)
     at_i, at_j = perms[:, 0] == i, perms[:, 0] == j

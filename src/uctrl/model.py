@@ -198,12 +198,10 @@ class OracleAlgorithm:
 
     def task_block(self, u: np.ndarray) -> np.ndarray:
         """The operator restricted to all-zero ancilla input: a
-        (total_dim x h_dim) block whose columns are images of the task basis."""
-        h = set(self.h_factors)
-        at_zero = tuple(slice(None) if f in h else 0 for f in range(len(self.dims)))
-        rows = np.arange(self.total_dim).reshape(self.dims)[at_zero].reshape(-1)
+        (total_dim x h_dim) block whose columns are images of the task basis,
+        placed by the layout's ``task_rows``."""
         cols = np.zeros((self.total_dim, self.h_dim), dtype=complex)
-        cols[rows, np.arange(self.h_dim)] = 1.0
+        cols[self.layout.task_rows, np.arange(self.h_dim)] = 1.0
         return self.apply_cols(u, cols)
 
 

@@ -42,18 +42,21 @@ def _over_stack(witness, alg, u, m: int, width: int):
     if alg.layout.control_index != 0 or alg.out_factors[0] != 0:
         raise ValueError("phase extraction needs the control qubit as factor 0, "
                          "leading the output factors")
+    if alg.h_dim != 2 * alg.oracle_dim:
+        raise ValueError(f"phase extraction needs a d-dimensional task input beside the control: "
+                         f"task-space dimension 2d = {2 * alg.oracle_dim}, got {alg.h_dim}")
     return over_stack(lambda s: witness(alg, s, m), u, alg.oracle_dim, width)
 
 
 def _h_witness(alg, us: np.ndarray, m: int) -> np.ndarray:
-    half = alg.total_dim // 2
-    stride = half // alg.dims[1]
-    # both witness columns in one pass: |0...0> and |1> (x) (U^m)^dagger |0> (x) |0...0>
+    d, rows = alg.oracle_dim, alg.layout.task_rows
+    # both witness columns in one pass, each a task input with the ancillas at
+    # 0: |0> (x) |0> and |1> (x) (U^m)^dagger |0> on (control, task)
     cols = np.zeros((len(us), alg.total_dim, 2), dtype=complex)
-    cols[:, 0, 0] = 1.0
-    cols[:, half + stride * np.arange(alg.oracle_dim), 1] = unitary_power(us, m)[:, 0, :].conj()
-    out = alg.apply_cols(us, cols)
-    return np.einsum("bi,bi->b", out[:, half:, 1].conj(), out[:, :half, 0])
+    cols[:, rows[0], 0] = 1.0
+    cols[:, rows[d:], 1] = unitary_power(us, m)[:, 0, :].conj()
+    y = out_split(alg, alg.apply_cols(us, cols))
+    return np.einsum("bij,bij->b", y[:, d:, :, 1].conj(), y[:, :d, :, 0])
 
 
 def extract_h(alg, u: np.ndarray, m: int) -> complex | np.ndarray:
@@ -65,10 +68,9 @@ def extract_h(alg, u: np.ndarray, m: int) -> complex | np.ndarray:
 
 
 def _fplus_witness(alg, us: np.ndarray, m: int) -> np.ndarray:
-    half = alg.total_dim // 2
+    d, rows = alg.oracle_dim, alg.layout.task_rows
     col = np.zeros(alg.total_dim, dtype=complex)
-    col[0] = 1 / math.sqrt(2)
-    col[half] = 1 / math.sqrt(2)
+    col[rows[[0, d]]] = 1 / math.sqrt(2)
     z = alg.apply_cols(us, col)
     p_plus = np.linalg.norm(z, axis=1) ** 2
     if np.any(p_plus <= ABS_FLOOR):
@@ -76,7 +78,6 @@ def _fplus_witness(alg, us: np.ndarray, m: int) -> np.ndarray:
     # U^m compares the branches on the OUTPUT task register, which may be a
     # relabeled factor: (control, output task) leads the split
     y = out_split(alg, z.T)
-    d = alg.oracle_dim
     a_rot = np.einsum("bij,jkb->ikb", unitary_power(us, m), y[:d])
     return np.einsum("ikb,ikb->b", y[d:].conj(), a_rot) / p_plus
 
@@ -141,14 +142,14 @@ def loop_trace(f: Callable[[np.ndarray], complex], d: int, K: int, *,
         values = np.array([f(u) for u in us], dtype=complex)
     ts = np.arange(K) / K
     mags = np.abs(values)
-    min_abs = float(mags.min()) if K else 0.0
+    min_abs = float(mags.min())
 
     closed = np.append(values, values[0])
     steps = np.angle(closed[1:] / np.where(np.abs(closed[:-1]) > 0, closed[:-1], 1.0))
     unwrapped = np.empty(K + 1)
     unwrapped[0] = np.angle(values[0])
     unwrapped[1:] = unwrapped[0] + np.cumsum(steps)
-    max_step = float(np.max(np.abs(steps))) if K else 0.0
+    max_step = float(np.max(np.abs(steps)))
 
     valid = min_abs > ABS_FLOOR and max_step < STEP_BOUND
     winding = None

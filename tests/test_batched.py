@@ -320,8 +320,8 @@ def _checker_oracles(d: int) -> np.ndarray:
 
 
 def _same_result(a: mo.AchievementResult, b: mo.AchievementResult) -> bool:
-    return ((a.achieved, a.phase, a.residual, a.rank_residual)
-            == (b.achieved, b.phase, b.residual, b.rank_residual)
+    return ((a.achieved, a.phase, a.residual, a.rank_residual, a.zero_input_prob)
+            == (b.achieved, b.phase, b.residual, b.rank_residual, b.zero_input_prob)
             and np.array_equal(a.garbage, b.garbage))
 
 

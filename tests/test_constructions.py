@@ -265,6 +265,11 @@ class TestInverse:
             assert abs(res.success_prob - 1 / d**2) < 1e-10
         assert mo.check_clean(alg, task, la.haar_unitaries(d, 6, 1510 + d)).clean
 
+    def test_d2_projector_is_the_bell_projector(self):
+        psi = co.bell_state(2)
+        p, targets = co.inverse(2).projector
+        assert np.array_equal(p, np.outer(psi, psi.conj())) and targets == (0, 1)
+
     def test_query_count_is_minus_one_mod_d(self):
         for d in (2, 3):
             n = co.inverse(d).query_count
@@ -282,6 +287,11 @@ class TestSpinEcho:
         res = mo.check_exact(alg, mo.cum_task(d, d), np.eye(d, dtype=complex))
         assert res.achieved
         assert abs(res.success_prob - 1 / d**2) < 1e-10
+
+    def test_d2_projector_is_the_bell_projector(self):
+        psi = co.bell_state(2)
+        p, targets = co.spin_echo_cUd(2).projector
+        assert np.array_equal(p, np.outer(psi, psi.conj())) and targets == (1, 2)
 
     def test_diagonal_branches(self):
         th = 0.59

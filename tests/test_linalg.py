@@ -362,6 +362,10 @@ class TestSymMinor:
         with pytest.raises(ValueError):
             la.sym_minor(np.eye(3), 3, 0)
 
+    def test_one_by_one_is_one(self):
+        for entry in (5.0, -2j, 0.0):
+            assert la.sym_minor(np.array([[entry]]), 0, 0) == 1
+
 
 class TestCofactor:
     def test_identity(self):
@@ -673,6 +677,13 @@ class TestLayout:
         fresh = la.RegisterLayout.of([2, 3, 3], ["control", "task", "anc"])
         assert lay == fresh and hash(lay) == hash(fresh)
         assert lay != la.RegisterLayout.of([2, 3, 3], ["control", "task", "task"])
+
+    def test_task_rows(self):
+        # index c * 6 + a * 2 + t of control c, ancilla a = 0 and task t
+        lay = la.RegisterLayout.of([2, 3, 2], ["control", "anc", "task"])
+        assert lay.task_rows.tolist() == [0, 1, 6, 7]
+        assert lay.task_rows is lay.task_rows and not lay.task_rows.flags.writeable
+        assert la.RegisterLayout.of([3, 2], ["anc", "anc"]).task_rows.tolist() == [0]
 
     def test_two_controls_rejected(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,14 @@ odd-map sphere scan."""
 from __future__ import annotations
 
 import csv
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from uctrl import cli
 from uctrl import constructions as co
 from uctrl import linalg as la
 from uctrl import model as mo
@@ -81,6 +84,63 @@ class TestExtractFplus:
         alg = mo.OracleAlgorithm("control-second", 2, base.layout, base.steps, task_out=(2, 0))
         with pytest.raises(ValueError, match="leading the output factors"):
             tp.extract_fplus(alg, la.haar_unitary(2, 2111), 1)
+
+
+def _task_last(alg):
+    """The same program with its task factor (factor 1) moved behind the
+    ancillas, for a program with neither projector nor output registers."""
+    order = [0, *range(2, len(alg.dims)), 1]
+    new = {old: i for i, old in enumerate(order)}
+    layout = la.RegisterLayout(tuple(alg.layout.factors[f] for f in order))
+    steps = tuple(dataclasses.replace(s, targets=tuple(new[t] for t in s.targets))
+                  for s in alg.steps)
+    return mo.OracleAlgorithm(alg.name, alg.oracle_dim, layout, steps)
+
+
+class TestTaskInputLayout:
+    """The witnesses place their inputs through the layout's task-input map:
+    where the task factor sits among the ancillas changes no witness."""
+
+    @pytest.mark.parametrize("name,d,m,achieves", [("dong", 3, 3, True), ("kitaev", 2, 1, False)])
+    def test_task_after_ancillas(self, name, d, m, achieves):
+        alg = co.build(name, d)
+        moved = _task_last(alg)
+        assert moved.h_factors == (0, len(alg.dims) - 1)
+        us = np.stack(la.haar_unitaries(d, 8, 11))
+        h = tp.extract_h(moved, us, m)
+        results = mo.check_exact(moved, mo.cum_task(d, m), us)
+        assert [r.achieved for r in results] == [achieves] * len(us)
+        for res, hk in zip(results, h):
+            if res.achieved:
+                assert abs(hk - np.exp(-1j * res.phase) * res.zero_input_prob) < 1e-12
+        assert np.abs(h - tp.extract_h(alg, us, m)).max() < 1e-12
+        assert np.abs(tp.extract_fplus(moved, us, m) - tp.extract_fplus(alg, us, m)).max() < 1e-12
+
+    def test_probe_of_task_after_ancillas(self, tmp_path):
+        alg = co.build("dong", 3)
+        reports = []
+        for label, prog in (("standard", alg), ("task-last", _task_last(alg))):
+            mo.write_ir(prog, tmp_path / f"{label}.json")
+            code = cli.main(["probe", str(tmp_path / f"{label}.json"), "--m", "3", "--d", "3",
+                             "--K", "32", "--out", str(tmp_path / label)])
+            assert code == cli.EXIT_OK
+            reports.append(json.loads((tmp_path / f"{label}.json").read_text()))
+        standard, moved = reports
+        assert abs(moved.pop("min_abs") - standard.pop("min_abs")) < 1e-12
+        assert moved == standard
+
+    def test_wider_task_input_rejected(self, tmp_path, capsys):
+        # control at factor 0, but a 4-dimensional task input (two task qubits) at d = 2
+        wide = mo.OracleAlgorithm("wide", 2, la.RegisterLayout.of([2, 2, 2], ["control", "task", "task"]),
+                                  co.kitaev_cswap(2).steps)
+        for extract in (tp.extract_h, tp.extract_fplus):
+            with pytest.raises(ValueError, match=r"task-space dimension 2d = 4, got 8"):
+                extract(wide, la.haar_unitary(2, 2120), 1)
+        mo.write_ir(wide, tmp_path / "wide.json")
+        code = cli.main(["probe", str(tmp_path / "wide.json"), "--m", "1", "--d", "2",
+                         "--out", str(tmp_path / "probe")])
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "task-space dimension 2d = 4, got 8" in capsys.readouterr().err
 
 
 class TestNeutralPhase:
