@@ -282,6 +282,34 @@ def trace_norm(m: np.ndarray) -> float | np.ndarray:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
+def _require_finite(m: np.ndarray, what: str) -> None:
+    """Raise ``LinAlgError`` on a non-finite entry, as the SVD behind
+    :func:`trace_norm` and :func:`spectral_norm` does: ``eigvalsh`` of a NaN
+    matrix can return finite eigenvalues without an error."""
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError(f"{what} has a non-finite entry")
+
+
+def hermitian_trace_norm(m: np.ndarray) -> np.ndarray:
+    """:func:`trace_norm` of a Hermitian matrix, or of each matrix of a stack
+    (..., n, n), as the sum of its absolute eigenvalues: one ``eigvalsh``
+    instead of an SVD.  Only the lower triangle is read, so a matrix
+    Hermitian up to rounding gets the trace norm of its lower triangle's
+    Hermitian matrix, which differs by at most that rounding's trace norm."""
+    _require_finite(m, "hermitian_trace_norm input")
+    return np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
+
+
+def gram_spectral_norm(m: np.ndarray) -> np.ndarray:
+    """:func:`spectral_norm` of a tall (r >= c) matrix, or of each matrix of
+    a stack (..., r, c), as sqrt(lambda_max(M^dagger M)): one c x c
+    ``eigvalsh`` of the Gram matrix instead of an SVD of M.  The Gram matrix
+    is formed from M itself, so the largest eigenvalue, and its root, keep a
+    relative error of a few units of rounding."""
+    _require_finite(m, "gram_spectral_norm input")
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(dagger(m) @ m)[..., -1], 0.0))
+
+
 def op_norm(m: np.ndarray) -> float:
     """Largest singular value (square input required)."""
     require_square(m, "op_norm input")

@@ -22,7 +22,7 @@ from .linalg import RegisterLayout
 
 EXACT_TOL = 1e-8
 PHASE_GRID = 720
-_PHASE_CHUNK = 64  # phases per stacked evaluation in a phase scan
+_PHASE_CHUNK = 64  # phase-scan pairs per member in one stacked evaluation
 _PHASE_STRIDE = 8  # a phase scan first evaluates every 8th grid phase
 
 # Longest stretch of oracle-stack state evaluated at once, in complex
@@ -152,8 +152,8 @@ class OracleAlgorithm:
         (N,), a block (N, k) shared by every oracle, or per-oracle blocks
         (B, N, k).  A stack gives a leading batch axis on the output.  Every
         step is one batched product over the whole stack, of the step's
-        moved rows only where ``_compile`` restricted it, and a single
-        oracle is the stack of one.
+        moved rows only where ``_compile`` restricted it (and none for a
+        step that moves nothing), and a single oracle is the stack of one.
         """
         us, stacked = oracle_stack(u, self.oracle_dim)
         la.require_unitary(us if stacked else us[0], what="oracle")
@@ -183,6 +183,8 @@ class OracleAlgorithm:
                     t = t.copy()
                 t[:, st.rows] = np.matmul(st.op, t[:, st.rows])
             t = t.reshape(len(t), *st.shape, k)
+        if not stages:  # the program is the identity: a copy, never ``cols``
+            t = t.copy()
         if final is not None:
             t = t.transpose(final)
         out = t.reshape(len(t), self.total_dim, k)
@@ -290,7 +292,8 @@ def _compile(dims, ops) -> tuple[tuple[_Stage, ...], tuple[int, ...] | None]:
     """Step plan for (operator or query letter, targets, ``_moved_block`` of
     the operator or None) triples applied in order, and the permutation that
     restores the layout's factor order.  A fixed operator with a moved block
-    is restricted to its moved rows."""
+    is restricted to its moved rows, and one that moves nothing has no
+    stage."""
     def perm(order, new):
         p = (0,) + tuple(1 + order.index(f) for f in new) + (len(order) + 1,)
         return None if p == tuple(range(len(p))) else p
@@ -298,6 +301,8 @@ def _compile(dims, ops) -> tuple[tuple[_Stage, ...], tuple[int, ...] | None]:
     order = list(range(len(dims)))
     stages = []
     for what, targets, moved in ops:
+        if moved is not None and not len(moved[0]):
+            continue  # the identity: no stage, and the factor order carries on
         new = list(targets) + [f for f in order if f not in targets]
         letter = what if isinstance(what, QueryLetter) else None
         n = math.prod(dims[f] for f in targets)
@@ -492,7 +497,13 @@ def _exact_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
     zero-ancilla blocks ``b``, already computed."""
     n = len(us)
     bp, big_t = _schmidt_views(alg, b)
-    left, svals, _ = np.linalg.svd(big_t, full_matrices=False)
+    # only the left factor and the singular values are read: a wide T is
+    # R^dagger Q^dagger (T^dagger = Q R) and has R^dagger's, from a square
+    # SVD that builds no wide right factor
+    if big_t.shape[-2] < big_t.shape[-1]:
+        left, svals, _ = np.linalg.svd(la.dagger(np.linalg.qr(la.dagger(big_t), mode="r")))
+    else:
+        left, svals, _ = np.linalg.svd(big_t, full_matrices=False)
     rank_residuals = svals[:, 1] if svals.shape[1] > 1 else np.zeros(n)
 
     if task.control_power is not None:
@@ -528,13 +539,15 @@ def _exact_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
 
 def _phase_min(f, grid: int, lip=np.inf) -> np.ndarray:
     """Minimum over the phase circle of each member of a family of functions:
-    f maps a phase array p to values of shape (*family, *p.shape), and the
-    family may be empty.  ``lip`` (a scalar, or one value per member) bounds
-    each member's Lipschitz constant in the phase.
+    f maps a phase array p of shape (k,), shared by every member, or
+    (*family, k), each member's own, to values of shape (*family, k), and
+    the family may be empty.  A NaN phase is "don't care": its value is
+    ignored, so f need not evaluate it.  ``lip`` (a scalar, or one value per
+    member) bounds each member's Lipschitz constant in the phase.
 
     Each member's best of ``grid`` uniform phases is found without evaluating
     every phase: one call on every _PHASE_STRIDE-th phase, then one call on
-    the phases that some member cannot rule out.  A skipped phase is bounded
+    each member's phases that it cannot rule out.  A skipped phase is bounded
     below by ``f(neighbour) - lip * distance`` from its nearest evaluated
     phase on either side, around the circle, and is evaluated only where that
     bound is not above the coarse best plus a rounding slack; a member with
@@ -564,7 +577,10 @@ def _phase_min(f, grid: int, lip=np.inf) -> np.ndarray:
     keep = ~(bound > best + 1e-9 * (1 + np.abs(best))) & (lip > 0)
     wanted = np.flatnonzero(keep.any(axis=tuple(range(keep.ndim - 1))))
     if len(wanted):
-        vals[..., skipped[wanted]] = np.where(keep[..., wanted], f(phis[skipped[wanted]]), np.inf)
+        # each member at its own candidates, NaN at the phases it ruled out
+        keep = keep[..., wanted]
+        own = np.where(keep, phis[skipped[wanted]], np.nan)
+        vals[..., skipped[wanted]] = np.where(keep, f(own), np.inf)
     best = np.argmin(vals, axis=-1)
 
     def at(p: np.ndarray) -> np.ndarray:
@@ -590,16 +606,22 @@ def _affine_min(norm, a: np.ndarray, b: np.ndarray, c: np.ndarray, grid: int,
     """Minimum over the phase of ``norm(A + e^{i phi} B + e^{-i phi} C)`` for
     a family of fixed (A, B, C): (*family, r, k) arrays, ``norm`` taking
     (..., r, k) stacks.  ``lip`` bounds each member's Lipschitz constant in
-    the phase, as in ``_phase_min``; the phases are evaluated _PHASE_CHUNK at
-    a time, so that no stacked intermediate grows with the grid."""
-    a, b, c = (x[..., None, :, :] for x in (a, b, c))
+    the phase, as in ``_phase_min``.  Only the (member, phase) pairs with a
+    phase, not NaN, are evaluated, in chunks of _PHASE_CHUNK pairs per
+    member, so that no stacked intermediate grows with the grid."""
+    family = a.shape[:-2]
+    chunk = _PHASE_CHUNK * max(1, math.prod(family))
 
     def f(phis: np.ndarray) -> np.ndarray:
-        out = []
-        for i in range(0, phis.shape[-1], _PHASE_CHUNK):
-            e = np.exp(1j * phis[..., i:i + _PHASE_CHUNK])[..., None, None]
-            out.append(norm(a + e * b + e.conj() * c))
-        return np.concatenate(out, axis=-1)
+        phis = np.broadcast_to(phis, family + phis.shape[-1:])
+        pairs = np.nonzero(~np.isnan(phis))
+        out = np.full(phis.shape, np.nan)
+        for i in range(0, len(pairs[-1]), chunk):
+            at = tuple(x[i:i + chunk] for x in pairs)
+            member = at[:-1]
+            e = np.exp(1j * phis[at])[:, None, None]
+            out[at] = norm(a[member] + e * b[member] + e.conj() * c[member])
+        return out
 
     return _phase_min(f, grid, lip)
 
@@ -658,7 +680,8 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
     # is at most |T1|_F |g_q0| + |T0|_F |g_q1|
     lip = (np.linalg.norm(t1) * np.linalg.norm(g_q[:, 0])
            + np.linalg.norm(t0) * np.linalg.norm(g_q[:, 1])) * (1 + 1e-9)
-    return float(_affine_min(la.spectral_norm, a, b, c, grid, lip))
+    # each deviation is tall, so its spectral norm comes from its h x h Gram matrix
+    return float(_affine_min(la.gram_spectral_norm, a, b, c, grid, lip))
 
 
 # -- channel form ----------------------------------------------------------------
@@ -755,15 +778,16 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
         # compared with their fixed member
         fixed = np.array([r.achieved or task.control_power is None for r in exact], dtype=bool)
         if fixed.any():
-            # no phase as NaN, and member(u, 0) is member(u, None)
+            # no phase as NaN, and member(u, 0) is member(u, None); each
+            # defect is Hermitian, so its trace norm comes from eigenvalues
             phis = np.array([r.phase for r in exact], dtype=float)[fixed]
             t = task.member(us[fixed], np.nan_to_num(phis))[:, None]
-            vals[fixed] = np.max(la.trace_norm(normalised[fixed] - t @ rhos @ la.dagger(t)),
-                                 axis=-1)
+            vals[fixed] = np.max(la.hermitian_trace_norm(normalised[fixed]
+                                                         - t @ rhos @ la.dagger(t)), axis=-1)
         if not fixed.all():
             # member(phi) rho member(phi)^dagger has terms in 1, e^{i phi} and
             # e^{-i phi}: the defect is X0 - e^{i phi} X1 - e^{-i phi} X1^dagger,
-            # minimised over every (oracle, state) pair in one pass
+            # Hermitian, minimised over every (oracle, state) pair in one pass
             t0, t1 = (t[:, None] for t in _affine_member(task, us[~fixed]))
             x1s = t1 @ rhos @ la.dagger(t0)
             x0s = normalised[~fixed] - t0 @ rhos @ la.dagger(t0) - t1 @ rhos @ la.dagger(t1)
@@ -773,11 +797,11 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
             # T1 T0^dagger / h = 0, the control blocks being disjoint.  So
             # |X1|_* = |X1|_F, up to rounding far below _phase_min's slack
             lip = 2 * np.linalg.norm(x1s, axis=(-2, -1))
-            vals[~fixed] = np.max(_affine_min(la.trace_norm, x0s, -x1s, -la.dagger(x1s),
-                                              grid, lip), axis=-1)
+            vals[~fixed] = np.max(_affine_min(la.hermitian_trace_norm, x0s, -x1s,
+                                              -la.dagger(x1s), grid, lip), axis=-1)
         return vals
 
-    # a phase scan keeps _PHASE_CHUNK phases of every state's h x h defect
+    # a phase scan keeps at most _PHASE_CHUNK h x h defects per state
     width = alg.total_dim * alg.h_dim + len(rhos) * _PHASE_CHUNK * alg.h_dim ** 2
     return over_stack(estimates, u, alg.oracle_dim, width)
 

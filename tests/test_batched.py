@@ -560,14 +560,18 @@ def test_plan_matches_dense_reference(name, d):
     alg = co.build(name, d)
     stages, _ = alg._plan
     # a fixed stage acts on its moved rows S exactly when 2 |S| <= n, S being
-    # the indices whose row or column of the operator differs from e_i
+    # the indices whose row or column of the operator differs from e_i; a
+    # fixed step or projector that moves nothing has no stage at all
     ops = [s.op for s in alg.steps if isinstance(s, mo.FixedStep)]
     ops += [] if alg.projector is None else [alg.projector[0]]
-    fixed = [st for st in stages if st.letter is None]
-    assert len(fixed) == len(ops)
-    for st, op in zip(fixed, ops):
+    supports = []
+    for op in ops:
         off = np.asarray(op) != np.eye(len(op))
-        moved = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+        supports.append(np.flatnonzero(off.any(axis=0) | off.any(axis=1)))
+    supports = [s for s in supports if len(s)]
+    fixed = [st for st in stages if st.letter is None]
+    assert len(fixed) == len(supports)
+    for st, moved in zip(fixed, supports):
         assert (st.rows is not None) == (2 * len(moved) <= st.n)
         if st.rows is not None:
             np.testing.assert_array_equal(st.rows, moved)
@@ -618,6 +622,29 @@ def test_mostly_moved_op_has_no_moved_block():
 def test_restricted_stage_counts(name, d, restricted, fixed):
     stages = [st for st in co.build(name, d)._plan[0] if st.letter is None]
     assert (sum(st.rows is not None for st in stages), len(stages)) == (restricted, fixed)
+
+
+@pytest.mark.parametrize("name,d", [("spin-echo", 2), ("spin-echo", 3), ("transpose", 2),
+                                    ("transpose", 3)])
+def test_identity_steps_have_no_stage(monkeypatch, name, d):
+    # these programs pad with an identity step: it compiles to no stage, and
+    # the outputs are those of the plan that keeps it as a dense product
+    alg = co.build(name, d)
+    ops = [s.op for s in alg.steps if isinstance(s, mo.FixedStep)]
+    ops += [] if alg.projector is None else [alg.projector[0]]
+    idle = sum(np.array_equal(op, np.eye(len(op))) for op in ops)
+    assert idle and len([st for st in alg._plan[0] if st.letter is None]) == len(ops) - idle
+    us = np.stack(la.haar_unitaries(d, 2, 4750 + d))
+    rng = np.random.default_rng(4750 + d)
+    cols = rng.standard_normal((alg.total_dim, 3)) + 1j * rng.standard_normal((alg.total_dim, 3))
+    got = alg.apply_cols(us, cols), alg.task_block(us), alg.apply_cols(us[0], cols[:, 0])
+    monkeypatch.setattr(mo, "_moved_block", lambda op: None)
+    dense = co.build(name, d)
+    assert len(dense._plan[0]) == len(alg._plan[0]) + idle
+    want = dense.apply_cols(us, cols), dense.task_block(us), dense.apply_cols(us[0], cols[:, 0])
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+        assert not np.shares_memory(g, cols)
 
 
 def test_restricted_first_stage_leaves_cols_alone():

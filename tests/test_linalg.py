@@ -274,6 +274,61 @@ class TestNormWithin:
             la.norm_within(m, self.TOL)
 
 
+class TestEigenvalueNorms:
+    """The phase scans' eigenvalue kernels give the SVD norms: the trace norm
+    of Hermitian matrices and the spectral norm of tall ones, on stacks of
+    random, zero, rank-one and achiever-scale (entries about 1e-15)
+    matrices."""
+
+    @staticmethod
+    def stacks(rng, shape):
+        """(label, stack) pairs of (*shape) matrices: random, zero, rank one
+        and random at scale 1e-15."""
+        *lead, r, c = shape
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v, w = (rng.standard_normal((*lead, n, 1)) + 1j * rng.standard_normal((*lead, n, 1))
+                for n in (r, c))
+        yield "random", z
+        yield "zero", np.zeros(shape, dtype=complex)
+        yield "rank-one", v @ la.dagger(w)
+        yield "achiever-scale", 1e-15 * z
+
+    @pytest.mark.parametrize("shape", [(4, 4), (9, 4, 4), (2, 3, 8, 8)])
+    def test_hermitian_trace_norm_is_trace_norm(self, shape):
+        rng = np.random.default_rng(51)
+        for label, m in self.stacks(rng, shape):
+            h = m + la.dagger(m) if label != "rank-one" else m @ la.dagger(m)
+            got = la.hermitian_trace_norm(h)
+            assert np.shape(got) == shape[:-2]
+            np.testing.assert_allclose(got, la.trace_norm(h), rtol=1e-13, atol=0, err_msg=label)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (24, 8), (64, 24, 8), (2, 3, 18, 6)])
+    def test_gram_spectral_norm_is_spectral_norm(self, shape):
+        rng = np.random.default_rng(52)
+        for label, m in self.stacks(rng, shape):
+            got = la.gram_spectral_norm(m)
+            assert np.shape(got) == shape[:-2]
+            np.testing.assert_allclose(got, la.spectral_norm(m), rtol=1e-13, atol=0, err_msg=label)
+
+    @pytest.mark.parametrize("kernel", [la.hermitian_trace_norm, la.gram_spectral_norm])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("shape,at", [((3, 3), (2, 0)), ((3, 3), (0, 2)), ((4, 3, 3), (1, 2, 0))])
+    def test_non_finite_raises_like_the_svd(self, kernel, bad, shape, at):
+        # eigvalsh of a NaN matrix may return finite eigenvalues without an
+        # error; the kernels raise on a NaN where the SVD does, upper triangle
+        # included, and on an infinity, where the SVD returns NaN norms
+        m = np.eye(3) * np.ones(shape, dtype=complex)
+        m[at] = bad
+        svd_norm = la.trace_norm if kernel is la.hermitian_trace_norm else la.spectral_norm
+        if np.isnan(bad):
+            with pytest.raises(np.linalg.LinAlgError):
+                svd_norm(m)
+        else:
+            assert np.isnan(np.sum(svd_norm(m)))
+        with pytest.raises(np.linalg.LinAlgError):
+            kernel(m)
+
+
 class TestHaar:
     def test_unitarity(self):
         for d in (1, 2, 5):

@@ -217,6 +217,29 @@ class TestCheckExact:
             assert wrap_diff(res.phase, -np.angle(np.linalg.det(u))) < 1e-8
             assert abs(res.success_prob - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("m", [4, 1], ids=["achieved", "not-achieved"])
+    def test_wide_schmidt_matrix_matches_full_svd(self, monkeypatch, m):
+        # dong d = 4's Schmidt matricisation T is 64 x 256, so its left factor
+        # and singular values come from R^dagger (T^dagger = Q R); with qr's R
+        # replaced by T^dagger itself the same code takes the SVD of T whole,
+        # the reference
+        alg, task = co.dong_cUd(4), mo.cum_task(4, m)
+        us = np.concatenate([np.stack(la.haar_unitaries(4, 3, 990)),
+                             np.exp(2j * np.pi * np.array([0.0, 0.3]))[:, None, None] * np.eye(4)])
+        got = mo.check_exact(alg, task, us)
+        monkeypatch.setattr(np.linalg, "qr", lambda a, mode: a)
+        want = mo.check_exact(alg, task, us)
+        assert [r.achieved for r in got] == [r.achieved for r in want]
+        assert [r.achieved for r in got[:3]] == [m == 4] * 3  # the Haar oracles
+        for r, w in zip(got, want):
+            assert (r.phase is None) == (w.phase is None)
+            if r.phase is not None:
+                assert wrap_diff(r.phase, w.phase) <= 1e-12
+            np.testing.assert_allclose([r.residual, r.rank_residual, r.zero_input_prob],
+                                       [w.residual, w.rank_residual, w.zero_input_prob],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(r.garbage, w.garbage, rtol=0, atol=1e-12)
+
     def test_kitaev_not_achieved_generic(self):
         alg = co.kitaev_cswap(2)
         res = mo.check_exact(alg, mo.cum_task(2, 1), la.haar_unitary(2, 14))
@@ -338,6 +361,21 @@ class TestPhaseMin:
     def test_no_bound_scans_the_whole_grid(self):
         assert self.call_sizes(np.inf) == [90, 630] + [1] * 63
 
+    def test_candidate_call_is_per_member(self):
+        # a constant member (bound 0) rules every skipped phase out and a
+        # member with no usable bound rules none out: the candidate call asks
+        # the first for nothing and the second for all 630, not both for all
+        calls = []
+
+        def f(p):
+            p = np.broadcast_to(p, (2, p.shape[-1]))
+            calls.append(p)
+            return np.stack([np.ones(p.shape[-1]), 1 - np.cos(p[1] - 0.3)])
+
+        mo._phase_min(f, mo.PHASE_GRID, np.array([0.0, 1e6]))
+        wanted = ~np.isnan(calls[1])
+        assert wanted.sum(axis=-1).tolist() == [0, 630]
+
     def test_family_matches_single_functions(self):
         # seven members with their own minima, widths and second harmonics;
         # p0 = pi - 2e-4 sits across the grid's wrap-around point
@@ -365,7 +403,8 @@ class TestPhaseMin:
         golden section from the same grid phase."""
         def f(p):
             calls.append(np.array(p))
-            e = np.exp(1j * p)[..., None, None]
+            # a NaN phase is "don't care": any value there is ignored
+            e = np.exp(1j * np.nan_to_num(p))[..., None, None]
             return norm(a[:, None] + e * b[:, None] + e.conj() * c[:, None])
 
         if lip is None:
@@ -693,16 +732,42 @@ class TestEpsDistance:
 
     @pytest.mark.parametrize("n_samples", [1, 3])
     def test_one_phase_minimisation_for_all_states(self, monkeypatch, n_samples):
-        # one call on the 2 coarse phases, one on the 14 phases some state
-        # cannot rule out, and 63 golden-section calls, whatever the number
-        # of states: every state's phase is minimised in the same pass
+        # one call on the 2 coarse phases, one on each state's phases among
+        # the 14 it cannot rule out, and 63 golden-section calls, whatever the
+        # number of states: every state's phase is minimised in the same pass
         calls = []
-        original = la.trace_norm
-        monkeypatch.setattr(la, "trace_norm", lambda m: calls.append(m.shape) or original(m))
+        original = la.hermitian_trace_norm
+        monkeypatch.setattr(la, "hermitian_trace_norm",
+                            lambda m: calls.append(m.shape) or original(m))
+        alg, task = constant_circuit(2), mo.cum_task(2, 1)
+        mo.eps_distance_estimate(alg, task, la.haar_unitary(2, 5), n_samples=n_samples, grid=16)
+        states = len(mo._state_family(alg, task, n_samples, 0))
+        # ((state, phase) pair, h, h) stacks
+        sizes = [shape[0] for shape in calls]
+        assert len(sizes) == 65
+        assert sizes[0] == 2 * states and 0 < sizes[1] < 14 * states
+        assert sizes[2:] == [states] * 63
+
+    def test_candidate_call_evaluates_only_the_kept_pairs(self, monkeypatch):
+        # the scan's second call gives each state its own candidate phases,
+        # NaN elsewhere, and the trace norms evaluated are exactly those
+        # (state, phase) pairs, fewer than every state at every candidate
+        log = []
+        original, phase_min = la.hermitian_trace_norm, mo._phase_min
+
+        def spying(f, grid, lip):
+            return phase_min(lambda p: log.append(("phases", p)) or f(p), grid, lip)
+
+        monkeypatch.setattr(la, "hermitian_trace_norm",
+                            lambda m: log.append(("norms", len(m))) or original(m))
+        monkeypatch.setattr(mo, "_phase_min", spying)
         mo.eps_distance_estimate(constant_circuit(2), mo.cum_task(2, 1), la.haar_unitary(2, 5),
-                                 n_samples=n_samples, grid=16)
-        # (oracle, state, phase, h, h) stacks
-        assert [shape[2] for shape in calls] == [2, 14] + [1] * 63
+                                 n_samples=2)
+        starts = [i for i, (what, _) in enumerate(log) if what == "phases"]
+        candidates = log[starts[1]][1]
+        evaluated = sum(n for what, n in log[starts[1] + 1:starts[2]])
+        assert candidates.ndim == 3 and np.isnan(candidates).any()
+        assert evaluated == np.count_nonzero(~np.isnan(candidates)) < candidates.size
 
     def test_composed_root_loop_is_exact(self):
         # pointwise the root composition implements a controlled-U member for
@@ -1060,11 +1125,16 @@ class TestValidation:
         assert str(exc.value) == "fixed step in bad is not unitary to tolerance 1e-10"
 
     def test_identity_step_moves_nothing(self):
+        # an identity step compiles to no stage, and the empty plan still
+        # returns a fresh array, never the caller's columns
         alg = self._wide(np.eye(256, dtype=complex))
-        (stage,), _ = alg._plan
-        assert stage.rows is not None and stage.rows.size == 0
+        assert alg._plan == ((), None)
         cols = np.random.default_rng(7).standard_normal((256, 3)) + 0j
-        np.testing.assert_array_equal(alg.apply_cols(la.haar_unitary(4, 7), cols), cols)
+        for u in (la.haar_unitary(4, 7), np.stack(la.haar_unitaries(4, 2, 7))):
+            out = alg.apply_cols(u, cols)
+            np.testing.assert_array_equal(out, np.broadcast_to(cols, out.shape))
+            assert not np.shares_memory(out, cols)
+        assert not np.shares_memory(alg.apply_cols(la.haar_unitary(4, 7), cols[:, 0]), cols)
 
     def test_dense_step_takes_the_dense_product(self):
         op = la.haar_unitary(64, 8)
