@@ -168,8 +168,6 @@ def cmd_probe(args) -> int:
 
 
 def cmd_bu_scan(args) -> int:
-    if args.d % 2 != 0:
-        raise ValueError("bu-scan needs an even oracle dimension")
     if args.refinements < 1:
         raise ValueError("refinements must be >= 1")
     levels = []
@@ -304,7 +302,8 @@ def main(argv=None) -> int:
     except mo.ModelViolationError as exc:
         print(f"model violation: {exc}", file=sys.stderr)
         return EXIT_MODEL_VIOLATION
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, MemoryError) as exc:
+        # MemoryError: an IR whose dense state cannot be allocated
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -18,14 +18,12 @@ import numpy as np
 
 from . import linalg as la
 from .linalg import RegisterLayout
-from .model import ID, INV, FixedStep, OracleAlgorithm, QueryStep, oracle_stack, unitary_power
+from .model import (ID, INV, FixedStep, OracleAlgorithm, QueryStep, oracle_stack, set_registers,
+                    unitary_power)
 
 CHI_MAX_D = 5
 NEUTRALISER_MAX_D = 4
 ROOT_TOL = 1e-8
-# register bookkeeping a ComposedRootEvaluator copies from its template program
-_TEMPLATE_ATTRS = ("oracle_dim", "layout", "dims", "total_dim", "h_factors",
-                   "h_dim", "out_factors", "k_out_factors")
 
 
 def chi_state(d: int) -> np.ndarray:
@@ -98,6 +96,12 @@ def _cswap_block(d: int) -> np.ndarray:
     return la.controlled_block(la.swap_matrix(d), polarity=0)
 
 
+def _query_sandwich(v: np.ndarray, factors: tuple[int, ...]) -> tuple:
+    """V on ``factors``, one ``ID`` query on each of them, then V^dagger."""
+    return (FixedStep(v, factors), *(QueryStep(ID, (i,)) for i in factors),
+            FixedStep(la.dagger(v), factors))
+
+
 def kitaev_cswap(d: int) -> OracleAlgorithm:
     """Single-query controlled routing: the query hits the task qudit on the
     control-1 branch and an ancilla qudit on the control-0 branch."""
@@ -115,12 +119,8 @@ def neutraliser_parallel(d: int) -> OracleAlgorithm:
     if not 2 <= d <= NEUTRALISER_MAX_D:
         raise ValueError(f"neutraliser supports 2 <= d <= {NEUTRALISER_MAX_D}")
     layout = RegisterLayout.of([d] * d, ["anc"] * d)
-    v = chi_prep_unitary(d)
-    allf = tuple(range(d))
-    steps = [FixedStep(v, allf)]
-    steps += [QueryStep(ID, (i,)) for i in range(d)]
-    steps.append(FixedStep(la.dagger(v), allf))
-    return OracleAlgorithm("neutraliser", d, layout, tuple(steps))
+    return OracleAlgorithm("neutraliser", d, layout,
+                           _query_sandwich(chi_prep_unitary(d), tuple(range(d))))
 
 
 def _dong_steps(d: int, letter) -> tuple:
@@ -169,16 +169,12 @@ def conjugation(d: int) -> OracleAlgorithm:
     if not 2 <= d <= 4:
         raise ValueError("conjugation supports 2 <= d <= 4")
     layout = RegisterLayout.of([d] * (d - 1), ["task"] + ["anc"] * (d - 2))
-    v = conj_prep_unitary(d)
-    allf = tuple(range(d - 1))
-    steps = [FixedStep(v, allf)]
-    steps += [QueryStep(ID, (i,)) for i in range(d - 1)]
-    steps.append(FixedStep(la.dagger(v), allf))
+    steps = _query_sandwich(conj_prep_unitary(d), tuple(range(d - 1)))
     projector = None
     if d > 2:
         anc = tuple(range(1, d - 1))
         projector = (zero_projector(d ** (d - 2)), anc)
-    return OracleAlgorithm("conjugation", d, layout, tuple(steps), projector=projector)
+    return OracleAlgorithm("conjugation", d, layout, steps, projector=projector)
 
 
 def transpose_via_teleport(d: int) -> OracleAlgorithm:
@@ -207,14 +203,12 @@ def inverse(d: int) -> OracleAlgorithm:
     conj_factors = (1,) + tuple(range(3, 3 + d - 2))
     layout = RegisterLayout.of([d, d, d] + [d] * (d - 2),
                                ["task", "anc", "anc"] + ["anc"] * (d - 2))
-    v = conj_prep_unitary(d)
     psi = bell_state(d)
-    steps = [FixedStep(bell_prep_unitary(d), (1, 2)), FixedStep(v, conj_factors)]
-    steps += [QueryStep(ID, (i,)) for i in conj_factors]
-    steps.append(FixedStep(la.dagger(v), conj_factors))
+    steps = (FixedStep(bell_prep_unitary(d), (1, 2)),
+             *_query_sandwich(conj_prep_unitary(d), conj_factors))
     proj_op = la.kron(np.outer(psi, psi.conj()), zero_projector(d ** (d - 2)))
     proj_targets = (0, 1) + tuple(range(3, 3 + d - 2))
-    return OracleAlgorithm("inverse", d, layout, tuple(steps),
+    return OracleAlgorithm("inverse", d, layout, steps,
                            projector=(proj_op, proj_targets), task_out=(2,))
 
 
@@ -263,8 +257,8 @@ class ComposedRootEvaluator:
 
     def __post_init__(self):
         # the register bookkeeping is the template's, fixed once here
-        for attr in _TEMPLATE_ATTRS:
-            setattr(self, attr, getattr(self.inner, attr))
+        self.oracle_dim, self.layout = self.inner.oracle_dim, self.inner.layout
+        set_registers(self, self.layout, self.inner.task_out)
 
     def _root_of(self, u: np.ndarray) -> np.ndarray:
         """The root map applied once, to the whole (B, d, d) stack; a single
@@ -286,11 +280,9 @@ class ComposedRootEvaluator:
     def apply_cols(self, u: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.inner.apply_cols(self._root_of(u), cols)
 
-    def eval(self, u: np.ndarray) -> np.ndarray:
-        return self.inner.eval(self._root_of(u))
-
-    def task_block(self, u: np.ndarray) -> np.ndarray:
-        return self.inner.task_block(self._root_of(u))
+    # the program's own entry points, run through this class's apply_cols
+    eval = OracleAlgorithm.eval
+    task_block = OracleAlgorithm.task_block
 
 
 def composed_root_cU(d: int, root: Callable[[np.ndarray], np.ndarray]) -> ComposedRootEvaluator:

@@ -77,8 +77,7 @@ class OracleAlgorithm:
     ``projector`` is the success projector as (matrix, targets), or None for
     a purely unitary program.  ``task_out`` lists the factors carrying the
     task output when they differ from the input task factors.  ``validate``
-    sets the register bookkeeping (``dims``, ``total_dim``, ``h_factors``,
-    ``h_dim``, ``out_factors``, ``k_out_factors``) and ``query_letters``/
+    sets the register bookkeeping (``set_registers``) and ``query_letters``/
     ``query_count`` as plain attributes.
     """
 
@@ -104,13 +103,7 @@ class OracleAlgorithm:
         """Fix the register bookkeeping, check every step and the projector,
         and compile the step plan that ``apply_cols`` runs: all of it is
         settled here, never per call."""
-        lay = self.layout
-        self.dims = dims = lay.dims
-        self.total_dim = lay.total_dim
-        self.h_factors = lay.h_indices
-        self.h_dim = lay.subdim(self.h_factors)
-        self.out_factors = self.h_factors if self.task_out is None else self.task_out
-        self.k_out_factors = tuple(i for i in range(len(dims)) if i not in self.out_factors)
+        set_registers(self, self.layout, self.task_out)
         self.query_letters = tuple(s.letter for s in self.steps if isinstance(s, QueryStep))
         self.query_count = len(self.query_letters)
         ops = []
@@ -123,9 +116,9 @@ class OracleAlgorithm:
                 # moved block) padded with zeros: the same spectral norm
                 la.require_unitary(op if moved is None else moved[1],
                                    what=f"fixed step in {self.name}")
-                ops.append((op, la.check_targets(op, s.targets, dims), moved))
+                ops.append((op, la.check_targets(op, s.targets, self.dims), moved))
             else:
-                sub = la.target_dim(s.targets, dims)
+                sub = la.target_dim(s.targets, self.dims)
                 if sub != self.oracle_dim:
                     raise ValueError(
                         f"query targets {s.targets} span dimension {sub}, "
@@ -135,13 +128,13 @@ class OracleAlgorithm:
         if self.projector is not None:
             p, targets = self.projector
             p = np.asarray(p, dtype=complex)
-            ops.append((p, la.check_targets(p, targets, dims), _moved_block(p)))
+            ops.append((p, la.check_targets(p, targets, self.dims), _moved_block(p)))
             if not (la.norm_within(p @ p - p, la.UNITARY_TOL)
                     and la.norm_within(p - la.dagger(p), la.UNITARY_TOL)):
                 raise ValueError(f"projector of {self.name} is not an orthogonal projector")
-        if self.task_out is not None and la.target_dim(self.task_out, dims) != self.h_dim:
+        if self.task_out is not None and la.target_dim(self.task_out, self.dims) != self.h_dim:
             raise ValueError("output task registers do not match the task space dimension")
-        self._plan = _compile(dims, ops)
+        self._plan = _compile(self.dims, ops)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -207,6 +200,19 @@ class OracleAlgorithm:
         return self.apply_cols(u, cols)
 
 
+def set_registers(ev, layout: RegisterLayout, task_out: tuple[int, ...] | None) -> None:
+    """Set the register bookkeeping of the evaluator ``ev`` as plain
+    attributes: ``dims``, ``total_dim``, ``h_factors``, ``h_dim``,
+    ``out_factors`` (``task_out``, or the input task factors when it is
+    None) and ``k_out_factors``, all read off ``layout``."""
+    ev.dims = layout.dims
+    ev.total_dim = layout.total_dim
+    ev.h_factors = layout.h_indices
+    ev.h_dim = layout.subdim(ev.h_factors)
+    ev.out_factors = ev.h_factors if task_out is None else task_out
+    ev.k_out_factors = tuple(i for i in range(len(ev.dims)) if i not in ev.out_factors)
+
+
 def oracle_stack(u, d: int) -> tuple[np.ndarray, bool]:
     """``u`` as a complex (B, d, d) stack of oracles, and whether it was given
     as a stack: a single (d, d) oracle is the stack of one."""
@@ -222,29 +228,24 @@ def _one_oracle(u, d: int, what: str) -> None:
         raise ValueError(f"{what} takes one ({d}, {d}) oracle, got shape {np.shape(u)}")
 
 
-def stack_slices(us: np.ndarray, width: int) -> list[slice]:
-    """Consecutive slices covering the (B, d, d) stack ``us``, each of at
-    most ``SLICE_ENTRIES // width`` oracles (at least one) when an oracle
-    keeps ``width`` complex entries of state; an empty stack is one empty
-    slice.  A stack cut into several slices is checked unitary whole first,
-    so an error names the oracle's index in the stack, not in its slice."""
+def over_stack(f, u, d: int, width: int, *per_oracle: np.ndarray):
+    """``f(us, *per_oracle)`` over the oracles ``u``, in consecutive slices
+    of at most ``SLICE_ENTRIES // width`` oracles (at least one) when an
+    oracle keeps ``width`` complex entries of state; each ``per_oracle``
+    array holds one entry per oracle and is sliced with the stack.  ``f``
+    returns one result per oracle of its slice, as a list or an array, and
+    the slices' results are joined the same way.  A (B, d, d) stack gives
+    the B results; a single (d, d) oracle is the stack of one and gives its
+    one result.  An empty stack is one empty slice, so it gives ``f``'s
+    empty result.  A stack cut into several slices is checked unitary whole
+    first, so an error names the oracle's index in the stack, not in its
+    slice."""
+    us, stacked = oracle_stack(u, d)
     step = max(1, SLICE_ENTRIES // width)
     if len(us) > step:
         la.require_unitary(us, what="oracle")
-    return [slice(i, i + step) for i in range(0, max(len(us), 1), step)]
-
-
-def over_stack(f, u, d: int, width: int, *per_oracle: np.ndarray):
-    """``f(us, *per_oracle)`` over the oracles ``u``, in slices of
-    ``stack_slices`` (``width`` complex entries of state per oracle); each
-    ``per_oracle`` array holds one entry per oracle and is sliced with the
-    stack.  ``f`` returns one result per oracle of its slice, as a list or
-    an array, and the slices' results are joined the same way.  A
-    (B, d, d) stack gives the B results; a single (d, d) oracle is the
-    stack of one and gives its one result.  An empty stack is one empty
-    slice, so it gives ``f``'s empty result."""
-    us, stacked = oracle_stack(u, d)
-    parts = [f(us[s], *(a[s] for a in per_oracle)) for s in stack_slices(us, width)]
+    parts = [f(us[i:i + step], *(a[i:i + step] for a in per_oracle))
+             for i in range(0, max(len(us), 1), step)]
     out = np.concatenate(parts) if isinstance(parts[0], np.ndarray) else sum(parts, [])
     return out if stacked else out[0]
 
@@ -314,18 +315,14 @@ def _compile(dims, ops) -> tuple[tuple[_Stage, ...], tuple[int, ...] | None]:
 
 
 def out_split(alg, cols: np.ndarray) -> np.ndarray:
-    """Reshape full-space columns (N,) or (..., N, k) to
+    """Reshape full-space columns (..., N, k) to
     (..., out_task_dim, ancilla_out_dim, k)."""
     dims = alg.dims
-    single = cols.ndim == 1
-    if single:
-        cols = cols[:, None]
     *lead, _, k = cols.shape
     t = cols.reshape(*lead, *dims, k)
     n = len(lead)
     perm = [*range(n), *(n + f for f in alg.out_factors + alg.k_out_factors), n + len(dims)]
-    out = t.transpose(perm).reshape(*lead, alg.h_dim, alg.total_dim // alg.h_dim, k)
-    return out[:, :, 0] if single else out
+    return t.transpose(perm).reshape(*lead, alg.h_dim, alg.total_dim // alg.h_dim, k)
 
 
 # -- tasks -------------------------------------------------------------------
@@ -821,9 +818,11 @@ class NeutralisationResult:
 
 def check_neutralises(alg, u_list, tol: float = EXACT_TOL) -> NeutralisationResult:
     """Check that the program maps the all-zero projector to r e^{i phi(U)}
-    times itself on the full space, with a common r in (0, 1] across U."""
+    times itself on the full space, with a common r in (0, 1] across U.
+    ``u_list`` is a list or a (B, d, d) stack of oracles, and a single
+    (d, d) oracle is the stack of one."""
     e0 = la.basis_state(alg.total_dim, 0)
-    v = alg.apply_cols(np.stack(u_list), e0)
+    v = alg.apply_cols(oracle_stack(u_list, alg.oracle_dim)[0], e0)
     amp = v[:, 0]
     rs = np.abs(amp).tolist()
     phases = np.angle(amp).tolist()
@@ -850,9 +849,10 @@ def check_clean(alg, task: Task, u_list, tol: float = EXACT_TOL) -> CleanResult:
     """A program is clean when all garbage vectors agree up to a unimodular
     phase: constant norm and pairwise saturated overlaps.  ``u_list`` is a
     list or a (B, d, d) stack of oracles, checked in one stacked
-    ``check_exact``."""
+    ``check_exact``, and a single (d, d) oracle is the stack of one."""
     garbages = []
-    for i, res in enumerate(check_exact(alg, task, np.stack(u_list), tol=tol)):
+    us = oracle_stack(u_list, alg.oracle_dim)[0]
+    for i, res in enumerate(check_exact(alg, task, us, tol=tol)):
         if not res.achieved:
             return CleanResult(False, f"not an exact achiever at sample {i} (residual {res.residual:.3g})")
         garbages.append(res.garbage)
@@ -900,7 +900,11 @@ def numeric_homogeneity_check(alg, u: np.ndarray, lam, delta: int) -> float | np
 def lipschitz_check(alg, u: np.ndarray, v: np.ndarray) -> bool:
     """Continuity surrogate: the evaluation map is N-Lipschitz in the oracle,
     N being the query count (queries move by at most ||U - V||, fixed steps
-    and projectors are contractions)."""
+    and projectors are contractions).  An evaluator without a query count,
+    such as the root-composed one, is a ``ValueError``."""
+    if not hasattr(alg, "query_count"):
+        raise ValueError(f"the Lipschitz check needs an oracle program; "
+                         f"{alg.name} has no query count")
     diff = la.spectral_norm(alg.eval(u) - alg.eval(v))
     return diff <= alg.query_count * la.spectral_norm(np.asarray(u) - np.asarray(v)) + 1e-9
 

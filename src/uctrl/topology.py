@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg as la
-from .model import ModelViolationError, out_split, over_stack, unitary_power
+from .model import ModelViolationError, _one_oracle, out_split, over_stack, unitary_power
 
 STEP_BOUND = math.pi / 2
 ABS_FLOOR = 1e-12
@@ -92,7 +92,9 @@ def extract_fplus(alg, u: np.ndarray, m: int) -> complex | np.ndarray:
 
 def neutral_phase(alg, u: np.ndarray) -> complex:
     """Normalised all-zero matrix element; unimodular whenever the all-zero
-    success probability is nonzero."""
+    success probability is nonzero.  ``u`` is one (d, d) oracle, not a
+    stack."""
+    _one_oracle(u, alg.oracle_dim, "neutral_phase")
     col = alg.apply_cols(u, la.basis_state(alg.total_dim, 0))
     nrm = np.linalg.norm(col)
     if nrm <= ABS_FLOOR:
@@ -324,9 +326,8 @@ class BuScanReport:
 def bu_scan(h_eval: Callable[[np.ndarray], complex], d: int, grid: SphereGrid) -> BuScanReport:
     """Evaluate h over the embedded sphere: report the smallest modulus (an
     odd continuous h must vanish somewhere, so this tends to zero under
-    refinement) and the worst antipodal-oddness defect max |h(-x) + h(x)|."""
-    if d % 2 != 0:
-        raise ValueError("the sphere scan needs even dimension")
+    refinement) and the worst antipodal-oddness defect max |h(-x) + h(x)|.
+    ``d`` must be even (``bu_map_g``)."""
     vals = np.array([h_eval(g) for g in bu_map_g(grid.points, d)], dtype=complex)
     mags = np.abs(vals)
     best = int(np.argmin(mags))

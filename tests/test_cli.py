@@ -467,9 +467,30 @@ class TestInputErrors:
         ["bu-scan", "--refinements", -2],
         ["sweep", "constant-circuit", "--task", "cUm", "--m", 0, "--grid", "diag:-1"],
         ["sweep", "constant-circuit", "--task", "cUm", "--m", 1, "--grid", "bogus:0"],
-    ], ids=["refinements-0", "refinements-negative", "negative-grid", "unknown-grid-empty"])
+        ["verify", "constant-circuit", "--task", "cUm", "--m", 1, "--tol", 0],
+        ["verify", "constant-circuit", "--task", "cUm", "--m", 1, "--samples", 0],
+        ["probe", "constant-circuit", "--d", 2],
+    ], ids=["refinements-0", "refinements-negative", "negative-grid", "unknown-grid-empty",
+            "tol-0", "samples-0", "probe-without-m"])
     def test_bad_flags(self, argv, tmp_path, capsys):
         self._input_error(run(*argv, "--out", tmp_path / "out"), capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--task", "cUm", "--m", 1],
+        ["probe", "--m", 1],
+        ["sweep", "--task", "cUm", "--m", 1],
+    ], ids=["verify", "probe", "sweep"])
+    def test_oversized_ir(self, argv, tmp_path, capsys):
+        # an idle ancilla of dimension 2^53: the task block takes 2^61 bytes
+        # and task_rows 2^58, beyond any 64-bit address space, so numpy fails
+        # at once and nothing is allocated
+        layout = la.RegisterLayout.of([2, 2, 2 ** 53], ["control", "task", "anc"])
+        path = tmp_path / "oversized.json"
+        mo.write_ir(mo.OracleAlgorithm("oversized", 2, layout,
+                                       (mo.FixedStep(np.eye(4), (0, 1)),)), path)
+        command, *flags = argv
+        code = run(command, path, *flags, "--d", 2, "--out", tmp_path / "out")
+        assert "allocate" in self._input_error(code, capsys)
 
 
 class TestConsecutiveCalls:

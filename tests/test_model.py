@@ -158,6 +158,28 @@ class TestApplyChannel:
             mo.apply_channel(alg, us, np.eye(alg.h_dim) / alg.h_dim)
 
 
+class TestRejectedInputs:
+    """An input a checker cannot take is a ValueError that says why."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: mo.check_exact(co.dong_cUd(2), mo.conjugation_task(4), np.eye(2)),
+         "oracle dimension mismatch"),
+        (lambda: mo.check_exact(mo.OracleAlgorithm("inv", 2, RegisterLayout.of([2], ["task"]),
+                                                   (mo.QueryStep(mo.INV, (0,)),)),
+                                mo.inverse_task(2), np.eye(2)),
+         "outside the task alphabet"),
+        (lambda: mo.success_prob(trivial_alg(2), np.eye(2), la.basis_state(3, 0)),
+         "2-dimensional task space"),
+        (lambda: mo.apply_channel(trivial_alg(2), np.eye(2), np.eye(3) / 3),
+         "density matrix dimension mismatch"),
+        (lambda: mo.apply_channel(trivial_alg(2), np.eye(2), np.diag([1.5, -0.5])),
+         "not positive semidefinite"),
+    ], ids=["oracle-dimension", "alphabet", "state-dimension", "rho-dimension", "rho-not-psd"])
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def kraus_channel(alg, u, rho):
     """The postselected channel as the explicit Kraus sum over the output
     ancilla basis: sum_a Y_a rho Y_a^dagger, Y_a the (out, in) slice of the
@@ -859,6 +881,21 @@ class TestNeutralise:
             alg = mo.OracleAlgorithm("candidate", 2, layout, steps)
             assert not mo.check_neutralises(alg, us).passed
 
+    @pytest.mark.parametrize("us,reason", [
+        ([np.eye(2), X], "r varies with the oracle"),
+        ([X, X], "r outside (0, 1]"),
+    ], ids=["r-varies", "r-zero"])
+    def test_failure_reasons(self, us, reason):
+        # the output stays on the all-zero ray with r = |U[0, 0]|
+        res = mo.check_neutralises(postselect_to_zero(2), us)
+        assert not res.passed and res.reason == reason
+
+    def test_single_oracle_is_the_stack_of_one(self):
+        alg, u = co.neutraliser_parallel(2), la.haar_unitary(2, 12)
+        res = mo.check_neutralises(alg, u)
+        assert res.passed and len(res.phases) == 1
+        assert res == mo.check_neutralises(alg, [u])
+
 
 class TestClean:
     def test_conjugation_clean(self):
@@ -886,6 +923,21 @@ class TestClean:
                              la.haar_unitaries(2, 3, 10))
         assert not res.clean
         assert "not an exact achiever" in res.reason
+
+    def test_garbage_norm_varies(self):
+        # conjugation with one more query on an ancilla postselected on |0>:
+        # still exact, but the garbage carries the factor U[0, 0]
+        layout = RegisterLayout.of([2, 2], ["task", "anc"])
+        steps = co.conjugation(2).steps + (mo.QueryStep(mo.ID, (1,)),)
+        alg = mo.OracleAlgorithm("conjugation-leaky", 2, layout, steps,
+                                 projector=(co.zero_projector(2), (1,)))
+        res = mo.check_clean(alg, mo.conjugation_task(2), la.haar_unitaries(2, 4, 13))
+        assert not res.clean and res.reason == "garbage norm varies with the oracle"
+
+    def test_single_oracle_is_the_stack_of_one(self):
+        u = la.haar_unitary(2, 14)
+        assert mo.check_clean(co.dong_cUd(2), mo.cum_task(2, 2), u).clean
+        assert not mo.check_clean(co.kitaev_cswap(2), mo.cum_task(2, 1), u).clean
 
 
 class TestHomogeneity:
@@ -942,6 +994,12 @@ class TestLipschitz:
         for s in range(20):
             u, v = la.haar_unitaries(2, 2, 600 + s)
             assert mo.lipschitz_check(alg, u, v)
+
+    def test_root_composed_has_no_query_count(self):
+        ev = co.composed_root_cU(2, lambda u: la.principal_root(u, 2))
+        u, v = la.haar_unitaries(2, 2, 63)
+        with pytest.raises(ValueError, match="root-composed has no query count"):
+            mo.lipschitz_check(ev, u, v)
 
     def test_single_query_equality_case(self):
         alg = whole_space_query(2)

@@ -159,6 +159,12 @@ class TestNeutralPhase:
         u = la.haar_unitary(3, 2210)
         assert abs(abs(tp.neutral_phase(alg, u)) - 1.0) < 1e-12
 
+    def test_stack_rejected(self):
+        us = np.stack(la.haar_unitaries(2, 3, 2220))
+        with pytest.raises(ValueError, match=r"^neutral_phase takes one \(2, 2\) oracle, "
+                                             r"got shape \(3, 2, 2\)$"):
+            tp.neutral_phase(co.neutraliser_parallel(2), us)
+
 
 class TestWinding:
     @pytest.mark.parametrize("d", [2, 3, 4])
