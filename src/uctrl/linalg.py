@@ -15,7 +15,6 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 UNITARY_TOL = 1e-10
 
@@ -448,7 +447,11 @@ def principal_root(u: np.ndarray, k: int) -> np.ndarray:
 
 
 def _schur_root(u: np.ndarray, k: int) -> np.ndarray:
-    """Principal k-th root of one unitary (n, n) from its complex Schur form."""
+    """Principal k-th root of one unitary (n, n) from its complex Schur form.
+    scipy is imported here, on the first call, so that a run that takes no
+    single-matrix root never loads it."""
+    import scipy.linalg
+
     t, q = scipy.linalg.schur(u, output="complex")
     theta = np.angle(np.diagonal(t))
     return (q * np.exp(1j * theta / k)) @ dagger(q)

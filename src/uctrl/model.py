@@ -451,10 +451,13 @@ def _fit_garbage(t_mat: np.ndarray, big_t: np.ndarray) -> np.ndarray:
     return ((vec.conj() @ big_t) / nrm2)[..., 0, :]
 
 
-def _fit_residual(bp: np.ndarray, t_mat: np.ndarray, g: np.ndarray) -> float | np.ndarray:
+def _fit_residual(bp: np.ndarray, t_mat: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Spectral norm of the deviation of ``bp`` from the product form T (x) g,
+    each matrix of a stack on its own.  The deviation is (h * ancilla) x h,
+    never wide, so its norm comes from the h x h Gram matrix."""
     *lead, d_out, k_dim, h = bp.shape
     fit = np.einsum("...yx,...k->...ykx", t_mat, g)
-    return la.spectral_norm((bp - fit).reshape(*lead, d_out * k_dim, h))
+    return la.gram_spectral_norm((bp - fit).reshape(*lead, d_out * k_dim, h))
 
 
 def _check_compat(alg, task: Task):
@@ -648,7 +651,7 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
     if task.control_power is None:
         # a global phase on the task member is absorbed by the garbage factor
         t_mat = task.base(u)
-        return _fit_residual(bp, t_mat, _fit_garbage(t_mat, big_t))
+        return float(_fit_residual(bp, t_mat, _fit_garbage(t_mat, big_t)))
 
     # member(phi) = T0 + e^{i phi} T1 with T0, T1 on disjoint blocks, so the
     # least-squares garbage is g0 + e^{-i phi} g1.  Split the ancilla space

@@ -6,6 +6,9 @@ import csv
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -522,6 +525,49 @@ class TestConsecutiveCalls:
         assert run("sweep", "constant-circuit", "--task", "cUm", "--m", 1, "--grid", "diag:2",
                    "--out", tmp_path / "s.csv") == cli.EXIT_OK
         assert len((tmp_path / "s.csv").read_text().splitlines()) == 3
+
+
+# a fresh interpreter: import uctrl, build and verify through cli.main, list
+# the scipy modules loaded so far, then take one single-matrix root
+_START_UP = """
+import json, sys
+import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = sys.argv[1]
+import uctrl
+loaded = {"import uctrl": scipy_modules()}
+import uctrl.cli as cli
+loaded["import uctrl.cli"] = scipy_modules()
+codes = [cli.main(["build", "dong", "--d", "2", "--out", out + "/dong2.json"]),
+         cli.main(["verify", out + "/dong2.json", "--task", "cUm", "--m", "2", "--d", "2",
+                   "--samples", "2", "--out", out + "/verify.json"])]
+loaded["build, verify"] = scipy_modules()
+from uctrl import linalg as la
+np.save(out + "/root.npy", la.principal_root(la.haar_unitary(2, 5), 2))
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "scipy.linalg after a root": "scipy.linalg" in sys.modules}))
+"""
+
+
+class TestStartUp:
+    """scipy serves only the single-matrix Schur root, and is imported on its
+    first call: a run that takes no such root never loads it.  The check
+    runs in a fresh interpreter, since other tests load scipy here."""
+
+    def test_scipy_loaded_only_by_a_schur_root(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _START_UP, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got["codes"] == [cli.EXIT_OK, cli.EXIT_OK]
+        assert got["loaded"] == {"import uctrl": [], "import uctrl.cli": [], "build, verify": []}
+        assert got["scipy.linalg after a root"]
+        np.testing.assert_array_equal(np.load(tmp_path / "root.npy"),
+                                      la.principal_root(la.haar_unitary(2, 5), 2))
 
 
 # -- property test: random field mutations of valid IR --------------------------

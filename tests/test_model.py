@@ -299,6 +299,48 @@ class TestCheckExact:
         assert abs(res.success_prob - 0.25) < 1e-10
 
 
+def tilted_dong2(angle: float) -> mo.OracleAlgorithm:
+    """dong d = 2 followed by exp(-i angle X) on the control: still a product
+    form, but of a task operator about ``angle`` from every c-U^2 member."""
+    base = co.dong_cUd(2)
+    rot = np.array([[np.cos(angle), -1j * np.sin(angle)], [-1j * np.sin(angle), np.cos(angle)]])
+    return mo.OracleAlgorithm("dong-tilted", 2, base.layout, base.steps + (mo.FixedStep(rot, (0,)),))
+
+
+class TestGramResidual:
+    """``check_exact``'s residual comes from the Gram matrix of the
+    deviation, not from its SVD."""
+
+    @pytest.mark.parametrize("name,m", [("constant", 1), ("kitaev", 2)])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    def test_residual_is_the_svd_norm_of_the_deviation(self, name, m, stacked):
+        # non-achievers, so the residual is of order 1: rebuild the deviation
+        # from the reported phase and garbage and take its SVD norm
+        alg = constant_circuit(2) if name == "constant" else co.kitaev_cswap(2)
+        task = mo.cum_task(2, m)
+        us = np.stack(la.haar_unitaries(2, 3, 41))
+        results = mo.check_exact(alg, task, us) if stacked else [mo.check_exact(alg, task, u) for u in us]
+        for u, res in zip(us, results):
+            assert not res.achieved and res.residual > 0.1
+            bp = mo.out_split(alg, alg.task_block(u))
+            fit = np.einsum("yx,k->ykx", task.member(u, res.phase), res.garbage)
+            want = la.spectral_norm((bp - fit).reshape(-1, bp.shape[2]))
+            np.testing.assert_allclose(res.residual, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("angle,achieved", [(3e-9, True), (2e-8, False)])
+    def test_verdict_near_exact_tol_matches_svd(self, monkeypatch, angle, achieved):
+        # residuals within a factor of 10 of EXACT_TOL, on either side of it
+        alg, task = tilted_dong2(angle), mo.cum_task(2, 2)
+        us = np.stack(la.haar_unitaries(2, 3, 40))
+        got = mo.check_exact(alg, task, us) + [mo.check_exact(alg, task, us[0])]
+        monkeypatch.setattr(la, "gram_spectral_norm", la.spectral_norm)
+        want = mo.check_exact(alg, task, us) + [mo.check_exact(alg, task, us[0])]
+        for r, w in zip(got, want):
+            assert mo.EXACT_TOL / 10 <= r.residual <= 10 * mo.EXACT_TOL
+            assert r.achieved == w.achieved == achieved
+            np.testing.assert_allclose(r.residual, w.residual, rtol=1e-12, atol=0)
+
+
 class TestAffineMember:
     """The checkers take the controlled family as member(u, phi) =
     T0 + e^{i phi} T1, and the fixed member at phase 0 for a missing one."""
