@@ -74,42 +74,52 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _entries(check: str, cfg, rows) -> list[dict]:
+    """The report entries of ``rows``, one (result, residual, fields) per
+    oracle: the fields every check writes, then the check's own ``fields``."""
+    return [{"check": check, "U_seed": cfg.seed + i, "result": bool(result),
+             "residual": float(residual), **fields}
+            for i, (result, residual, fields) in enumerate(rows)]
+
+
 def _verify_exact(alg, task, us, cfg):
-    entries = []
-    for i, res in enumerate(mo.check_exact(alg, task, us, tol=cfg.tol)):
-        entry = {
-            "check": "exact",
-            "U_seed": cfg.seed + i,
-            "result": bool(res.achieved),
-            "residual": float(res.residual),
-            "rank_residual": float(res.rank_residual),
-            "success_prob": res.success_prob,
-        }
+    rows = []
+    for res in mo.check_exact(alg, task, us, tol=cfg.tol):
+        fields = {"rank_residual": float(res.rank_residual), "success_prob": res.success_prob}
         if res.phase is not None:
-            entry["phase"] = float(res.phase)
+            fields["phase"] = float(res.phase)
         if not res.achieved and res.rank_residual > cfg.tol:
-            entry["diagnostic"] = (
+            fields["diagnostic"] = (
                 f"ancilla rank deficiency: second singular value "
                 f"{res.rank_residual:.3e} exceeds tol {cfg.tol:.1e}")
-        entries.append(entry)
-    return entries
+        rows.append((res.achieved, res.residual, fields))
+    return _entries("exact", cfg, rows)
 
 
 def _verify_eps(alg, task, us, cfg):
     vals = mo.eps_distance_estimate(alg, task, us, n_samples=4, seed=cfg.seed)
-    return [{"check": "eps", "U_seed": cfg.seed + i, "result": bool(val <= cfg.tol),
-             "residual": float(val)} for i, val in enumerate(vals)]
+    return _entries("eps", cfg, [(val <= cfg.tol, val, {}) for val in vals])
 
 
-def _verify_homogeneity(alg, us, cfg):
+def _verify_clean(alg, task, us, cfg):
+    res = mo.check_clean(alg, task, us, tol=cfg.tol)
+    return _entries("clean", cfg, [(res.clean, 0.0,
+                                    {"diagnostic": res.reason} if res.reason else {})])
+
+
+def _verify_homogeneity(alg, task, us, cfg):
     if not hasattr(alg, "query_letters"):
         raise ValueError(f"the homogeneity check needs an oracle program with query letters; "
                          f"{alg.name} has none")
     delta = mo.static_homogeneity(alg.query_letters)
     lams = np.exp(2j * np.pi * np.random.default_rng(cfg.seed).random(len(us)))
-    return [{"check": "homogeneity", "U_seed": cfg.seed + i,
-             "result": bool(resid <= cfg.tol), "residual": float(resid), "degree": delta}
-            for i, resid in enumerate(mo.numeric_homogeneity_check(alg, us, lams, delta))]
+    return _entries("homogeneity", cfg, [
+        (resid <= cfg.tol, resid, {"degree": delta})
+        for resid in mo.numeric_homogeneity_check(alg, us, lams, delta)])
+
+
+_TASK_CHECKS = {"exact": _verify_exact, "eps": _verify_eps, "clean": _verify_clean,
+                "homogeneity": _verify_homogeneity}
 
 
 def cmd_verify(args) -> int:
@@ -123,30 +133,17 @@ def cmd_verify(args) -> int:
                     "seed": args.seed, "tol": args.tol, "program": alg.name}
     if check == "neutralise":
         res = mo.check_neutralises(alg, us, tol=args.tol)
-        report["results"] = [
-            {"check": "neutralise", "U_seed": args.seed + i, "result": res.passed,
-             "residual": res.residuals[i], "r": res.r_values[i], "phase": res.phases[i]}
-            for i in range(len(us))]
+        report["results"] = _entries("neutralise", args, [
+            (res.passed, resid, {"r": r, "phase": phase})
+            for resid, r, phase in zip(res.residuals, res.r_values, res.phases)])
         report["r"] = res.r
         report["passed"] = res.passed
         if res.reason:
             report["diagnostic"] = res.reason
     else:
         task = mo.make_task(args.task, args.d, args.m)
-        if check == "exact":
-            entries = _verify_exact(alg, task, us, args)
-        elif check == "eps":
-            entries = _verify_eps(alg, task, us, args)
-        elif check == "clean":
-            res = mo.check_clean(alg, task, us, tol=args.tol)
-            entries = [{"check": "clean", "U_seed": args.seed, "result": res.clean,
-                        "residual": 0.0}]
-            if res.reason:
-                entries[0]["diagnostic"] = res.reason
-        else:
-            entries = _verify_homogeneity(alg, us, args)
-        report["results"] = entries
-        report["passed"] = all(e["result"] for e in entries)
+        report["results"] = _TASK_CHECKS[check](alg, task, us, args)
+        report["passed"] = all(e["result"] for e in report["results"])
 
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
@@ -244,7 +241,7 @@ def make_parser() -> argparse.ArgumentParser:
         q.add_argument("--seed", type=int, default=0)
         q.add_argument("--samples", type=int, default=10)
         q.add_argument("--K", type=int, default=256)
-        q.add_argument("--tol", type=float, default=1e-8)
+        q.add_argument("--tol", type=float, default=mo.EXACT_TOL)
         q.add_argument("--out", type=str, default=None)
 
     b = sub.add_parser("build", help="emit a named program as circuit IR")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -31,22 +30,16 @@ def chi_state(d: int) -> np.ndarray:
     under U^(x)d is det(U)."""
     if not 2 <= d <= CHI_MAX_D:
         raise ValueError(f"chi_state supports 2 <= d <= {CHI_MAX_D} (dimension d^d)")
-    amp = np.zeros(d ** d, dtype=complex)
+    perms, signs = la.signed_permutations(d)
     norm = 1.0 / math.sqrt(math.factorial(d))
-    for p in permutations(range(d)):
-        idx = 0
-        for digit in p:
-            idx = idx * d + digit
-        amp[idx] = la.perm_sign(p) * norm
+    amp = np.zeros(d ** d, dtype=complex)
+    amp[np.ravel_multi_index(perms.T, (d,) * d)] = signs * norm
     return amp
 
 
 def bell_state(d: int) -> np.ndarray:
     """Generalised Bell state (1/sqrt d) sum_i |ii> on two qudits."""
-    amp = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        amp[i * d + i] = 1.0 / math.sqrt(d)
-    return amp
+    return np.eye(d, dtype=complex).reshape(-1) * (1.0 / math.sqrt(d))
 
 
 def zero_projector(dim: int) -> np.ndarray:
@@ -72,14 +65,12 @@ def minor_isometry(d: int) -> np.ndarray:
     matrix of U."""
     if d < 2:
         raise ValueError("minor isometry needs d >= 2")
-    e = np.zeros((d ** (d - 1), d), dtype=complex)
+    perms, signs = la.signed_permutations(d)
     norm = 1.0 / math.sqrt(math.factorial(d - 1))
-    for p in permutations(range(d)):
-        j = p[0]
-        idx = 0
-        for digit in p[1:]:
-            idx = idx * d + digit
-        e[idx, j] += la.perm_sign(p) * norm
+    e = np.zeros((d ** (d - 1), d), dtype=complex)
+    # a permutation's first image is the column, its other d - 1 the row digits
+    rows = np.ravel_multi_index(perms[:, 1:].T, (d,) * (d - 1))
+    e[rows, perms[:, 0]] = signs * norm
     return e
 
 
@@ -256,6 +247,9 @@ class ComposedRootEvaluator:
     name: str = "root-composed"
 
     def __post_init__(self):
+        if self.d != self.inner.oracle_dim:  # _root_of takes d x d oracles
+            raise ValueError(f"root order d = {self.d} does not match the template's "
+                             f"oracle dimension {self.inner.oracle_dim}")
         # the register bookkeeping is the template's, fixed once here
         self.oracle_dim, self.layout = self.inner.oracle_dim, self.inner.layout
         set_registers(self, self.layout, self.inner.task_out)

@@ -372,34 +372,32 @@ def sym_det(m: np.ndarray) -> complex:
 
 
 def sym_minor(m: np.ndarray, i: int, j: int) -> complex:
-    """det of ``m`` with row i and column j deleted, via the symmetrised
-    restricted permutation sum over pi(0)=j, tau(0)=i (0-indexed; the
-    underlying 1-indexed formula is shifted internally)."""
+    """det of ``m`` with row i and column j deleted (0-indexed): (-1)^(i+j)
+    times entry (i, j) of ``cofactor_matrix``."""
     n = require_square(m, "sym_minor input")
     if n > SYM_MINOR_MAX:
         raise ValueError(f"sym_minor supports n <= {SYM_MINOR_MAX}, got {n}")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"minor indices ({i}, {j}) out of range for n = {n}")
-    m = np.asarray(m, dtype=complex)
-    perms, signs = signed_permutations(n)
-    at_i, at_j = perms[:, 0] == i, perms[:, 0] == j
-    g = m[perms[at_i, None, 1:], perms[None, at_j, 1:]].prod(axis=2)
-    total = signs[at_i] @ g @ signs[at_j]
     sign = -1.0 if (i + j) % 2 else 1.0
-    return complex(sign * total / math.factorial(n - 1))
+    return complex(sign * cofactor_matrix(m)[i, j])
 
 
 def cofactor_matrix(m: np.ndarray) -> np.ndarray:
-    """Matrix of signed minors; equals det(U) * conj(U) for unitary U."""
+    """Matrix of signed minors; equals det(U) * conj(U) for unitary U.
+
+    Entry (i, j) is the symmetrised permutation sum restricted to tau(0)=i,
+    pi(0)=j, whose signs sgn(tau) sgn(pi) already carry (-1)^(i+j): over the
+    permutations t, p, the matrix is A^T G A / (n-1)! with
+    G[t, p] = prod_{k>=1} M[t_k, p_k] and A[t, i] = sgn(t) [t_0 = i]."""
     n = require_square(m, "cofactor input")
     if n > SYM_MINOR_MAX:
         raise ValueError(f"cofactor_matrix supports n <= {SYM_MINOR_MAX}, got {n}")
-    c = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            sign = -1.0 if (i + j) % 2 else 1.0
-            c[i, j] = sign * sym_minor(m, i, j)
-    return c
+    m = np.asarray(m, dtype=complex)
+    perms, signs = signed_permutations(n)
+    g = m[perms[:, None, 1:], perms[None, :, 1:]].prod(axis=2)
+    a = signs[:, None] * (perms[:, :1] == np.arange(n))
+    return a.T @ g @ a / math.factorial(n - 1)
 
 
 # The batched root diagonalises a unitary U through the Hermitian matrix

@@ -341,9 +341,36 @@ class TestStackedReports:
             writer.writerow(row)
         assert out.read_bytes().decode() == expected.getvalue()
 
-    @pytest.mark.parametrize("name,d", [("neutraliser", 2), ("neutraliser", 3),
-                                        ("root-composed", 2)])
-    def test_neutralise_report_matches_per_oracle_calls(self, name, d, tmp_path):
+    @pytest.mark.parametrize("name,d,flags,task,clean", [
+        ("conjugation", 3, ["conjugation"], mo.conjugation_task(3), True),
+        ("kitaev", 2, ["cUm", "--m", "1"], mo.cum_task(2, 1), False),
+    ])
+    def test_clean_report_matches_per_oracle_calls(self, name, d, flags, task, clean,
+                                                    tmp_path):
+        ir, rep = tmp_path / f"{name}.json", tmp_path / "rep.json"
+        run("build", name, "--d", d, "--out", ir)
+        code = run("verify", ir, "--task", *flags, "--d", d, "--check", "clean",
+                   "--samples", 4, "--seed", 3, "--out", rep)
+        alg = mo.from_ir(ir)
+        results = [mo.check_exact(alg, task, u) for u in la.haar_unitaries(d, 4, 3)]
+        # one entry for the whole run; a failing run names its first non-achiever
+        entry = {"check": "clean", "U_seed": 3, "result": clean, "residual": 0.0}
+        if clean:
+            assert all(res.achieved for res in results)
+        else:
+            assert not results[0].achieved
+            entry["diagnostic"] = (f"not an exact achiever at sample 0 "
+                                   f"(residual {results[0].residual:.3g})")
+        expected = {"check": "clean", "d": d, "samples": 4, "seed": 3, "tol": 1e-8,
+                    "program": alg.name, "results": [entry], "passed": clean}
+        assert code == (cli.EXIT_OK if clean else cli.EXIT_CHECK_FAILED)
+        assert rep.read_text() == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("name,d,reason", [
+        ("neutraliser", 2, None), ("neutraliser", 3, None), ("root-composed", 2, None),
+        ("kitaev", 2, "output leaves the all-zero ray"),
+    ], ids=["neutraliser-2", "neutraliser-3", "root-composed-2", "kitaev-2"])
+    def test_neutralise_report_matches_per_oracle_calls(self, name, d, reason, tmp_path):
         rep = tmp_path / "rep.json"
         if name == "root-composed":
             ir, alg = name, co.composed_root_cU(d, lambda u: la.principal_root(u, d))
@@ -361,6 +388,7 @@ class TestStackedReports:
             entries.append({"check": "neutralise", "U_seed": 3 + i, "result": whole.passed,
                             "residual": one.residuals[0], "r": one.r_values[0],
                             "phase": one.phases[0]})
+        assert whole.reason == reason
         expected = {"check": "neutralise", "d": d, "samples": 4, "seed": 3, "tol": 1e-8,
                     "program": alg.name, "results": entries, "r": whole.r,
                     "passed": whole.passed}

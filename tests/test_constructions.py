@@ -18,6 +18,45 @@ def wrap_diff(a, b):
     return abs(np.angle(np.exp(1j * (a - b))))
 
 
+class TestRejectedInputs:
+    """Each builder names the oracle dimensions and powers it supports."""
+
+    @pytest.mark.parametrize("name,d,message", [
+        ("kitaev", 1, "oracle dimension must be >= 2"),
+        ("dong", 1, "dong supports 2 <= d <= 4"),
+        ("dong", 5, "dong supports 2 <= d <= 4"),
+        ("neutraliser", 1, "neutraliser supports 2 <= d <= 4"),
+        ("neutraliser", 5, "neutraliser supports 2 <= d <= 4"),
+        ("conjugation", 1, "conjugation supports 2 <= d <= 4"),
+        ("conjugation", 5, "conjugation supports 2 <= d <= 4"),
+        ("transpose", 1, "transpose supports 2 <= d <= 4"),
+        ("transpose", 5, "transpose supports 2 <= d <= 4"),
+        ("inverse", 1, "inverse supports 2 <= d <= 3"),
+        ("inverse", 4, "inverse supports 2 <= d <= 3"),
+        ("spin-echo", 1, "spin-echo supports d in {2, 3}"),
+        ("spin-echo", 4, "spin-echo supports d in {2, 3}"),
+    ])
+    def test_builder_d_range(self, name, d, message):
+        with pytest.raises(ValueError) as info:
+            co.BUILDERS[name](d)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: co.chi_state(1), "chi_state supports 2 <= d <= 5 (dimension d^d)"),
+        (lambda: co.minor_isometry(1), "minor isometry needs d >= 2"),
+        (lambda: co.power_cUm(2, 0), "m must be a nonzero integer"),
+        (lambda: co.power_cUm(2, 10), "|m| must be at most 8"),
+        (lambda: co.build("power", 2), "power needs m"),
+        (lambda: co.build("bogus", 2), "unknown construction 'bogus'; choose from "
+                                       "['conjugation', 'dong', 'inverse', 'kitaev', "
+                                       "'neutraliser', 'spin-echo', 'transpose', 'power']"),
+    ], ids=["chi", "minor-isometry", "power-m-zero", "power-m-large", "power-no-m", "unknown"])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+
 class TestChiState:
     def test_d2_singlet(self):
         chi = co.chi_state(2)
@@ -333,6 +372,13 @@ class TestComposedRoot:
         ev = co.composed_root_cU(2, lambda u: np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="root"):
             ev.eval(np.diag([1.0, np.exp(0.2j)]))
+
+    def test_root_order_must_match_template(self):
+        # a d = 3 root map around the d = 2 template takes no oracle at all
+        with pytest.raises(ValueError, match="root order d = 3 does not match the "
+                                             "template's oracle dimension 2"):
+            co.ComposedRootEvaluator(d=3, root=lambda u: la.principal_root(u, 3),
+                                     inner=co.dong_cUd(2))
 
     def test_pointwise_exact_across_cut(self):
         # the phase selection jumps at the cut but each side remains an exact

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,28 @@ def matrix_strategy(n):
     return st.lists(finite, min_size=2 * n * n, max_size=2 * n * n).map(
         lambda xs: (np.array(xs[: n * n]) + 1j * np.array(xs[n * n :])).reshape(n, n)
     )
+
+
+class TestRejectedInputs:
+    """An input the linear algebra layer cannot take is a ValueError that says why."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: la.require_unitary(np.ones((3, 2, 3))),
+         "matrix must be a stack of square matrices, got shape (3, 2, 3)"),
+        (lambda: la.RegisterLayout.of([2, 1]), "factor dimension must be >= 2, got 1"),
+        (lambda: la.controlled_block(X, 2), "polarity must be 0 or 1"),
+        (lambda: la.controlled(X, 0, 1, [1], [3, 2]), "control factor must have dimension 2"),
+        (lambda: la.haar_unitary(0, 0), "dimension must be >= 1"),
+        (lambda: la.partial_trace(np.eye(3), [2, 2], [0]),
+         "matrix shape (3, 3) does not match layout dims (2, 2)"),
+        (lambda: la.partial_trace(np.eye(4), [2, 2], [2]), "keep index 2 out of range"),
+        (lambda: la.sym_minor(np.eye(6), 0, 0), "sym_minor supports n <= 5, got 6"),
+        (lambda: la.cofactor_matrix(np.eye(6)), "cofactor_matrix supports n <= 5, got 6"),
+    ], ids=["nonsquare-stack", "factor-dimension", "polarity", "nonqubit-control", "haar-0",
+            "partial-trace-shape", "keep-index", "minor-size", "cofactor-size"])
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestKron:

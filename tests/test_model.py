@@ -174,7 +174,15 @@ class TestRejectedInputs:
          "density matrix dimension mismatch"),
         (lambda: mo.apply_channel(trivial_alg(2), np.eye(2), np.diag([1.5, -0.5])),
          "not positive semidefinite"),
-    ], ids=["oracle-dimension", "alphabet", "state-dimension", "rho-dimension", "rho-not-psd"])
+        (lambda: mo.QueryLetter("sqrt", 1).apply(np.eye(2)), "unknown query letter sqrt"),
+        (lambda: mo.OracleAlgorithm("out-3", 2, RegisterLayout.of([2, 3], ["task", "anc"]), (),
+                                    task_out=(1,)),
+         "output task registers do not match the task space dimension"),
+        (lambda: mo.Task("custom", 2, 2).base(np.eye(2)), "task custom has no base evaluator"),
+        (lambda: mo.make_task("cUm", 2), "the controlled-power task needs m"),
+        (lambda: mo.make_task("bogus", 2), "unknown task bogus"),
+    ], ids=["oracle-dimension", "alphabet", "state-dimension", "rho-dimension", "rho-not-psd",
+            "query-letter", "task-out", "no-base", "needs-m", "unknown-task"])
     def test_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
@@ -286,8 +294,10 @@ class TestCheckExact:
         assert np.linalg.norm(g[1:]) < 1e-9
 
     def test_alphabet_mismatch_rejected(self):
-        alg = co.dong_cUd(2)  # uses id queries only, but conjugation space is d-dim
-        with pytest.raises(ValueError):
+        # the task spaces agree, so the check stops at the inverse query
+        alg = mo.OracleAlgorithm("inv-only", 2, la.RegisterLayout.of([2], ["task"]),
+                                 (mo.QueryStep(mo.INV, (0,)),))
+        with pytest.raises(ValueError, match="alphabet"):
             mo.check_exact(alg, mo.conjugation_task(2), la.haar_unitary(2, 0))
 
     def test_inverse_phase_convention(self):

@@ -334,6 +334,10 @@ class TestSphereGrid:
         norms = np.linalg.norm(grid.points, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
+    def test_resolution_guard(self):
+        with pytest.raises(ValueError, match="^grid resolution must be >= 2$"):
+            tp.sphere_grid(1)
+
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_points_match_the_loop_construction(self, n):
         # the point order and every bit of each point, against a loop over
