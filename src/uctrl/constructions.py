@@ -93,15 +93,38 @@ def _query_sandwich(v: np.ndarray, factors: tuple[int, ...]) -> tuple:
             FixedStep(la.dagger(v), factors))
 
 
+def _routed_query(d: int, letter, anc: int) -> tuple:
+    """Kitaev's routed query: a ``letter`` query on the task qudit 1, with the
+    qubit control 0 swapping qudit ``anc`` in for it on its 0 branch."""
+    cswap = FixedStep(_cswap_block(d), (0, 1, anc))
+    return (cswap, QueryStep(letter, (1,)), cswap)
+
+
+def _bell_projector(d: int, zeros: int) -> np.ndarray:
+    """Projector onto the Bell state of two qudits beside ``zeros`` qudits
+    in |0...0>."""
+    psi = bell_state(d)
+    return la.kron(np.outer(psi, psi.conj()), zero_projector(d ** zeros))
+
+
+def _teleported(name: str, d: int, block: tuple, extra: tuple[int, ...]) -> OracleAlgorithm:
+    """Teleportation ricochet: ``block`` acts on the bridge qudit 1 (and on
+    ``extra``) of a Bell pair on (1, 2); postselecting (input 0, bridge 1)
+    on the Bell state, and ``extra`` on |0...0>, leaves the output on 2."""
+    layout = RegisterLayout.of([d] * (3 + len(extra)), ["task"] + ["anc"] * (2 + len(extra)))
+    steps = (FixedStep(bell_prep_unitary(d), (1, 2)), *block)
+    return OracleAlgorithm(name, d, layout, steps,
+                           projector=(_bell_projector(d, len(extra)), (0, 1) + extra),
+                           task_out=(2,))
+
+
 def kitaev_cswap(d: int) -> OracleAlgorithm:
     """Single-query controlled routing: the query hits the task qudit on the
     control-1 branch and an ancilla qudit on the control-0 branch."""
     if d < 2:
         raise ValueError("oracle dimension must be >= 2")
     layout = RegisterLayout.of([2, d, d], ["control", "task", "anc"])
-    cswap = FixedStep(_cswap_block(d), (0, 1, 2))
-    steps = (cswap, QueryStep(ID, (1,)), cswap)
-    return OracleAlgorithm("kitaev", d, layout, steps)
+    return OracleAlgorithm("kitaev", d, layout, _routed_query(d, ID, 2))
 
 
 def neutraliser_parallel(d: int) -> OracleAlgorithm:
@@ -119,12 +142,8 @@ def _dong_steps(d: int, letter) -> tuple:
     d controlled-swap-routed queries on the task qudit."""
     anc = tuple(range(2, 2 + d))
     v = chi_prep_unitary(d)
-    steps = [FixedStep(v, anc)]
-    for i in range(d):
-        cswap = FixedStep(_cswap_block(d), (0, 1, 2 + i))
-        steps += [cswap, QueryStep(letter, (1,)), cswap]
-    steps.append(FixedStep(la.dagger(v), anc))
-    return tuple(steps)
+    routed = (step for a in anc for step in _routed_query(d, letter, a))
+    return (FixedStep(v, anc), *routed, FixedStep(la.dagger(v), anc))
 
 
 def dong_cUd(d: int) -> OracleAlgorithm:
@@ -174,15 +193,7 @@ def transpose_via_teleport(d: int) -> OracleAlgorithm:
     state; the output register is the far half of the pair."""
     if not 2 <= d <= 4:
         raise ValueError("transpose supports 2 <= d <= 4")
-    layout = RegisterLayout.of([d, d, d], ["task", "anc", "anc"])
-    psi = bell_state(d)
-    steps = (
-        FixedStep(bell_prep_unitary(d), (1, 2)),
-        QueryStep(ID, (1,)),
-    )
-    projector = (np.outer(psi, psi.conj()), (0, 1))
-    return OracleAlgorithm("transpose", d, layout, steps,
-                           projector=projector, task_out=(2,))
+    return _teleported("transpose", d, (QueryStep(ID, (1,)),), ())
 
 
 def inverse(d: int) -> OracleAlgorithm:
@@ -191,16 +202,8 @@ def inverse(d: int) -> OracleAlgorithm:
     output register.  Makes d-1 queries and succeeds with probability 1/d^2."""
     if not 2 <= d <= 3:
         raise ValueError("inverse supports 2 <= d <= 3")
-    conj_factors = (1,) + tuple(range(3, 3 + d - 2))
-    layout = RegisterLayout.of([d, d, d] + [d] * (d - 2),
-                               ["task", "anc", "anc"] + ["anc"] * (d - 2))
-    psi = bell_state(d)
-    steps = (FixedStep(bell_prep_unitary(d), (1, 2)),
-             *_query_sandwich(conj_prep_unitary(d), conj_factors))
-    proj_op = la.kron(np.outer(psi, psi.conj()), zero_projector(d ** (d - 2)))
-    proj_targets = (0, 1) + tuple(range(3, 3 + d - 2))
-    return OracleAlgorithm("inverse", d, layout, steps,
-                           projector=(proj_op, proj_targets), task_out=(2,))
+    extra = tuple(range(3, d + 1))
+    return _teleported("inverse", d, _query_sandwich(conj_prep_unitary(d), (1,) + extra), extra)
 
 
 def spin_echo_cUd(d: int) -> OracleAlgorithm:
@@ -214,20 +217,17 @@ def spin_echo_cUd(d: int) -> OracleAlgorithm:
                                ["control", "task"] + ["anc"] * d)
     conj_factors = tuple(range(2, d + 1))
     v = conj_prep_unitary(d)
-    psi = bell_state(d)
-    steps = [
+    steps = (
         QueryStep(ID, (1,)),
         FixedStep(bell_prep_unitary(d), (2, d + 1)),
         FixedStep(la.controlled_block(v, 0), (0,) + conj_factors),
-    ]
-    for i in range(1, d):
-        cswap = FixedStep(_cswap_block(d), (0, 1, 1 + i))
-        steps += [cswap, QueryStep(ID, (1,)), cswap]
-    steps.append(FixedStep(la.controlled_block(la.dagger(v), 0), (0,) + conj_factors))
-    proj_op = la.kron(np.outer(psi, psi.conj()), zero_projector(d ** (d - 2)))
-    proj_targets = (1, 2) + tuple(range(3, d + 1))
-    return OracleAlgorithm("spin-echo", d, layout, tuple(steps),
-                           projector=(proj_op, proj_targets), task_out=(0, d + 1))
+        *(step for a in conj_factors for step in _routed_query(d, ID, a)),
+        # not dagger(controlled_block(v)): that flips the sign of imaginary zeros
+        FixedStep(la.controlled_block(la.dagger(v), 0), (0,) + conj_factors),
+    )
+    return OracleAlgorithm("spin-echo", d, layout, steps,
+                           projector=(_bell_projector(d, d - 2), (1,) + conj_factors),
+                           task_out=(0, d + 1))
 
 
 @dataclass

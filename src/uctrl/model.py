@@ -908,8 +908,8 @@ def lipschitz_check(alg, u: np.ndarray, v: np.ndarray) -> bool:
     if not hasattr(alg, "query_count"):
         raise ValueError(f"the Lipschitz check needs an oracle program; "
                          f"{alg.name} has no query count")
-    diff = la.spectral_norm(alg.eval(u) - alg.eval(v))
-    return diff <= alg.query_count * la.spectral_norm(np.asarray(u) - np.asarray(v)) + 1e-9
+    tol = alg.query_count * la.spectral_norm(np.asarray(u) - np.asarray(v)) + 1e-9
+    return la.norm_within(alg.eval(u) - alg.eval(v), tol)
 
 
 # -- circuit IR ------------------------------------------------------------------

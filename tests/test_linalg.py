@@ -220,6 +220,9 @@ class TestNorms:
         with pytest.raises(ValueError, match="square"):
             la.trace_norm(np.ones((4, 2, 3)))
 
+    def test_spectral_norm_of_empty_matrix(self):
+        assert la.spectral_norm(np.zeros((0, 3))) == 0.0
+
     @settings(max_examples=20, deadline=None)
     @given(matrix_strategy(3), matrix_strategy(3))
     def test_tracenorm_opnorm_submultiplicative(self, x, y):

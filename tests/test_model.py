@@ -375,6 +375,13 @@ class TestAffineMember:
         np.testing.assert_array_equal(task.member(us, np.zeros(3)), task.member(us, None))
         np.testing.assert_array_equal(task.member(us[0], 0.0), task.member(us[0], None))
 
+    @pytest.mark.parametrize("d,m", [(2, 2), (2, -1), (3, 3)])
+    def test_controlled_power_base_is_member_without_phase(self, d, m):
+        task = mo.cum_task(d, m)
+        us = np.stack(la.haar_unitaries(d, 3, 978))
+        np.testing.assert_array_equal(task.base(us), task.member(us, None))
+        np.testing.assert_array_equal(task.base(us[0]), task.member(us[0], None))
+
 
 class TestPureDeviation:
     def test_exact_achiever_zero(self):

@@ -21,6 +21,16 @@ def principal_sqrt(u):
     return la.principal_root(u, 2)
 
 
+def _vanishing(factor: int) -> mo.OracleAlgorithm:
+    """One query on a [2, 2] control/task layout, postselected on |1> of
+    ``factor``: under the identity oracle no input with that factor at |0>
+    survives."""
+    layout = la.RegisterLayout.of([2, 2], ["control", "task"])
+    projector = (np.diag([0, 1]).astype(complex), (factor,))
+    return mo.OracleAlgorithm("vanishing", 2, layout, (mo.QueryStep(mo.ID, (1,)),),
+                              projector=projector)
+
+
 class TestCentralLoop:
     def test_endpoints(self):
         us = tp.central_loop(3, 16)
@@ -84,6 +94,11 @@ class TestExtractFplus:
         alg = mo.OracleAlgorithm("control-second", 2, base.layout, base.steps, task_out=(2, 0))
         with pytest.raises(ValueError, match="leading the output factors"):
             tp.extract_fplus(alg, la.haar_unitary(2, 2111), 1)
+
+    def test_vanished_probability_raises(self):
+        with pytest.raises(mo.ModelViolationError,
+                           match="^plus-control postselection probability vanished$"):
+            tp.extract_fplus(_vanishing(1), np.eye(2, dtype=complex), 1)
 
 
 def _task_last(alg):
@@ -164,6 +179,11 @@ class TestNeutralPhase:
         with pytest.raises(ValueError, match=r"^neutral_phase takes one \(2, 2\) oracle, "
                                              r"got shape \(3, 2, 2\)$"):
             tp.neutral_phase(co.neutraliser_parallel(2), us)
+
+    def test_vanished_probability_raises(self):
+        with pytest.raises(mo.ModelViolationError,
+                           match="^all-zero postselection probability vanished$"):
+            tp.neutral_phase(_vanishing(0), np.eye(2, dtype=complex))
 
 
 class TestWinding:
