@@ -351,10 +351,13 @@ def perm_sign(images) -> int:
 
 @lru_cache(maxsize=None)
 def signed_permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All permutations of 0..n-1 with their signs, as arrays."""
+    """All permutations of 0..n-1 with their signs, as read-only arrays
+    (every caller shares the cached pair)."""
     perms = list(itertools.permutations(range(n)))
-    signs = np.array([perm_sign(p) for p in perms], dtype=float)
-    return np.array(perms, dtype=np.intp), signs
+    table = np.array(perms, dtype=np.intp), np.array([perm_sign(p) for p in perms], dtype=float)
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def sym_det(m: np.ndarray) -> complex:

@@ -118,6 +118,8 @@ class OracleAlgorithm:
                                    what=f"fixed step in {self.name}")
                 ops.append((op, la.check_targets(op, s.targets, self.dims), moved))
             else:
+                if s.letter not in LETTERS.values():
+                    raise ValueError(f"unknown query letter {s.letter} in {self.name}")
                 sub = la.target_dim(s.targets, self.dims)
                 if sub != self.oracle_dim:
                     raise ValueError(
@@ -461,6 +463,9 @@ def _fit_residual(bp: np.ndarray, t_mat: np.ndarray, g: np.ndarray) -> np.ndarra
 
 
 def _check_compat(alg, task: Task):
+    """Raise ``ValueError`` unless a checker, or a phase witness for the
+    controlled power, can read ``alg`` against ``task``: the one rule of
+    what every such reader takes."""
     if alg.h_dim != task.dim:
         raise ValueError(
             f"task space mismatch: program has dimension {alg.h_dim}, task wants {task.dim}")
@@ -469,6 +474,11 @@ def _check_compat(alg, task: Task):
     letters = {l.name for l in getattr(alg, "query_letters", ())}
     if not letters <= set(task.alphabet):
         raise ValueError(f"program queries {letters} outside the task alphabet {task.alphabet}")
+    # the controlled-power family reads task space and output as (control) (x) (task)
+    if task.control_power is not None and not (
+            alg.layout.control_index == alg.h_factors[0] == alg.out_factors[0]):
+        raise ValueError("the controlled-power task needs the control qubit leading the "
+                         "task input factors and leading the output factors")
 
 
 def check_exact(alg, task: Task, u: np.ndarray,

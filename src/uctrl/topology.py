@@ -18,12 +18,12 @@ from typing import Callable
 import numpy as np
 
 from . import linalg as la
-from .model import ModelViolationError, _one_oracle, out_split, over_stack, unitary_power
+from .model import (ModelViolationError, _check_compat, _one_oracle, cum_task, out_split,
+                    over_stack, unitary_power)
 
 STEP_BOUND = math.pi / 2
 ABS_FLOOR = 1e-12
 K_MAX = 2 ** 14
-WINDING_ROUND_TOL = 0.05
 
 
 def central_loop(d: int, K: int) -> np.ndarray:
@@ -38,13 +38,9 @@ def central_loop(d: int, K: int) -> np.ndarray:
 def _over_stack(witness, alg, u, m: int, width: int):
     """``witness(alg, us, m)`` through ``model.over_stack``: a (d, d) oracle
     gives a complex, a (K, d, d) stack K values, in slices of at most
-    ``model.SLICE_ENTRIES`` entries, ``width`` entries per oracle."""
-    if alg.layout.control_index != 0 or alg.out_factors[0] != 0:
-        raise ValueError("phase extraction needs the control qubit as factor 0, "
-                         "leading the output factors")
-    if alg.h_dim != 2 * alg.oracle_dim:
-        raise ValueError(f"phase extraction needs a d-dimensional task input beside the control: "
-                         f"task-space dimension 2d = {2 * alg.oracle_dim}, got {alg.h_dim}")
+    ``model.SLICE_ENTRIES`` entries, ``width`` entries per oracle.  The
+    program must pass the checkers' gate for the controlled m-th power."""
+    _check_compat(alg, cum_task(alg.oracle_dim, m))
     return over_stack(lambda s: witness(alg, s, m), u, alg.oracle_dim, width)
 
 
@@ -157,13 +153,9 @@ def loop_trace(f: Callable[[np.ndarray], complex], d: int, K: int, *,
     winding = None
     jump = None
     if valid:
-        raw = (unwrapped[-1] - unwrapped[0]) / (2 * np.pi)
-        nearest = round(raw)
-        if abs(raw - nearest) < WINDING_ROUND_TOL:
-            winding = int(nearest)
-        else:
-            valid = False
-    if not valid:
+        # the steps of a closed loop sum to 2 pi n up to rounding, so round
+        winding = int(round((unwrapped[-1] - unwrapped[0]) / (2 * np.pi)))
+    else:
         bad = int(np.argmax(np.abs(steps)))
         jump = float((bad + 1) / K) if max_step >= STEP_BOUND else float(np.argmin(mags) / K)
     return LoopTrace(d=d, K=K, ts=ts, values=values, unwrapped=unwrapped,

@@ -524,6 +524,24 @@ class TestInputErrors:
         assert "allocate" in self._input_error(code, capsys)
 
 
+    @pytest.mark.parametrize("command,flags", [
+        ("verify", ["--samples", 2]),
+        ("sweep", ["--grid", "diag:4"]),
+    ], ids=["verify", "sweep"])
+    def test_control_behind_task(self, command, flags, tmp_path, capsys):
+        # dong d = 2 with its control and task factors swapped and every
+        # target remapped: the same circuit, its control behind the task
+        ir = mo.to_ir(co.build("dong", 2))
+        ir["layout"][:2] = ir["layout"][1::-1]
+        for step in ir["steps"]:
+            step["targets"] = [{0: 1, 1: 0}.get(t, t) for t in step["targets"]]
+        path = tmp_path / "ctrl2.json"
+        path.write_text(json.dumps(ir))
+        code = run(command, path, "--task", "cUm", "--m", 2, "--d", 2, *flags,
+                   "--out", tmp_path / "out")
+        assert "leading the output factors" in self._input_error(code, capsys)
+
+
 class TestConsecutiveCalls:
     """``main`` reuses one parser; each call parses, exits and reports as a
     freshly built parser does."""

@@ -391,6 +391,15 @@ class TestSymDet:
             la.sym_det(np.eye(7))
 
 
+class TestSignedPermutations:
+    def test_shared_table_is_read_only(self):
+        # every caller gets the same cached arrays, so none may write them
+        # (the write puts back the same values, so a writable table survives)
+        for a in la.signed_permutations(3):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0].copy()
+
+
 class TestPermSign:
     def test_known_signs(self):
         assert la.perm_sign((0, 1, 2)) == 1

@@ -1,6 +1,7 @@
 """Tests for the oracle-program model and its verification predicates."""
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import tempfile
@@ -37,6 +38,18 @@ def nonclean_dong2() -> mo.OracleAlgorithm:
     base = co.dong_cUd(2)
     steps = base.steps + (mo.QueryStep(mo.ID, (2,)),)
     return mo.OracleAlgorithm("dong-nonclean", 2, base.layout, steps)
+
+
+def control_second(alg: mo.OracleAlgorithm) -> mo.OracleAlgorithm:
+    """The same circuit with factors 0 and 1 (control and task) swapped in
+    the layout and in every target, for a program with neither projector
+    nor output registers: its control sits behind its task factor."""
+    swap = {0: 1, 1: 0}
+    factors = alg.layout.factors
+    steps = tuple(dataclasses.replace(s, targets=tuple(swap.get(t, t) for t in s.targets))
+                  for s in alg.steps)
+    return mo.OracleAlgorithm(alg.name, alg.oracle_dim,
+                              RegisterLayout((factors[1], factors[0], *factors[2:])), steps)
 
 
 def postselect_to_zero(d: int) -> mo.OracleAlgorithm:
@@ -181,8 +194,39 @@ class TestRejectedInputs:
         (lambda: mo.Task("custom", 2, 2).base(np.eye(2)), "task custom has no base evaluator"),
         (lambda: mo.make_task("cUm", 2), "the controlled-power task needs m"),
         (lambda: mo.make_task("bogus", 2), "unknown task bogus"),
+        # the controlled-power family needs the control leading the task
+        # input factors and the output factors
+        (lambda: mo.check_exact(control_second(co.dong_cUd(2)), mo.cum_task(2, 2), np.eye(2)),
+         "leading the output factors"),
+        (lambda: mo.eps_distance_estimate(control_second(co.dong_cUd(2)), mo.cum_task(2, 2),
+                                          np.eye(2)),
+         "leading the output factors"),
+        (lambda: mo.pure_deviation(control_second(co.dong_cUd(2)), mo.cum_task(2, 2), np.eye(2)),
+         "leading the output factors"),
+        (lambda: mo.check_clean(control_second(co.dong_cUd(2)), mo.cum_task(2, 2), [np.eye(2)]),
+         "leading the output factors"),
+        (lambda: mo.check_exact(mo.OracleAlgorithm("control-second-out", 2,
+                                                   co.kitaev_cswap(2).layout,
+                                                   co.kitaev_cswap(2).steps, task_out=(2, 0)),
+                                mo.cum_task(2, 1), np.eye(2)),
+         "leading the output factors"),
+        (lambda: mo.check_exact(mo.OracleAlgorithm("no-control", 2,
+                                                   RegisterLayout.of([2, 2], ["task", "task"]),
+                                                   (mo.QueryStep(mo.ID, (1,)),)),
+                                mo.cum_task(2, 1), np.eye(2)),
+         "leading the output factors"),
+        # a query letter is one of LETTERS, name and degree both
+        (lambda: mo.OracleAlgorithm("sq", 2, RegisterLayout.of([2], ["task"]),
+                                    (mo.QueryStep(mo.QueryLetter("sq", 2), (0,)),)),
+         r"unknown query letter QueryLetter\(name='sq', degree=2\) in sq"),
+        (lambda: mo.OracleAlgorithm("id-1", 2, RegisterLayout.of([2], ["task"]),
+                                    (mo.QueryStep(mo.QueryLetter("id", -1), (0,)),)),
+         r"unknown query letter QueryLetter\(name='id', degree=-1\) in id-1"),
     ], ids=["oracle-dimension", "alphabet", "state-dimension", "rho-dimension", "rho-not-psd",
-            "query-letter", "task-out", "no-base", "needs-m", "unknown-task"])
+            "query-letter", "task-out", "no-base", "needs-m", "unknown-task",
+            "control-second-exact", "control-second-eps", "control-second-deviation",
+            "control-second-clean", "output-control-second", "no-control",
+            "letter-unknown-name", "letter-wrong-degree"])
     def test_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()

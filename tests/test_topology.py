@@ -101,15 +101,19 @@ class TestExtractFplus:
             tp.extract_fplus(_vanishing(1), np.eye(2, dtype=complex), 1)
 
 
-def _task_last(alg):
-    """The same program with its task factor (factor 1) moved behind the
-    ancillas, for a program with neither projector nor output registers."""
-    order = [0, *range(2, len(alg.dims)), 1]
+def _reordered(alg, order):
+    """The same program with its factors in ``order`` (old factor indices),
+    for a program with neither projector nor output registers."""
     new = {old: i for i, old in enumerate(order)}
     layout = la.RegisterLayout(tuple(alg.layout.factors[f] for f in order))
     steps = tuple(dataclasses.replace(s, targets=tuple(new[t] for t in s.targets))
                   for s in alg.steps)
     return mo.OracleAlgorithm(alg.name, alg.oracle_dim, layout, steps)
+
+
+def _task_last(alg):
+    """The program with its task factor (factor 1) moved behind the ancillas."""
+    return _reordered(alg, [0, *range(2, len(alg.dims)), 1])
 
 
 class TestTaskInputLayout:
@@ -144,18 +148,38 @@ class TestTaskInputLayout:
         assert abs(moved.pop("min_abs") - standard.pop("min_abs")) < 1e-12
         assert moved == standard
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ancilla_first(self, d, tmp_path):
+        # an ancilla ahead of the control, which still leads the task input
+        # and output factors: the witnesses and the probe read it as dong
+        alg = co.dong_cUd(d)
+        first = _reordered(alg, [2, 0, 1, *range(3, len(alg.dims))])
+        assert first.layout.control_index == 1 and first.h_factors == (1, 2)
+        loop = tp.central_loop(d, 64)
+        for extract in (tp.extract_h, tp.extract_fplus):
+            np.testing.assert_array_equal(extract(first, loop, d), extract(alg, loop, d))
+        outputs = []
+        for label, prog in (("standard", alg), ("ancilla-first", first)):
+            mo.write_ir(prog, tmp_path / f"{label}.json")
+            code = cli.main(["probe", str(tmp_path / f"{label}.json"), "--m", str(d),
+                             "--d", str(d), "--K", "32", "--out", str(tmp_path / label)])
+            assert code == cli.EXIT_OK
+            outputs.append([(tmp_path / f"{label}{ext}").read_bytes() for ext in (".json", ".csv")])
+        assert outputs[0] == outputs[1]
+
     def test_wider_task_input_rejected(self, tmp_path, capsys):
         # control at factor 0, but a 4-dimensional task input (two task qubits) at d = 2
         wide = mo.OracleAlgorithm("wide", 2, la.RegisterLayout.of([2, 2, 2], ["control", "task", "task"]),
                                   co.kitaev_cswap(2).steps)
         for extract in (tp.extract_h, tp.extract_fplus):
-            with pytest.raises(ValueError, match=r"task-space dimension 2d = 4, got 8"):
+            with pytest.raises(ValueError,
+                               match="task space mismatch: program has dimension 8, task wants 4"):
                 extract(wide, la.haar_unitary(2, 2120), 1)
         mo.write_ir(wide, tmp_path / "wide.json")
         code = cli.main(["probe", str(tmp_path / "wide.json"), "--m", "1", "--d", "2",
                          "--out", str(tmp_path / "probe")])
         assert code == cli.EXIT_INPUT_ERROR
-        assert "task-space dimension 2d = 4, got 8" in capsys.readouterr().err
+        assert "task space mismatch: program has dimension 8, task wants 4" in capsys.readouterr().err
 
 
 class TestNeutralPhase:
