@@ -111,8 +111,9 @@ class RegisterLayout:
     @classmethod
     def of(cls, dims, roles=None) -> "RegisterLayout":
         dims = tuple(int(d) for d in dims)
-        if roles is None:
-            roles = ["anc"] * len(dims)
+        roles = ["anc"] * len(dims) if roles is None else list(roles)
+        if len(roles) != len(dims):
+            raise ValueError(f"{len(dims)} factor dimensions but {len(roles)} roles")
         return cls(tuple(zip(dims, roles)))
 
     # derived once per layout; equality and hashing still use ``factors`` only
@@ -403,18 +404,6 @@ def cofactor_matrix(m: np.ndarray) -> np.ndarray:
     return a.T @ g @ a / math.factorial(n - 1)
 
 
-# The batched root diagonalises a unitary U through the Hermitian matrix
-# (U + U^dagger)/2 + ROOT_MIX (U - U^dagger)/(2i), which shares U's
-# eigenvectors; the irrational mix keeps distinct eigenvalues e^{i theta}
-# apart in cos(theta) + ROOT_MIX sin(theta) but for a measure-zero set of
-# spectra.  ROOT_RECON_TOL bounds the Frobenius norm of the reconstruction
-# defect; near-collisions in that spectrum put the eigenvectors off by far
-# more than UNITARY_TOL allows for a root that must match the Schur one.
-ROOT_MIX = math.sqrt(2.0) - 1.0
-ROOT_RECON_TOL = 1e-13
-ROOT_CUT_GUARD = 1e-8
-
-
 def principal_root(u: np.ndarray, k: int) -> np.ndarray:
     """k-th root of a unitary through the principal branch: each eigenvalue
     e^{i theta} with theta in (-pi, pi] maps to e^{i theta / k}.
@@ -422,40 +411,30 @@ def principal_root(u: np.ndarray, k: int) -> np.ndarray:
     Discontinuous where an eigenvalue crosses -1; any orthonormal eigenbasis
     gives the same result since the map depends on the eigenvalue only.
 
-    A (B, n, n) stack is checked unitary in one pass (the error names the
-    first bad index) and diagonalised by one batched ``eigh`` of the mixed
-    Hermitian part (see ``ROOT_MIX``); the samples it does not settle within
-    ``ROOT_RECON_TOL``, and those with an eigenvalue within
-    ``ROOT_CUT_GUARD`` of the branch cut, go through the Schur path of a
-    single matrix, so the branch choice at the cut is the same either way.
+    A single (n, n) matrix is the stack of one; a (B, n, n) stack is checked
+    unitary in one pass (the error names the first bad index).  Each U is
+    turned by the phase that puts the middle of the widest gap between its
+    eigenvalue angles at -1, so the turned W keeps every eigenvalue at least
+    pi/n from -1.  One batched ``eigh`` of the Cayley transform
+    i(I - W)(I + W)^-1 then diagonalises U: it is Hermitian with eigenvalues
+    tan(theta_W / 2), strictly increasing in theta_W, so distinct eigenvalues
+    of U stay distinct and its norm is at most cot(pi / 2n).  The branch at
+    the cut follows the rounding of each eigenvalue's angle.
     """
     if k < 1:
         raise ValueError("root order must be >= 1")
     u = require_unitary(u, what="principal_root input")
-    if u.ndim == 2:
-        return _schur_root(u, k)
-    uh = dagger(u)
-    herm = (u + uh) * 0.5 + (u - uh) * (-0.5j * ROOT_MIX)
-    v = np.linalg.eigh(herm)[1]
-    lam = np.einsum("bji,bjl,bli->bi", v.conj(), u, v)
-    recon = (v * lam[:, None, :]) @ dagger(v)
-    schur = ((np.linalg.norm(recon - u, axis=(-2, -1)) > ROOT_RECON_TOL)
-             | (np.abs(lam + 1.0) <= ROOT_CUT_GUARD).any(axis=-1))
+    n = u.shape[-1]
+    us = u.reshape(-1, n, n)
+    theta = np.sort(np.angle(np.linalg.eigvals(us)))
+    gaps = np.concatenate([theta[:, 1:], theta[:, :1] + 2.0 * np.pi], axis=-1) - theta
+    mid = (theta + 0.5 * gaps)[np.arange(len(us)), gaps.argmax(axis=-1)]
+    w = us * np.exp(1j * (np.pi - mid))[:, None, None]
+    eye = np.eye(n)
+    v = np.linalg.eigh(1j * np.linalg.solve(eye + w, eye - w))[1]
+    lam = np.einsum("bji,bjl,bli->bi", v.conj(), us, v)
     out = (v * np.exp(1j * np.angle(lam) / k)[:, None, :]) @ dagger(v)
-    for b in np.flatnonzero(schur):
-        out[b] = _schur_root(u[b], k)
-    return out
-
-
-def _schur_root(u: np.ndarray, k: int) -> np.ndarray:
-    """Principal k-th root of one unitary (n, n) from its complex Schur form.
-    scipy is imported here, on the first call, so that a run that takes no
-    single-matrix root never loads it."""
-    import scipy.linalg
-
-    t, q = scipy.linalg.schur(u, output="complex")
-    theta = np.angle(np.diagonal(t))
-    return (q * np.exp(1j * theta / k)) @ dagger(q)
+    return out.reshape(u.shape)
 
 
 def partial_trace(m: np.ndarray, layout, keep) -> np.ndarray:

@@ -237,8 +237,8 @@ def test_composed_root_evaluator_resolves_template_attributes():
 
 
 def test_composed_root_probe_bit_identical_to_scalar_path():
-    # the stacked probe takes the batched root, the scalar loop the Schur
-    # root of each oracle: on the central loop they agree bit for bit
+    # the stacked probe takes the root of the whole stack, the scalar loop
+    # the root of each oracle alone: they agree bit for bit
     ev = co.composed_root_cU(2, principal_sqrt)
     rep = tp.dichotomy_probe(ev, 1, 2, K=256)
     scalar = tp.loop_trace(lambda u: tp.extract_h(ev, u, 1), 2, rep.K)

@@ -573,8 +573,9 @@ class TestConsecutiveCalls:
         assert len((tmp_path / "s.csv").read_text().splitlines()) == 3
 
 
-# a fresh interpreter: import uctrl, build and verify through cli.main, list
-# the scipy modules loaded so far, then take one single-matrix root
+# a fresh interpreter: the scipy modules loaded after importing uctrl and
+# uctrl.cli, building and verifying through cli.main, taking one
+# single-matrix root and probing the root-composed evaluator
 _START_UP = """
 import json, sys
 import numpy as np
@@ -593,25 +594,27 @@ codes = [cli.main(["build", "dong", "--d", "2", "--out", out + "/dong2.json"]),
 loaded["build, verify"] = scipy_modules()
 from uctrl import linalg as la
 np.save(out + "/root.npy", la.principal_root(la.haar_unitary(2, 5), 2))
-print(json.dumps({"codes": codes, "loaded": loaded,
-                  "scipy.linalg after a root": "scipy.linalg" in sys.modules}))
+loaded["a single-matrix root"] = scipy_modules()
+codes.append(cli.main(["probe", "root-composed", "--m", "1", "--d", "2", "--out", out + "/probe_root"]))
+loaded["probe root-composed"] = scipy_modules()
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 class TestStartUp:
-    """scipy serves only the single-matrix Schur root, and is imported on its
-    first call: a run that takes no such root never loads it.  The check
-    runs in a fresh interpreter, since other tests load scipy here."""
+    """uctrl runs on numpy alone: no command and no principal root loads
+    scipy.  The check runs in a fresh interpreter, since the tests' Schur
+    reference loads scipy here."""
 
-    def test_scipy_loaded_only_by_a_schur_root(self, tmp_path):
+    def test_no_scipy_at_run_time(self, tmp_path):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", _START_UP, str(tmp_path)], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         got = json.loads(proc.stdout.splitlines()[-1])
-        assert got["codes"] == [cli.EXIT_OK, cli.EXIT_OK]
-        assert got["loaded"] == {"import uctrl": [], "import uctrl.cli": [], "build, verify": []}
-        assert got["scipy.linalg after a root"]
+        assert got["codes"] == [cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_CHECK_FAILED]
+        assert got["loaded"] == {"import uctrl": [], "import uctrl.cli": [], "build, verify": [],
+                                 "a single-matrix root": [], "probe root-composed": []}
         np.testing.assert_array_equal(np.load(tmp_path / "root.npy"),
                                       la.principal_root(la.haar_unitary(2, 5), 2))
 

@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -505,12 +506,32 @@ class TestPrincipalRoot:
             la.principal_root(np.diag([1.0, 2.0]), 2)
 
 
+def schur_root(u, k):
+    """Reference principal k-th root of one unitary from its complex Schur form."""
+    t, q = scipy.linalg.schur(u, output="complex")
+    return (q * np.exp(1j * np.angle(np.diagonal(t)) / k)) @ la.dagger(q)
+
+
+def conjugated(angles, seed):
+    """The unitary with eigenvalues e^{i angles} in a Haar eigenbasis."""
+    w = la.haar_unitary(len(angles), seed)
+    return (w * np.exp(1j * np.asarray(angles))) @ la.dagger(w)
+
+
+# gamma = atan(sqrt(2) - 1): a mixed Hermitian part (U + U^dagger)/2 +
+# tan(gamma) (U - U^dagger)/(2i) takes one value at e^{i alpha} and
+# e^{i (2 gamma - alpha)}, and its turning points for the second mix
+# -1/tan(gamma) sit at 5 pi/8 and -3 pi/8
+GAMMA = math.pi / 8
+
+
 class TestBatchedPrincipalRoot:
-    """A (B, n, n) stack against the Schur path of one matrix at a time."""
+    """Stacks and single matrices against scipy's Schur root of one matrix at
+    a time."""
 
     @staticmethod
     def per_matrix(us, k):
-        return np.stack([la.principal_root(u, k) for u in us])
+        return np.stack([schur_root(u, k) for u in us])
 
     @pytest.mark.parametrize("d,K", [(2, 2 ** 14), (3, 256)])
     def test_central_loop_bit_identical(self, d, K):
@@ -519,35 +540,50 @@ class TestBatchedPrincipalRoot:
         assert got.shape == us.shape
         assert got.tobytes() == self.per_matrix(us, d).tobytes()
 
-    @pytest.mark.parametrize("d,n", [(2, 4096), (3, 2048), (4, 2048)])
+    @pytest.mark.parametrize("d,n", [(2, 4096), (3, 2048), (4, 2048), (8, 512)])
     def test_haar_stack_matches_schur(self, d, n):
         us = np.stack(la.haar_unitaries(d, n, 7000 + d))
         np.testing.assert_allclose(la.principal_root(us, d), self.per_matrix(us, d),
                                    rtol=0, atol=1e-12)
 
-    def test_degenerate_mix_falls_back_to_schur(self, monkeypatch):
-        # e^{i alpha} and e^{i (2 gamma - alpha)} with gamma = atan(ROOT_MIX)
-        # give the mixed Hermitian part one repeated eigenvalue, so its
-        # eigenbasis need not diagonalise U: that sample must take Schur
-        gamma = math.atan(la.ROOT_MIX)
+    def test_mixed_hermitian_collision_matches_schur(self):
+        # e^{i alpha} and e^{i (2 gamma - alpha)} collide in the mixed
+        # Hermitian part; they stay apart in the Cayley transform
         us = np.stack(la.haar_unitaries(2, 8, 7100))
         w = la.haar_unitary(2, 7101)
-        forced = [2, 5]
-        for b, alpha in zip(forced, (0.3, 2.5)):
-            us[b] = (w * np.exp(1j * np.array([alpha, 2 * gamma - alpha]))) @ w.conj().T
-        herm = (us + la.dagger(us)) / 2 + la.ROOT_MIX * (us - la.dagger(us)) / 2j
-        spec = np.linalg.eigvalsh(herm[forced])
-        assert np.all(spec[:, 1] - spec[:, 0] < 1e-12)
-        schur_calls = []
-        original = la._schur_root
-        monkeypatch.setattr(la, "_schur_root",
-                            lambda u, k: schur_calls.append(u) or original(u, k))
-        got = la.principal_root(us, 2)
-        assert len(schur_calls) == len(forced)
-        for u, b in zip(schur_calls, forced):
-            np.testing.assert_array_equal(u, us[b])
-        monkeypatch.undo()
-        np.testing.assert_allclose(got, self.per_matrix(us, 2), rtol=0, atol=1e-12)
+        for b, alpha in zip((2, 5), (0.3, 2.5)):
+            us[b] = (w * np.exp(1j * np.array([alpha, 2 * GAMMA - alpha]))) @ w.conj().T
+        np.testing.assert_allclose(la.principal_root(us, 2), self.per_matrix(us, 2),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    @pytest.mark.parametrize("centre", [math.pi / 8, 5 * math.pi / 8, 9 * math.pi / 8, 0.3, -2.0])
+    def test_cluster_matches_schur(self, d, centre):
+        # two eigenvalues delta apart, the rest spread over the circle
+        rest = list(np.random.default_rng(7300 + d).uniform(-math.pi, math.pi, d - 2))
+        us = np.stack([conjugated([centre - delta / 2, centre + delta / 2] + rest, 7310 + j)
+                       for j, delta in enumerate((0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3))])
+        np.testing.assert_allclose(la.principal_root(us, d), self.per_matrix(us, d),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_two_mix_trap_matches_schur(self, d):
+        # a collision under the first mix and a 1e-7 cluster at a turning
+        # point of the second
+        rest = [-2.0, -1.0][:d - 4]
+        angles = [0.3, 2 * GAMMA - 0.3, 5 * GAMMA, 5 * GAMMA + 1e-7] + rest
+        us = np.stack([conjugated(angles, 7400 + j) for j in range(8)])
+        for k in (4, 6):
+            np.testing.assert_allclose(la.principal_root(us, k), self.per_matrix(us, k),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_near_the_cut_matches_schur(self, side):
+        deltas = 10.0 ** np.arange(-13, -5)
+        us = np.stack([conjugated([math.pi + side * delta, 0.7 * j - 2.0], 7500 + j)
+                       for j, delta in enumerate(deltas)])
+        np.testing.assert_allclose(la.principal_root(us, 2), self.per_matrix(us, 2),
+                                   rtol=0, atol=1e-12)
 
     def test_branch_cut_neighbours_bit_identical(self):
         us = np.stack([np.diag([1.0, np.exp(1j * (np.pi + s * 1e-9))]) for s in (-1, 1)])
@@ -555,14 +591,27 @@ class TestBatchedPrincipalRoot:
         assert got.tobytes() == self.per_matrix(us, 2).tobytes()
         assert la.op_norm(got[0] - got[1]) >= 0.5
 
-    def test_eigenvalue_on_the_cut_takes_schur(self):
+    def test_eigenvalue_on_the_cut_either_branch(self):
         # an eigenvalue at -1 in a Haar basis: rounding puts it on either side
-        # of the cut, and the eigh and Schur paths need not pick the same side
+        # of the cut, the same side for a matrix alone and in a stack, and
+        # either side gives a root of U
         ws = la.haar_unitaries(2, 256, 7200)
         alphas = np.random.default_rng(7201).uniform(-3.0, 3.0, 256)
         us = np.stack([(w * np.exp(1j * np.array([a, np.pi]))) @ w.conj().T
                        for w, a in zip(ws, alphas)])
-        assert la.principal_root(us, 2).tobytes() == self.per_matrix(us, 2).tobytes()
+        got = la.principal_root(us, 2)
+        assert got.tobytes() == np.stack([la.principal_root(u, 2) for u in us]).tobytes()
+        np.testing.assert_allclose(got @ got, us, rtol=0, atol=1e-12)
+        assert np.abs(np.angle(np.linalg.eigvals(got))).max() <= np.pi / 2 + 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_single_is_the_stack_of_one(self, d):
+        us = np.stack(la.haar_unitaries(d, 64, 7600 + d))
+        got = la.principal_root(us, d)
+        assert got.tobytes() == np.stack([la.principal_root(u, d) for u in us]).tobytes()
+
+    def test_empty_stack(self):
+        assert la.principal_root(np.zeros((0, 3, 3), dtype=complex), 2).shape == (0, 3, 3)
 
     def test_bad_input_rejected(self):
         us = tp.central_loop(2, 16)
@@ -755,6 +804,8 @@ class TestLayout:
         assert lay.h_indices == (0, 1)
         assert lay.ancilla_indices == (2,)
         assert lay.total_dim == 18
+        with pytest.raises(ValueError, match="3 factor dimensions but 2 roles"):
+            la.RegisterLayout.of([2, 3, 3], ["control", "task"])
 
     def test_derived_values_computed_once(self):
         lay = la.RegisterLayout.of([2, 3, 3], ["control", "task", "anc"])
