@@ -198,17 +198,11 @@ def embed(op: np.ndarray, targets, layout) -> np.ndarray:
     order) and as the identity elsewhere."""
     dims = _as_dims(layout)
     targets = check_targets(op, targets, dims)
-    others = [i for i in range(len(dims)) if i not in targets]
-    rest = int(np.prod([dims[i] for i in others])) if others else 1
-    full = np.kron(np.asarray(op, dtype=complex), np.eye(rest))
-    order = list(targets) + others
-    pos = {f: k for k, f in enumerate(order)}
-    src = [dims[f] for f in order]
-    n = len(dims)
-    t = full.reshape(src + src)
-    axes = [pos[p] for p in range(n)] + [n + pos[p] for p in range(n)]
-    total = int(np.prod(dims))
-    return t.transpose(axes).reshape(total, total)
+    order = [*targets, *(i for i in range(len(dims)) if i not in targets)]
+    full = np.kron(np.asarray(op, dtype=complex), np.eye(math.prod(dims) // len(op)))
+    back = np.argsort(order)
+    t = full.reshape([dims[f] for f in order] * 2)
+    return t.transpose(*back, *(back + len(dims))).reshape(full.shape)
 
 
 def apply_to_factors(cols: np.ndarray, op: np.ndarray, targets, dims) -> np.ndarray:
@@ -254,6 +248,8 @@ def controlled(op: np.ndarray, ctrl: int, polarity: int, targets, layout) -> np.
     factor holds ``polarity``, identity on the other control value."""
     dims = _as_dims(layout)
     ctrl = int(ctrl)
+    if not 0 <= ctrl < len(dims):
+        raise ValueError(f"control factor {ctrl} outside layout of {len(dims)} factors")
     if dims[ctrl] != 2:
         raise ValueError("control factor must have dimension 2")
     if ctrl in tuple(targets):
@@ -264,11 +260,7 @@ def controlled(op: np.ndarray, ctrl: int, polarity: int, targets, layout) -> np.
 
 def swap_matrix(d: int) -> np.ndarray:
     """Exchange of two d-dimensional factors."""
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            m[j * d + i, i * d + j] = 1.0
-    return m
+    return np.eye(d * d, dtype=complex).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
 
 
 def trace_norm(m: np.ndarray) -> float | np.ndarray:
@@ -449,23 +441,12 @@ def partial_trace(m: np.ndarray, layout, keep) -> np.ndarray:
     for i in keep:
         if not 0 <= i < n:
             raise ValueError(f"keep index {i} out of range")
-    t = m.reshape(dims + dims)
-    row = list(range(n))
-    col = list(range(n))
-    out_row, out_col = [], []
-    nxt = n
-    for i in range(n):
-        if i in keep:
-            col[i] = nxt
-            nxt += 1
-        else:
-            col[i] = row[i]
-    for i in keep:
-        out_row.append(row[i])
-        out_col.append(col[i])
-    reduced = np.einsum(t, row + col, out_row + out_col)
-    kd = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return reduced.reshape(kd, kd)
+    if len(set(keep)) < len(keep):
+        raise ValueError(f"duplicate keep index {max(keep, key=keep.count)}")
+    order = list(keep) + [i for i in range(n) if i not in keep]
+    k = math.prod(dims[i] for i in keep)
+    t = m.reshape(dims + dims).transpose(order + [n + i for i in order])
+    return np.einsum("ajbj->ab", t.reshape(k, total // k, k, total // k))
 
 
 def complete_unitary(dim: int, pinned: dict[int, np.ndarray]) -> np.ndarray:

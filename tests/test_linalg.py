@@ -42,6 +42,19 @@ def leibniz_det(m: np.ndarray) -> complex:
 finite = st.floats(min_value=-3, max_value=3, allow_nan=False, allow_infinity=False)
 
 
+def factor_orders(dims):
+    """Every (dims, order) pair with order a tuple of distinct factors, the
+    empty one and all orders of all of them included."""
+    return [(dims, order) for r in range(len(dims) + 1)
+            for order in itertools.permutations(range(len(dims)), r)]
+
+
+def digits(index, dims, factors):
+    """Flat index of the listed factors' digits of a full-space index."""
+    digit = np.unravel_index(index, dims)
+    return int(np.ravel_multi_index([digit[f] for f in factors], [dims[f] for f in factors]))
+
+
 def matrix_strategy(n):
     return st.lists(finite, min_size=2 * n * n, max_size=2 * n * n).map(
         lambda xs: (np.array(xs[: n * n]) + 1j * np.array(xs[n * n :])).reshape(n, n)
@@ -63,8 +76,11 @@ class TestRejectedInputs:
         (lambda: la.partial_trace(np.eye(4), [2, 2], [2]), "keep index 2 out of range"),
         (lambda: la.sym_minor(np.eye(6), 0, 0), "sym_minor supports n <= 5, got 6"),
         (lambda: la.cofactor_matrix(np.eye(6)), "cofactor_matrix supports n <= 5, got 6"),
+        (lambda: la.partial_trace(np.eye(4), [2, 2], [0, 0]), "duplicate keep index 0"),
+        (lambda: la.controlled(X, 5, 1, [1], [2, 2]), "control factor 5 outside layout of 2 factors"),
     ], ids=["nonsquare-stack", "factor-dimension", "polarity", "nonqubit-control", "haar-0",
-            "partial-trace-shape", "keep-index", "minor-size", "cofactor-size"])
+            "partial-trace-shape", "keep-index", "minor-size", "cofactor-size",
+            "keep-duplicate", "control-index"])
     def test_rejected(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
@@ -130,6 +146,19 @@ class TestEmbed:
             la.embed(X, [0, 0], [2, 2])
         with pytest.raises(ValueError):
             la.embed(X, [0], [3, 3])
+
+    @pytest.mark.parametrize("dims,targets", factor_orders((2, 3, 2)) + factor_orders((2, 2, 3)))
+    def test_every_target_order_matches_digit_maps(self, dims, targets):
+        # entry (r, c) is op's entry on the targets' digits when every other
+        # factor's digit agrees, and 0 otherwise
+        n = math.prod(dims)
+        rest = [f for f in range(len(dims)) if f not in targets]
+        op = random_complex(np.random.default_rng(len(targets)), la.target_dim(targets, dims))
+        expected = np.zeros((n, n), dtype=complex)
+        for r, c in itertools.product(range(n), repeat=2):
+            if digits(r, dims, rest) == digits(c, dims, rest):
+                expected[r, c] = op[digits(r, dims, targets), digits(c, dims, targets)]
+        np.testing.assert_array_equal(la.embed(op, targets, dims), expected)
 
 
 class TestApplyToFactors:
@@ -652,6 +681,31 @@ class TestPartialTrace:
         m = la.kron(a, b)
         out = la.partial_trace(m, [2, 3], keep=[1, 0])
         np.testing.assert_allclose(out, la.kron(b, a), atol=1e-12)
+
+    @pytest.mark.parametrize("dims,keep", factor_orders((2, 3, 2)) + factor_orders((2, 2, 3)))
+    def test_every_keep_order_matches_digit_sum(self, dims, keep):
+        # out[a, b] sums m[r, c] over the (r, c) whose kept digits are a and b
+        # and whose traced digits agree
+        n = math.prod(dims)
+        rest = [f for f in range(len(dims)) if f not in keep]
+        m = random_complex(np.random.default_rng(20), n)
+        k = math.prod(dims[f] for f in keep)
+        expected = np.zeros((k, k), dtype=complex)
+        for r, c in itertools.product(range(n), repeat=2):
+            if digits(r, dims, rest) == digits(c, dims, rest):
+                expected[digits(r, dims, keep), digits(c, dims, keep)] += m[r, c]
+        np.testing.assert_allclose(la.partial_trace(m, dims, keep), expected, rtol=0, atol=1e-12)
+
+
+class TestSwapMatrix:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_definition_by_bytes(self, d):
+        expected = np.zeros((d * d, d * d), dtype=complex)
+        for i, j in itertools.product(range(d), repeat=2):
+            expected[j * d + i, i * d + j] = 1.0
+        m = la.swap_matrix(d)
+        assert (m.dtype, m.shape) == (expected.dtype, expected.shape)
+        assert m.tobytes() == expected.tobytes()
 
 
 class TestCompleteUnitary:
