@@ -158,6 +158,8 @@ def dong_cUd(d: int) -> OracleAlgorithm:
 def power_cUm(d: int, m: int) -> OracleAlgorithm:
     """Controlled m-th power for d | m, by composing the controlled d-th
     power |m|/d times (with inverse queries when m is negative)."""
+    if not 2 <= d <= NEUTRALISER_MAX_D:
+        raise ValueError(f"power supports 2 <= d <= {NEUTRALISER_MAX_D}")
     if m == 0:
         raise ValueError("m must be a nonzero integer")
     if abs(m) > 8:

@@ -833,13 +833,18 @@ def check_neutralises(alg, u_list, tol: float = EXACT_TOL) -> NeutralisationResu
     """Check that the program maps the all-zero projector to r e^{i phi(U)}
     times itself on the full space, with a common r in (0, 1] across U.
     ``u_list`` is a list or a (B, d, d) stack of oracles, and a single
-    (d, d) oracle is the stack of one."""
+    (d, d) oracle is the stack of one; it is evaluated through ``over_stack``,
+    an oracle's slice width being its one full-space image."""
     e0 = la.basis_state(alg.total_dim, 0)
-    v = alg.apply_cols(oracle_stack(u_list, alg.oracle_dim)[0], e0)
-    amp = v[:, 0]
-    rs = np.abs(amp).tolist()
-    phases = np.angle(amp).tolist()
-    residuals = np.linalg.norm(v - amp[:, None] * e0, axis=1).tolist()
+
+    def ray_fit(us: np.ndarray) -> np.ndarray:
+        """One row (r, phase, residual off the all-zero ray) per oracle."""
+        v = alg.apply_cols(us, e0)
+        return np.stack([np.abs(v[:, 0]), np.angle(v[:, 0]),
+                         np.linalg.norm(v - v[:, :1] * e0, axis=1)], axis=1)
+
+    us = oracle_stack(u_list, alg.oracle_dim)[0]
+    rs, phases, residuals = over_stack(ray_fit, us, alg.oracle_dim, alg.total_dim).T.tolist()
     r_mean = float(np.mean(rs))
     reason = None
     if any(res > tol for res in residuals):
@@ -863,20 +868,21 @@ def check_clean(alg, task: Task, u_list, tol: float = EXACT_TOL) -> CleanResult:
     phase: constant norm and pairwise saturated overlaps.  ``u_list`` is a
     list or a (B, d, d) stack of oracles, checked in one stacked
     ``check_exact``, and a single (d, d) oracle is the stack of one."""
-    garbages = []
-    us = oracle_stack(u_list, alg.oracle_dim)[0]
-    for i, res in enumerate(check_exact(alg, task, us, tol=tol)):
+    results = check_exact(alg, task, oracle_stack(u_list, alg.oracle_dim)[0], tol=tol)
+    for i, res in enumerate(results):
         if not res.achieved:
             return CleanResult(False, f"not an exact achiever at sample {i} (residual {res.residual:.3g})")
-        garbages.append(res.garbage)
-    norms = [np.linalg.norm(g) for g in garbages]
-    if max(norms) - min(norms) > tol:
+    garbages = np.stack([res.garbage for res in results])
+    norms = np.array([np.linalg.norm(g) for g in garbages])
+    if norms.max() - norms.min() > tol:
         return CleanResult(False, "garbage norm varies with the oracle")
-    for i in range(len(garbages)):
-        for j in range(i + 1, len(garbages)):
-            overlap = abs(np.vdot(garbages[i], garbages[j]))
-            if abs(overlap - norms[i] * norms[j]) > tol:
-                return CleanResult(False, f"garbage vectors {i} and {j} are not parallel")
+    for i, g in enumerate(garbages):
+        # each row against all later rows in one product: memory stays
+        # O(B * ancilla), where a B x B Gram matrix would not
+        overlaps = np.abs(garbages[i + 1:] @ g.conj())
+        bad = np.flatnonzero(np.abs(overlaps - norms[i] * norms[i + 1:]) > tol)
+        if bad.size:
+            return CleanResult(False, f"garbage vectors {i} and {i + 1 + bad[0]} are not parallel")
     return CleanResult(True)
 
 
@@ -913,13 +919,14 @@ def numeric_homogeneity_check(alg, u: np.ndarray, lam, delta: int) -> float | np
 def lipschitz_check(alg, u: np.ndarray, v: np.ndarray) -> bool:
     """Continuity surrogate: the evaluation map is N-Lipschitz in the oracle,
     N being the query count (queries move by at most ||U - V||, fixed steps
-    and projectors are contractions).  An evaluator without a query count,
-    such as the root-composed one, is a ``ValueError``."""
+    and projectors are contractions).  ``u`` and ``v`` are evaluated as one
+    stack of two.  An evaluator without a query count, such as the
+    root-composed one, is a ``ValueError``."""
     if not hasattr(alg, "query_count"):
         raise ValueError(f"the Lipschitz check needs an oracle program; "
                          f"{alg.name} has no query count")
     tol = alg.query_count * la.spectral_norm(np.asarray(u) - np.asarray(v)) + 1e-9
-    return la.norm_within(alg.eval(u) - alg.eval(v), tol)
+    return la.norm_within(np.subtract(*alg.eval(np.stack([u, v]))), tol)
 
 
 # -- circuit IR ------------------------------------------------------------------
@@ -962,6 +969,13 @@ def _ir_ints(obj, what: str) -> tuple[int, ...]:
     return tuple(int(t) for t in obj)
 
 
+def _ir_str(obj, what: str) -> str:
+    """A JSON string, as it is."""
+    if not isinstance(obj, str):
+        raise ValueError(f"malformed circuit IR: {what} must be a string, got {obj!r:.60}")
+    return obj
+
+
 def _load_matrix(obj, base: Path | None, bool_free: bool):
     if isinstance(obj, str):
         path = Path(obj)
@@ -990,7 +1004,7 @@ def from_ir(obj, base: Path | None = None) -> OracleAlgorithm:
             and all(isinstance(x, dict) for x in factors + step_objs)):
         raise ValueError('malformed circuit IR: "layout" (non-empty) and "steps" must be lists of objects')
     dims = _ir_ints([f["dim"] for f in factors], "layout dims")
-    layout = RegisterLayout(tuple(zip(dims, (str(f["role"]) for f in factors))))
+    layout = RegisterLayout(tuple(zip(dims, (_ir_str(f["role"], '"role"') for f in factors))))
     all_targets = tuple(range(len(layout)))
     steps = []
     for s in step_objs:
@@ -1011,7 +1025,7 @@ def from_ir(obj, base: Path | None = None) -> OracleAlgorithm:
         projector = (_load_matrix(proj_obj, base, bool_free), all_targets)
     task_out = _ir_ints(obj["task_out"], '"task_out"') if "task_out" in obj else None
     return OracleAlgorithm(
-        name=obj.get("name", "ir"),
+        name=_ir_str(obj.get("name", "ir"), '"name"'),
         oracle_dim=_ir_ints([obj["d"]], '"d"')[0],
         layout=layout,
         steps=tuple(steps),

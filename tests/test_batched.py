@@ -330,7 +330,7 @@ def _count_calls(monkeypatch, alg, name: str) -> list[int]:
     calls = []
     original = getattr(type(alg), name)
     monkeypatch.setattr(type(alg), name,
-                        lambda self, u: calls.append(len(u)) or original(self, u))
+                        lambda self, u, *cols: calls.append(len(u)) or original(self, u, *cols))
     return calls
 
 
@@ -424,6 +424,41 @@ def test_check_clean_makes_one_stacked_check_exact(monkeypatch):
     assert calls == [(6, 3, 3)]
 
 
+def test_check_clean_names_first_pair_not_parallel(monkeypatch):
+    # unit garbage vectors at angles 0, a, a and -a with 1 - cos(a) <= tol <
+    # 1 - cos(2a): every pair within angle a passes, so (1, 3) fails first,
+    # ahead of (2, 3); vector 2 is vector 1 up to a phase
+    a, tol = 0.4, 0.1
+    garbages = [np.array([1, 0]), np.array([np.cos(a), np.sin(a)]),
+                1j * np.array([np.cos(a), np.sin(a)]), np.array([np.cos(a), -np.sin(a)])]
+    results = [mo.AchievementResult(True, g.astype(complex), None, 0.0, 0.0) for g in garbages]
+    monkeypatch.setattr(mo, "check_exact", lambda alg, task, u, tol: results)
+    res = mo.check_clean(co.conjugation(3), mo.conjugation_task(3),
+                         la.haar_unitaries(3, 4, 4610), tol=tol)
+    assert not res.clean and res.reason == "garbage vectors 1 and 3 are not parallel"
+
+
+@pytest.mark.parametrize("label,make,m", CHECKED)
+def test_sliced_check_neutralises_matches_whole_stack(monkeypatch, label, make, m):
+    alg = make()
+    us = _checker_oracles(alg.oracle_dim)
+    whole = mo.check_neutralises(alg, us)
+    calls = _count_calls(monkeypatch, alg, "apply_cols")
+    monkeypatch.setattr(mo, "SLICE_ENTRIES", alg.total_dim)  # one oracle per slice
+    sliced = mo.check_neutralises(alg, us)
+    assert calls == [1] * len(us)
+    assert sliced == whole  # every field
+
+
+def test_lipschitz_check_is_one_stacked_eval(monkeypatch):
+    alg = co.dong_cUd(2)
+    calls = _count_calls(monkeypatch, alg, "apply_cols")
+    for s in range(3):
+        u, v = la.haar_unitaries(2, 2, 4620 + s)
+        assert mo.lipschitz_check(alg, u, v)
+    assert calls == [2, 2, 2]
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_zero_input_success_prob_from_the_exact_blocks(monkeypatch, d):
     # the sweep's success probabilities come with check_exact's results, from
@@ -447,6 +482,7 @@ def test_sliced_stack_names_bad_oracle_by_stack_index(monkeypatch, make, m):
     for check in (lambda: tp.extract_h(alg, us, m), lambda: tp.extract_fplus(alg, us, m),
                   lambda: mo.check_exact(alg, mo.cum_task(d, m), us),
                   lambda: mo.success_prob(alg, us, la.basis_state(alg.h_dim, 0)),
+                  lambda: mo.check_neutralises(alg, us),
                   lambda: mo.numeric_homogeneity_check(alg, us, np.ones(16), m),
                   lambda: mo.eps_distance_estimate(alg, mo.cum_task(d, m), us, n_samples=1)):
         with pytest.raises(ValueError, match="index 7 "):

@@ -455,6 +455,9 @@ MALFORMED_IR = {  # kind: (mutation of a dong d=2 IR, expected message fragment)
     "layout-missing": (lambda ir: {k: v for k, v in ir.items() if k != "layout"}, "'layout'"),
     "task-out-out-of-range": (_with("task_out", [9]), "target 9 outside"),
     "task-out-duplicate": (_with("task_out", [1, 1]), "duplicate targets"),
+    "role-not-a-string": (lambda ir: {**ir, "layout": ir["layout"][:2] + [
+        {**ir["layout"][2], "role": 5}] + ir["layout"][3:]}, MALFORMED),
+    "name-not-a-string": (_with("name", {"a": 1}), MALFORMED),
 }
 
 

@@ -47,10 +47,13 @@ class TestRejectedInputs:
         (lambda: co.power_cUm(2, 0), "m must be a nonzero integer"),
         (lambda: co.power_cUm(2, 10), "|m| must be at most 8"),
         (lambda: co.build("power", 2), "power needs m"),
+        (lambda: co.power_cUm(5, 5), "power supports 2 <= d <= 4"),
+        (lambda: co.build("power", 1, 2), "power supports 2 <= d <= 4"),
         (lambda: co.build("bogus", 2), "unknown construction 'bogus'; choose from "
                                        "['conjugation', 'dong', 'inverse', 'kitaev', "
                                        "'neutraliser', 'spin-echo', 'transpose', 'power']"),
-    ], ids=["chi", "minor-isometry", "power-m-zero", "power-m-large", "power-no-m", "unknown"])
+    ], ids=["chi", "minor-isometry", "power-m-zero", "power-m-large", "power-no-m",
+            "power-d-large", "power-d-small", "unknown"])
     def test_rejected(self, make, message):
         with pytest.raises(ValueError) as info:
             make()
