@@ -212,15 +212,16 @@ def cmd_sweep(args) -> int:
     with_eps = args.check == "eps"
     header = ["param", "success_prob", "residual", "phase"] + (["eps"] if with_eps else [])
     params, us = _sweep_points(kind, n, args.d)
-    # each result carries the all-zero input's success probability
-    results = mo.check_exact(alg, task, us, tol=args.tol)
+    # each result carries the all-zero input's success probability; the eps
+    # estimates come from the same zero-ancilla blocks
+    if with_eps:
+        pairs = mo._exact_and_eps(alg, task, us, args.tol, n_samples=2, seed=args.seed)
+    else:
+        pairs = [(res, None) for res in mo.check_exact(alg, task, us, tol=args.tol)]
     rows = [[f"{param:.12g}", f"{res.zero_input_prob:.17g}", f"{res.residual:.17g}",
              "" if res.phase is None else f"{res.phase:.17g}"]
-            for param, res in zip(params, results)]
-    if with_eps:
-        for row, val in zip(rows, mo.eps_distance_estimate(alg, task, us, n_samples=2,
-                                                           seed=args.seed)):
-            row.append(f"{val:.17g}")
+            + ([] if val is None else [f"{val:.17g}"])
+            for param, (res, val) in zip(params, pairs)]
 
     out = args.out or "sweep.csv"
     with open(out, "w", newline="") as f:

@@ -145,10 +145,14 @@ class OracleAlgorithm:
 
         ``u`` is one (d, d) oracle or a stack (B, d, d); ``cols`` is a column
         (N,), a block (N, k) shared by every oracle, or per-oracle blocks
-        (B, N, k).  A stack gives a leading batch axis on the output.  Every
-        step is one batched product over the whole stack, of the step's
-        moved rows only where ``_compile`` restricted it (and none for a
-        step that moves nothing), and a single oracle is the stack of one.
+        (B, N, k).  A stack gives a leading batch axis on the output, and a
+        single oracle is the stack of one.  The state stays a flat (B, N, k)
+        array.  Each stage of the plan is one ``np.take`` of its rows, which
+        puts the stage's target factors first and applies every permutation
+        step folded into it, then one batched product over the whole stack,
+        of the step's moved rows only where ``_compile`` restricted it.  A
+        step that moves nothing, or only permutes basis states, has no stage,
+        and one last ``take`` restores the layout's basis order.
         """
         us, stacked = oracle_stack(u, self.oracle_dim)
         la.require_unitary(us if stacked else us[0], what="oracle")
@@ -164,10 +168,10 @@ class OracleAlgorithm:
             raise ValueError(f"columns must have {self.total_dim} rows, got shape {x.shape}")
         k = x.shape[2]
         stages, final = self._plan
-        t = x.reshape(len(x), *self.dims, k)
+        t = x
         for st in stages:
-            if st.perm is not None:
-                t = t.transpose(st.perm)
+            if st.src is not None:
+                t = np.take(t, st.src, axis=1)
             t = t.reshape(len(t), st.n, st.rest * k)
             if st.rows is None:
                 t = np.matmul(st.op if st.letter is None else st.letter.apply(us), t)
@@ -177,17 +181,16 @@ class OracleAlgorithm:
                 if np.may_share_memory(t, x):
                     t = t.copy()
                 t[:, st.rows] = np.matmul(st.op, t[:, st.rows])
-            t = t.reshape(len(t), *st.shape, k)
-        if not stages:  # the program is the identity: a copy, never ``cols``
-            t = t.copy()
+            t = t.reshape(len(t), self.total_dim, k)
         if final is not None:
-            t = t.transpose(final)
-        out = t.reshape(len(t), self.total_dim, k)
-        if len(out) != len(us):  # no query touched per-oracle data
-            out = np.repeat(out, len(us), axis=0)
+            t = np.take(t, final, axis=1)
+        elif not stages:  # the program is the identity: a copy, never ``cols``
+            t = t.copy()
+        if len(t) != len(us):  # no query touched per-oracle data
+            t = np.repeat(t, len(us), axis=0)
         if not stacked:
-            out = out[0]
-        return out[..., 0] if single else out
+            t = t[0]
+        return t[..., 0] if single else t
 
     def eval(self, u: np.ndarray) -> np.ndarray:
         """Full implemented operator on the whole register space."""
@@ -271,49 +274,78 @@ def _moved_block(op: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return (moved, block) if np.isfinite(block).all() else None
 
 
+def _permutation(moved: tuple[np.ndarray, np.ndarray]) -> np.ndarray | None:
+    """For a ``_moved_block`` (S, block) that is an exact 0/1 permutation,
+    one entry 1 in each row and each column and every other entry 0, the
+    column of each row's 1; None for any other block, a monomial one with
+    a sign or a phase included."""
+    block = moved[1]
+    ones = block == 1
+    if (np.count_nonzero(block) != len(block)
+            or not (ones.any(axis=0).all() and ones.any(axis=1).all())):
+        return None
+    return ones.argmax(axis=1)
+
+
 @dataclass(frozen=True)
 class _Stage:
-    """One compiled step.  The state is a (batch, *factors, k) tensor; the
-    stage transposes it by ``perm`` (None when the axes are already in
-    place) so its target factors lead, multiplies those ``n`` dimensions by
-    the fixed ``op`` or by the query image of ``letter`` (``rest`` being the
-    dimension of the other factors), and leaves the factor axes in the order
-    whose dimensions are ``shape``.  A fixed stage whose operator has a
-    ``_moved_block`` has its moved support as ``rows`` and its moved block
-    as ``op``, and multiplies only those rows of the target dimensions."""
+    """One compiled step.  The state is a flat (batch, N, k) array whose rows
+    hold the N basis states in the order the previous stage left them.  The
+    stage gathers its rows by ``src`` (None when they are already in place),
+    so that they run over its target factors first and the other factors in
+    layout order; the gather also applies every permutation step folded
+    into it.  It then multiplies those ``n`` dimensions by the fixed ``op``
+    or by the query image of ``letter`` (``rest`` being the dimension of the
+    other factors).  A fixed stage whose operator has a ``_moved_block`` has
+    its moved support as ``rows`` and its moved block as ``op``, and
+    multiplies only those rows of the target dimensions."""
 
-    perm: tuple[int, ...] | None
+    src: np.ndarray | None
     n: int
     rest: int
-    shape: tuple[int, ...]
     op: np.ndarray | None
     letter: QueryLetter | None
     rows: np.ndarray | None
 
 
-def _compile(dims, ops) -> tuple[tuple[_Stage, ...], tuple[int, ...] | None]:
+def _compile(dims, ops) -> tuple[tuple[_Stage, ...], np.ndarray | None]:
     """Step plan for (operator or query letter, targets, ``_moved_block`` of
-    the operator or None) triples applied in order, and the permutation that
-    restores the layout's factor order.  A fixed operator with a moved block
-    is restricted to its moved rows, and one that moves nothing has no
-    stage."""
-    def perm(order, new):
-        p = (0,) + tuple(1 + order.index(f) for f in new) + (len(order) + 1,)
-        return None if p == tuple(range(len(p))) else p
-
-    order = list(range(len(dims)))
+    the operator or None) triples applied in order, and the gather that
+    restores the layout's basis order (None when nothing moved a row).  A
+    fixed operator that moves nothing has no stage.  Nor has one whose
+    moved block is an exact 0/1 permutation: it only changes which row
+    holds which basis state, and the next gather moves the data.  Any other
+    moved block restricts its stage to the moved rows.  The gathers are
+    index arrays of N entries, so a plan with no stage and no permutation
+    allocates nothing of size N; any other plan fails here, with a
+    ``MemoryError``, when N entries cannot be allocated."""
     stages = []
+    ident = where = None  # where[b]: the row holding basis state b; None while it is row b
     for what, targets, moved in ops:
         if moved is not None and not len(moved[0]):
-            continue  # the identity: no stage, and the factor order carries on
-        new = list(targets) + [f for f in order if f not in targets]
-        letter = what if isinstance(what, QueryLetter) else None
+            continue  # the identity: no stage, and the rows stay where they are
+        if ident is None:
+            ident = np.arange(math.prod(dims))
         n = math.prod(dims[f] for f in targets)
+        # basis[i, r]: the basis state with target digits i and other digits r
+        order = list(targets) + [f for f in range(len(dims)) if f not in targets]
+        basis = ident.reshape(dims).transpose(order).reshape(n, -1)
+        at = basis if where is None else where[basis]
+        where = np.empty_like(ident)
+        sources = None if moved is None else _permutation(moved)
+        if sources is not None:
+            # the step puts basis[src[i], r]'s amplitude at basis[i, r]: only the map changes
+            src = np.arange(n)
+            src[moved[0]] = moved[0][sources]
+            where[basis] = at[src]
+            continue
+        where[basis] = ident.reshape(n, -1)
+        letter = what if isinstance(what, QueryLetter) else None
         rows, op = moved if moved is not None else (None, None if letter else what)
-        stages.append(_Stage(perm(order, new), n, math.prod(dims) // n,
-                             tuple(dims[f] for f in new), op, letter, rows))
-        order = new
-    return tuple(stages), perm(order, range(len(dims)))
+        src = at.reshape(-1)
+        stages.append(_Stage(None if np.array_equal(src, ident) else src, n,
+                             len(ident) // n, op, letter, rows))
+    return tuple(stages), None if where is None or np.array_equal(where, ident) else where
 
 
 def out_split(alg, cols: np.ndarray) -> np.ndarray:
@@ -773,47 +805,70 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
     task block and its phase scan, and a single (d, d) oracle is the stack
     of one.
     """
+    pairs = _exact_and_eps(alg, task, u, EXACT_TOL, n_samples, seed, grid)
+    if isinstance(pairs, tuple):  # one oracle's (result, estimate)
+        return pairs[1]
+    return np.array([val for _, val in pairs], dtype=float)
+
+
+def _eps_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
+                    exact: list[AchievementResult], rhos: np.ndarray, grid: int) -> np.ndarray:
+    """``eps_distance_estimate`` on a (B, d, d) stack of oracles over the
+    states ``rhos``, from their (B, N, h) zero-ancilla blocks ``b`` and
+    their ``check_exact`` results at ``EXACT_TOL``, already computed."""
+    outs, trs = _channel_from_block(alg, b, rhos)
+    if np.any(trs <= 1e-14):
+        raise ModelViolationError("postselection probability vanished on a sampled state")
+    normalised = outs / trs[..., None, None]
+    vals = np.empty(len(us))
+    # achievers, and every oracle when the task has no phase family, are
+    # compared with their fixed member
+    fixed = np.array([r.achieved or task.control_power is None for r in exact], dtype=bool)
+    if fixed.any():
+        # no phase as NaN, and member(u, 0) is member(u, None); each
+        # defect is Hermitian, so its trace norm comes from eigenvalues
+        phis = np.array([r.phase for r in exact], dtype=float)[fixed]
+        t = task.member(us[fixed], np.nan_to_num(phis))[:, None]
+        vals[fixed] = np.max(la.hermitian_trace_norm(normalised[fixed]
+                                                     - t @ rhos @ la.dagger(t)), axis=-1)
+    if not fixed.all():
+        # member(phi) rho member(phi)^dagger has terms in 1, e^{i phi} and
+        # e^{-i phi}: the defect is X0 - e^{i phi} X1 - e^{-i phi} X1^dagger,
+        # Hermitian, minimised over every (oracle, state) pair in one pass
+        t0, t1 = (t[:, None] for t in _affine_member(task, us[~fixed]))
+        x1s = t1 @ rhos @ la.dagger(t0)
+        x0s = normalised[~fixed] - t0 @ rhos @ la.dagger(t0) - t1 @ rhos @ la.dagger(t1)
+        # d/dphi of the defect has trace norm at most 2 |X1|_*.  Every
+        # state of the family but I/h is pure, rho = v v^dagger, so
+        # X1 = (T1 v)(T0 v)^dagger has rank at most 1; for I/h it is
+        # T1 T0^dagger / h = 0, the control blocks being disjoint.  So
+        # |X1|_* = |X1|_F, up to rounding far below _phase_min's slack
+        lip = 2 * np.linalg.norm(x1s, axis=(-2, -1))
+        vals[~fixed] = np.max(_affine_min(la.hermitian_trace_norm, x0s, -x1s,
+                                          -la.dagger(x1s), grid, lip), axis=-1)
+    return vals
+
+
+def _exact_and_eps(alg, task: Task, u: np.ndarray, tol: float, n_samples: int, seed: int,
+                   grid: int = PHASE_GRID):
+    """``check_exact(alg, task, u, tol)`` beside ``eps_distance_estimate(alg,
+    task, u, n_samples, seed, grid)``, each oracle's zero-ancilla block built
+    once: the list of (result, estimate) pairs of a (B, d, d) stack, or the
+    pair of a single (d, d) oracle.  Each oracle's ``over_stack`` slice width
+    counts its task block and its phase scan."""
     _check_compat(alg, task)
     rhos = _state_family(alg, task, n_samples, seed)
 
-    def estimates(us: np.ndarray) -> np.ndarray:
+    def both(us: np.ndarray) -> list:
         b = alg.task_block(us)
-        exact = _exact_from_block(alg, task, us, b, EXACT_TOL)
-        outs, trs = _channel_from_block(alg, b, rhos)
-        if np.any(trs <= 1e-14):
-            raise ModelViolationError("postselection probability vanished on a sampled state")
-        normalised = outs / trs[..., None, None]
-        vals = np.empty(len(us))
-        # achievers, and every oracle when the task has no phase family, are
-        # compared with their fixed member
-        fixed = np.array([r.achieved or task.control_power is None for r in exact], dtype=bool)
-        if fixed.any():
-            # no phase as NaN, and member(u, 0) is member(u, None); each
-            # defect is Hermitian, so its trace norm comes from eigenvalues
-            phis = np.array([r.phase for r in exact], dtype=float)[fixed]
-            t = task.member(us[fixed], np.nan_to_num(phis))[:, None]
-            vals[fixed] = np.max(la.hermitian_trace_norm(normalised[fixed]
-                                                         - t @ rhos @ la.dagger(t)), axis=-1)
-        if not fixed.all():
-            # member(phi) rho member(phi)^dagger has terms in 1, e^{i phi} and
-            # e^{-i phi}: the defect is X0 - e^{i phi} X1 - e^{-i phi} X1^dagger,
-            # Hermitian, minimised over every (oracle, state) pair in one pass
-            t0, t1 = (t[:, None] for t in _affine_member(task, us[~fixed]))
-            x1s = t1 @ rhos @ la.dagger(t0)
-            x0s = normalised[~fixed] - t0 @ rhos @ la.dagger(t0) - t1 @ rhos @ la.dagger(t1)
-            # d/dphi of the defect has trace norm at most 2 |X1|_*.  Every
-            # state of the family but I/h is pure, rho = v v^dagger, so
-            # X1 = (T1 v)(T0 v)^dagger has rank at most 1; for I/h it is
-            # T1 T0^dagger / h = 0, the control blocks being disjoint.  So
-            # |X1|_* = |X1|_F, up to rounding far below _phase_min's slack
-            lip = 2 * np.linalg.norm(x1s, axis=(-2, -1))
-            vals[~fixed] = np.max(_affine_min(la.hermitian_trace_norm, x0s, -x1s,
-                                              -la.dagger(x1s), grid, lip), axis=-1)
-        return vals
+        exact = _exact_from_block(alg, task, us, b, tol)
+        # the estimate tells achievers by the results at EXACT_TOL
+        at_exact_tol = exact if tol == EXACT_TOL else _exact_from_block(alg, task, us, b, EXACT_TOL)
+        return list(zip(exact, _eps_from_block(alg, task, us, b, at_exact_tol, rhos, grid)))
 
     # a phase scan keeps at most _PHASE_CHUNK h x h defects per state
     width = alg.total_dim * alg.h_dim + len(rhos) * _PHASE_CHUNK * alg.h_dim ** 2
-    return over_stack(estimates, u, alg.oracle_dim, width)
+    return over_stack(both, u, alg.oracle_dim, width)
 
 
 # -- neutralisation, cleanness, homogeneity ------------------------------------

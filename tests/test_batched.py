@@ -2,6 +2,8 @@
 evaluating its oracles one at a time."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -583,6 +585,13 @@ KERNEL = [(name, d) for name in co.BUILDERS for d in (2, 3)] + [
     ("dong", 4), ("neutraliser", 4), ("conjugation", 4)]
 
 
+def _is_permutation(op) -> bool:
+    """Whether ``op`` is an exact 0/1 permutation matrix."""
+    op = np.asarray(op)
+    return bool(np.isin(op, (0, 1)).all() and (op.sum(axis=0) == 1).all()
+                and (op.sum(axis=1) == 1).all())
+
+
 def _zero_ancilla_inputs(alg) -> np.ndarray:
     """The columns ``task_block`` applies the program to: each task basis
     state with every ancilla at 0."""
@@ -597,13 +606,16 @@ def test_plan_matches_dense_reference(name, d):
     stages, _ = alg._plan
     # a fixed stage acts on its moved rows S exactly when 2 |S| <= n, S being
     # the indices whose row or column of the operator differs from e_i; a
-    # fixed step or projector that moves nothing has no stage at all
+    # fixed step or projector that moves nothing has no stage at all, nor
+    # has a 0/1 permutation that moves at most half of its states
     ops = [s.op for s in alg.steps if isinstance(s, mo.FixedStep)]
     ops += [] if alg.projector is None else [alg.projector[0]]
     supports = []
     for op in ops:
         off = np.asarray(op) != np.eye(len(op))
-        supports.append(np.flatnonzero(off.any(axis=0) | off.any(axis=1)))
+        moved = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+        if not (_is_permutation(op) and 2 * len(moved) <= len(op)):
+            supports.append(moved)
     supports = [s for s in supports if len(s)]
     fixed = [st for st in stages if st.letter is None]
     assert len(fixed) == len(supports)
@@ -653,7 +665,7 @@ def test_mostly_moved_op_has_no_moved_block():
 
 
 @pytest.mark.parametrize("name,d,restricted,fixed", [
-    ("dong", 2, 4, 6), ("dong", 3, 8, 8), ("neutraliser", 2, 0, 2),
+    ("dong", 2, 0, 2), ("dong", 3, 2, 2), ("neutraliser", 2, 0, 2),
     ("conjugation", 2, 0, 2), ("conjugation", 3, 0, 3), ("conjugation", 4, 0, 3)])
 def test_restricted_stage_counts(name, d, restricted, fixed):
     stages = [st for st in co.build(name, d)._plan[0] if st.letter is None]
@@ -663,20 +675,23 @@ def test_restricted_stage_counts(name, d, restricted, fixed):
 @pytest.mark.parametrize("name,d", [("spin-echo", 2), ("spin-echo", 3), ("transpose", 2),
                                     ("transpose", 3)])
 def test_identity_steps_have_no_stage(monkeypatch, name, d):
-    # these programs pad with an identity step: it compiles to no stage, and
-    # the outputs are those of the plan that keeps it as a dense product
+    # these programs pad with an identity step: it compiles to no stage, as
+    # does every controlled swap, and the outputs are those of the plan that
+    # keeps each of them as a dense product
     alg = co.build(name, d)
     ops = [s.op for s in alg.steps if isinstance(s, mo.FixedStep)]
     ops += [] if alg.projector is None else [alg.projector[0]]
     idle = sum(np.array_equal(op, np.eye(len(op))) for op in ops)
-    assert idle and len([st for st in alg._plan[0] if st.letter is None]) == len(ops) - idle
+    swaps = sum(_is_permutation(op) for op in ops) - idle
+    fixed = [st for st in alg._plan[0] if st.letter is None]
+    assert idle and len(fixed) == len(ops) - idle - swaps
     us = np.stack(la.haar_unitaries(d, 2, 4750 + d))
     rng = np.random.default_rng(4750 + d)
     cols = rng.standard_normal((alg.total_dim, 3)) + 1j * rng.standard_normal((alg.total_dim, 3))
     got = alg.apply_cols(us, cols), alg.task_block(us), alg.apply_cols(us[0], cols[:, 0])
     monkeypatch.setattr(mo, "_moved_block", lambda op: None)
     dense = co.build(name, d)
-    assert len(dense._plan[0]) == len(alg._plan[0]) + idle
+    assert len(dense._plan[0]) == len(alg._plan[0]) + idle + swaps
     want = dense.apply_cols(us, cols), dense.task_block(us), dense.apply_cols(us[0], cols[:, 0])
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
@@ -688,7 +703,7 @@ def test_restricted_first_stage_leaves_cols_alone():
     # the state it updates in place is a view of the caller's columns
     alg = co.build("neutraliser", 4)
     first = alg._plan[0][0]
-    assert first.perm is None and first.rows is not None
+    assert first.src is None and first.rows is not None
     us = np.stack(la.haar_unitaries(4, 2, 4800))
     rng = np.random.default_rng(4800)
     n = alg.total_dim
@@ -733,3 +748,110 @@ def test_restricted_projector_keeps_check_exact_verdicts(monkeypatch, dropped):
                                    [w.residual, w.rank_residual, w.phase or 0.0],
                                    rtol=0, atol=1e-13)
         np.testing.assert_allclose(r.garbage, w.garbage, rtol=0, atol=1e-13)
+
+
+# -- permutation steps folded into the gathers ---------------------------------------
+
+
+@pytest.mark.parametrize("name,d,m,stages", [
+    ("dong", 2, None, 4), ("dong", 3, None, 5), ("dong", 4, None, 6),
+    ("spin-echo", 3, None, 7), ("power", 2, 8, 16), ("kitaev", 2, None, 1)])
+def test_permutation_steps_fold(name, d, m, stages):
+    # every controlled swap folds away; the other fixed steps keep their rule
+    alg = co.build(name, d, m)
+    assert len(alg._plan[0]) == stages
+    assert alg._plan[1] is not None
+
+
+def _permutation_op(rng, n: int, phases: bool) -> np.ndarray:
+    """A permutation of between 2 and n // 2 of n basis states, the others
+    fixed; with ``phases``, each moved entry is -1, +-i or a phase instead
+    of 1, so the step is monomial but no 0/1 permutation."""
+    moved = rng.choice(n, size=rng.integers(2, n // 2 + 1), replace=False)
+    src = np.arange(n)
+    src[moved] = np.roll(moved, 1)
+    op = np.eye(n, dtype=complex)[src]
+    if phases:
+        entries = np.array([-1, 1j, -1j, np.exp(1j * rng.uniform(0.1, 6.2))])
+        op[moved, src[moved]] = rng.choice(entries, size=len(moved))
+    return op
+
+
+class TestRandomPrograms:
+    """Seeded random programs on mixed factor dimensions: 0/1 permutations,
+    which fold into the gathers, beside signed or phased permutations, which
+    stay restricted stages, dense steps and both query letters, checked
+    against the step-by-step ``linalg.apply_to_factors`` reference."""
+
+    KINDS = ("perm", "phased", "dense", "id", "inv")
+
+    @staticmethod
+    def program(rng, kinds) -> tuple[mo.OracleAlgorithm, dict]:
+        """The program of steps of ``kinds`` in order on 3 or 4 factors of
+        dimension 2 or 3, and the number of steps of each kind.  Permutation
+        steps act on 2 or 3 factors, so they move at most half their states."""
+        dims = [int(x) for x in rng.choice([2, 3], size=rng.integers(3, 5))]
+        dims[0] = 2  # the oracle acts on any factor of dimension dims[0]
+        qudits = [f for f, n in enumerate(dims) if n == dims[0]]
+        steps = []
+        for kind in kinds:
+            if kind in ("id", "inv"):
+                steps.append(mo.QueryStep(mo.LETTERS[kind], (int(rng.choice(qudits)),)))
+                continue
+            size = rng.integers(2, 4) if kind != "dense" else rng.integers(1, 4)
+            targets = tuple(int(f) for f in rng.permutation(len(dims))[:size])
+            n = math.prod(dims[f] for f in targets)
+            op = (la.haar_unitary(n, int(rng.integers(2 ** 16))) if kind == "dense"
+                  else _permutation_op(rng, n, kind == "phased"))
+            steps.append(mo.FixedStep(op, targets))
+        layout = la.RegisterLayout.of(dims, ["task"] + ["anc"] * (len(dims) - 1))
+        alg = mo.OracleAlgorithm("random", dims[0], layout, tuple(steps))
+        return alg, {kind: list(kinds).count(kind) for kind in TestRandomPrograms.KINDS}
+
+    @staticmethod
+    def check(alg, seed: int) -> None:
+        """``apply_cols`` matches the reference to 1e-13 on a column, a
+        shared block and per-oracle blocks; never writes or returns ``cols``;
+        and a single oracle is bit-identical to the stack of one."""
+        rng = np.random.default_rng(seed)
+        us = np.stack(la.haar_unitaries(alg.oracle_dim, 2, seed))
+        n = alg.total_dim
+        for shape in ((n,), (n, 3), (2, n, 3)):
+            cols = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            before = cols.copy()
+            out = alg.apply_cols(us, cols)
+            np.testing.assert_array_equal(cols, before)
+            assert not np.shares_memory(out, cols)
+            for b, u in enumerate(us):
+                own = cols[b] if cols.ndim == 3 else cols
+                np.testing.assert_allclose(out[b], _reference(alg, u, own), rtol=0, atol=1e-13)
+                one = alg.apply_cols(u, own)
+                assert not np.shares_memory(one, own)
+                np.testing.assert_array_equal(one, alg.apply_cols(u[None], own)[0])
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n_steps=st.integers(1, 8), last_perm=st.booleans())
+    def test_matches_reference(self, seed, n_steps, last_perm):
+        rng = np.random.default_rng(seed)
+        kinds = list(rng.choice(self.KINDS, size=n_steps)) + (["perm"] if last_perm else [])
+        alg, count = self.program(rng, kinds)
+        stages, final = alg._plan
+        # one stage per query, dense step and phased permutation, and the
+        # phased ones restricted to the rows they move
+        fixed = [s for s in stages if s.letter is None]
+        assert len(stages) == count["id"] + count["inv"] + count["dense"] + count["phased"]
+        assert sum(s.rows is not None for s in fixed) == count["phased"]
+        if last_perm:  # the last step is a permutation: the final gather applies it
+            assert final is not None
+        self.check(alg, seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_only_permutations(self, seed):
+        # no stage, but the program is not the identity: the final gather is it
+        rng = np.random.default_rng(4950 + seed)
+        alg, _ = self.program(rng, ["perm"] * (1 + seed % 3))
+        stages, final = alg._plan
+        assert stages == () and final is not None
+        cols = np.eye(alg.total_dim, dtype=complex)
+        assert not np.array_equal(alg.apply_cols(la.haar_unitary(2, seed), cols), cols)
+        self.check(alg, 4950 + seed)

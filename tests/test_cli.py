@@ -397,20 +397,31 @@ class TestStackedReports:
         assert code == (cli.EXIT_OK if whole.passed else cli.EXIT_CHECK_FAILED)
         assert rep.read_text() == json.dumps(expected, indent=2) + "\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "constant-circuit", "--task", "cUm", "--m", 1, "--check", "eps",
-         "--samples", 5],
-        ["sweep", "constant-circuit", "--task", "cUm", "--m", 1, "--check", "eps",
-         "--grid", "diag:5"],
+    @pytest.mark.parametrize("argv,name", [
+        (["verify", "constant-circuit", "--task", "cUm", "--m", 1, "--check", "eps",
+          "--samples", 5], "eps_distance_estimate"),
+        (["sweep", "constant-circuit", "--task", "cUm", "--m", 1, "--check", "eps",
+          "--grid", "diag:5"], "_exact_and_eps"),
     ], ids=["verify", "sweep"])
-    def test_eps_is_one_call_per_stack(self, argv, monkeypatch, tmp_path):
+    def test_eps_is_one_call_per_stack(self, argv, name, monkeypatch, tmp_path):
+        # the eps sweep takes its exact results and estimates from one call
         calls = []
-        original = mo.eps_distance_estimate
-        monkeypatch.setattr(mo, "eps_distance_estimate",
-                            lambda alg, task, u, **kw: calls.append(np.shape(u)) or original(
-                                alg, task, u, **kw))
+        original = getattr(mo, name)
+        monkeypatch.setattr(mo, name, lambda alg, task, u, *args, **kw: calls.append(
+            np.shape(u)) or original(alg, task, u, *args, **kw))
         run(*argv, "--out", tmp_path / "out")
         assert calls == [(5, 2, 2)]
+
+    def test_eps_sweep_builds_each_block_once(self, monkeypatch, tmp_path):
+        ir = tmp_path / "dong.json"
+        run("build", "dong", "--d", 2, "--out", ir)
+        calls = []
+        original = mo.OracleAlgorithm.task_block
+        monkeypatch.setattr(mo.OracleAlgorithm, "task_block",
+                            lambda self, u: calls.append(len(u)) or original(self, u))
+        assert run("sweep", ir, "--task", "cUm", "--m", 2, "--d", 2, "--grid", "loop:16",
+                   "--check", "eps", "--out", tmp_path / "s.csv") == cli.EXIT_OK
+        assert calls == [16]
 
     def test_empty_sweep_still_checks_the_task(self, tmp_path, capsys):
         ir = tmp_path / "dong.json"
@@ -522,6 +533,26 @@ class TestInputErrors:
         path = tmp_path / "oversized.json"
         mo.write_ir(mo.OracleAlgorithm("oversized", 2, layout,
                                        (mo.FixedStep(np.eye(4), (0, 1)),)), path)
+        command, *flags = argv
+        code = run(command, path, *flags, "--d", 2, "--out", tmp_path / "out")
+        assert "allocate" in self._input_error(code, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--task", "cUm", "--m", 2],
+        ["probe", "--m", 2],
+        ["sweep", "--task", "cUm", "--m", 2],
+    ], ids=["verify", "probe", "sweep"])
+    def test_oversized_layout_refused_at_construction(self, argv, tmp_path, capsys):
+        # dong d = 2 beside an idle ancilla of dimension 2^53: its steps move
+        # basis states, so building the program builds index maps of 2^55
+        # entries, and numpy fails at once; the JSON is edited, because
+        # building the program in process would fail the same way
+        ir = mo.to_ir(co.build("dong", 2))
+        ir["layout"].append({"dim": 2 ** 53, "role": "anc"})
+        path = tmp_path / "oversized.json"
+        path.write_text(json.dumps(ir))
+        with pytest.raises((MemoryError, ValueError)):
+            mo.from_ir(path)
         command, *flags = argv
         code = run(command, path, *flags, "--d", 2, "--out", tmp_path / "out")
         assert "allocate" in self._input_error(code, capsys)
