@@ -24,6 +24,8 @@ EXACT_TOL = 1e-8
 PHASE_GRID = 720
 _PHASE_CHUNK = 64  # phase-scan pairs per member in one stacked evaluation
 _PHASE_STRIDE = 8  # a phase scan first evaluates every 8th grid phase
+_REFINE_TOL = 1e-14  # a phase refinement stops at a bracket 4 x this wide
+_GOLDEN = (3 - math.sqrt(5)) / 2
 
 # Longest stretch of oracle-stack state evaluated at once, in complex
 # entries: a witness or checker over B oracles keeps B x (its entries per
@@ -579,6 +581,46 @@ def _exact_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
             for i in range(n)]
 
 
+def _brent(a: float, b: float):
+    """Brent's bounded minimiser on [a, b] (Brent 1973, ch. 5) as a
+    generator: it yields each point to evaluate and is sent the value there,
+    a parabolic step through its three best points where that step is safe
+    and a golden-section step where not.  It stops once the bracket around
+    its best point is at most 4 _REFINE_TOL wide."""
+    v = w = x = a + _GOLDEN * (b - a)
+    fv = fw = fx = yield x
+    d = e = 0.0
+    while abs(x - (a + b) / 2) > 2 * _REFINE_TOL - (b - a) / 2:
+        m = (a + b) / 2
+        golden = True
+        if abs(e) > _REFINE_TOL:
+            # the vertex of the parabola through x, w and v, if it lies in
+            # the bracket and moves less than half the step before last
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2 * (q - r)
+            p, q = (-p, q) if q > 0 else (p, -q)
+            if abs(p) < abs(q * e / 2) and q * (a - x) < p < q * (b - x):
+                e, d, golden = d, p / q, False
+                if min(x + d - a, b - x - d) < 2 * _REFINE_TOL:
+                    d = math.copysign(_REFINE_TOL, m - x)
+        if golden:
+            e = (a if x >= m else b) - x
+            d = _GOLDEN * e
+        u = x + math.copysign(max(abs(d), _REFINE_TOL), d)
+        fu = yield u
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def _phase_min(f, grid: int, lip=np.inf) -> np.ndarray:
     """Minimum over the phase circle of each member of a family of functions:
     f maps a phase array p of shape (k,), shared by every member, or
@@ -592,26 +634,36 @@ def _phase_min(f, grid: int, lip=np.inf) -> np.ndarray:
     each member's phases that it cannot rule out.  A skipped phase is bounded
     below by ``f(neighbour) - lip * distance`` from its nearest evaluated
     phase on either side, around the circle, and is evaluated only where that
-    bound is not above the coarse best plus a rounding slack; a member with
-    ``lip == 0`` is constant and keeps its coarse values.  Every phase left
-    out lies above the grid minimum, so the best grid phase is the full
-    scan's (``lip=np.inf`` scans the whole grid).  It is refined by
-    golden-section search over the two grid cells around it, all members at
-    once (one call per point, on a (*family, 1) array of each member's own
-    phase); never above the best grid value.  The result has the family's
-    shape, 0-d for a single function."""
+    bound is not above the coarse best plus a rounding slack.  Every phase
+    left out lies above the grid minimum, so the best grid phase is the full
+    scan's (``lip=np.inf`` scans the whole grid).  A member with ``lip == 0``
+    is constant: it is evaluated at phase 0 alone and never refined.
+
+    Every other member refines its best grid phase by Brent's method
+    (``_brent``) over the two grid cells around it, to the absolute bracket
+    width 4 _REFINE_TOL, whatever ``lip``.  Each step is one call on a
+    (*family, 1) array of each member's own next phase, NaN for the members
+    done.  Assuming one minimum in the bracket, as any local refinement
+    does, a value is within ``lip * 4 * _REFINE_TOL`` of the bracket's
+    minimum; it is the least value seen, never above the best grid value.
+    The result has the family's shape, 0-d for a single function."""
+    if grid < 1:
+        raise ValueError(f"the phase grid needs at least 1 phase, got grid={grid}")
     phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
     step = 2 * np.pi / grid
     coarse = np.arange(0, grid, _PHASE_STRIDE)
-    first = f(phis[coarse])
-    vals = np.full(first.shape[:-1] + (grid,), np.inf)
+    lip = np.asarray(lip, dtype=float)[..., None]
+    flat = (lip == 0) & (coarse > 0)
+    asked = np.where(flat, np.nan, phis[coarse]) if flat.any() else phis[coarse]
+    first = np.where(np.isnan(asked), np.inf, f(asked))
+    family = first.shape[:-1]
+    vals = np.full(family + (grid,), np.inf)
     vals[..., coarse] = first
 
     # the nearest coarse phases left and right of each skipped phase, the
     # right one of the last cell being phase 0 one turn on
     skipped = np.flatnonzero(np.arange(grid) % _PHASE_STRIDE)
     cell = skipped // _PHASE_STRIDE
-    lip = np.asarray(lip, dtype=float)[..., None]
     bound = np.maximum(first[..., cell] - lip * ((skipped - coarse[cell]) * step),
                        first[..., (cell + 1) % len(coarse)]
                        - lip * ((np.append(coarse, grid)[cell + 1] - skipped) * step))
@@ -623,24 +675,25 @@ def _phase_min(f, grid: int, lip=np.inf) -> np.ndarray:
         keep = keep[..., wanted]
         own = np.where(keep, phis[skipped[wanted]], np.nan)
         vals[..., skipped[wanted]] = np.where(keep, f(own), np.inf)
-    best = np.argmin(vals, axis=-1)
 
-    def at(p: np.ndarray) -> np.ndarray:
-        return f(p[..., None])[..., 0]
-
-    inv = (math.sqrt(5) - 1) / 2
-    a, b = phis[best] - step, phis[best] + step
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = at(c), at(d)
-    for _ in range(60):
-        # each member's bracket moves by its own comparison
-        left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        c, d = np.where(left, b - inv * (b - a), d), np.where(left, c, a + inv * (b - a))
-        f_new = at(np.where(left, c, d))
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-    return np.minimum(at((a + b) / 2), vals.min(axis=-1))
+    # one Brent run per member that is not constant, all stepped together
+    result = vals.min(axis=-1).reshape(-1)
+    centre = phis[np.argmin(vals, axis=-1)].reshape(-1).tolist()
+    runs = {i: _brent(centre[i] - step, centre[i] + step)
+            for i in np.flatnonzero(np.broadcast_to(lip[..., 0] > 0, family)).tolist()}
+    asks = {i: next(run) for i, run in runs.items()}
+    while asks:
+        at = list(asks)
+        p = np.full(len(result), np.nan)
+        p[at] = list(asks.values())
+        got = f(p.reshape(family + (1,))).reshape(-1)[at]
+        result[at] = np.fmin(result[at], got)
+        for i, y in zip(at, got.tolist()):
+            try:
+                asks[i] = runs[i].send(y)
+            except StopIteration:
+                del asks[i]
+    return result.reshape(family)
 
 
 def _affine_min(norm, a: np.ndarray, b: np.ndarray, c: np.ndarray, grid: int,
@@ -683,8 +736,9 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
 
     The garbage vector is the least-squares ancilla factor for the candidate
     task member; for the controlled family the relative phase is scanned on a
-    uniform grid and refined by golden-section search.  ``u`` is one (d, d)
-    oracle, not a stack.
+    uniform grid of ``grid`` phases (at least 1) and the best one refined by
+    Brent's method (``_phase_min``).  ``u`` is one (d, d) oracle, not a
+    stack.
     """
     _check_compat(alg, task)
     _one_oracle(u, alg.oracle_dim, "pure_deviation")

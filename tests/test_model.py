@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -459,6 +460,33 @@ class TestPureDeviation:
             mo.pure_deviation(co.build(name, 2), task, us)
 
 
+def golden_phase_min(f, grid: int) -> np.ndarray:
+    """The phase minimum as it was refined before Brent's method, kept as a
+    reference: the best of the full grid, then a 60-step golden section over
+    the two grid cells around it, every member's bracket moved by its own
+    comparison, and the final midpoint; never above the best grid value."""
+    phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
+    step = 2 * np.pi / grid
+    vals = f(phis)
+
+    def at(p: np.ndarray) -> np.ndarray:
+        return f(p[..., None])[..., 0]
+
+    inv = (math.sqrt(5) - 1) / 2
+    best = phis[np.argmin(vals, axis=-1)]
+    a, b = best - step, best + step
+    c = b - inv * (b - a)
+    d = a + inv * (b - a)
+    fc, fd = at(c), at(d)
+    for _ in range(60):
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = np.where(left, b - inv * (b - a), d), np.where(left, c, a + inv * (b - a))
+        f_new = at(np.where(left, c, d))
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    return np.minimum(at((a + b) / 2), vals.min(axis=-1))
+
+
 class TestPhaseMin:
     @pytest.mark.parametrize("p0", [0.3, np.pi - 1e-4, -np.pi + 1e-4])
     def test_finds_cosine_minimum(self, p0):
@@ -479,12 +507,12 @@ class TestPhaseMin:
 
     def test_one_grid_call_then_length_one_calls(self):
         # every 8th phase at once, then the 38 phases the bound |f'| <= 1
-        # cannot rule out, then two golden-section starting points, 60
-        # section steps and the final midpoint
-        assert self.call_sizes(1.0) == [90, 38] + [1] * 63
+        # cannot rule out, then one call per step of Brent's method: its
+        # starting point and 22 steps
+        assert self.call_sizes(1.0) == [90, 38] + [1] * 23
 
     def test_no_bound_scans_the_whole_grid(self):
-        assert self.call_sizes(np.inf) == [90, 630] + [1] * 63
+        assert self.call_sizes(np.inf) == [90, 630] + [1] * 23
 
     def test_candidate_call_is_per_member(self):
         # a constant member (bound 0) rules every skipped phase out and a
@@ -524,25 +552,43 @@ class TestPhaseMin:
     def assert_pruned_is_full_scan(a, b, c, norm, lip=None):
         """The members norm(A + e^{i phi} B + e^{-i phi} C), with the bound
         norm(B) + norm(C) on |f'| unless ``lip`` is given: the pruned scan
-        gives the full scan's values, bit for bit, and starts every member's
-        golden section from the same grid phase."""
+        gives the full scan's values, bit for bit, and every member that is
+        not constant (bound above 0) asks the full scan's phases in every call
+        after the candidate call; a constant member asks none."""
         def f(p):
             calls.append(np.array(p))
             # a NaN phase is "don't care": any value there is ignored
             e = np.exp(1j * np.nan_to_num(p))[..., None, None]
             return norm(a[:, None] + e * b[:, None] + e.conj() * c[:, None])
 
+        def refinement(phis) -> np.ndarray:
+            """Each member's phases in the calls after the coarse call and
+            the candidate call, if any (it asks grid phases only), one
+            column per call."""
+            rest = calls[1:]
+            if rest and np.isin(rest[0][~np.isnan(rest[0])], phis).all():
+                rest = rest[1:]
+            return np.concatenate([np.broadcast_to(p, (len(a), 1)) for p in rest]
+                                  + [np.empty((len(a), 0))], axis=-1)
+
         if lip is None:
             lip = norm(b) + norm(c)
+        moving = np.broadcast_to(lip, (len(a),)) > 0
         for grid in (720, 100, 16):
+            phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
             calls = []
             pruned = mo._phase_min(f, grid, lip)
-            pruned_section = calls[-63:]
+            pruned_steps = refinement(phis)
             calls = []
             full = mo._phase_min(f, grid, np.inf)
+            full_steps = refinement(phis)
             np.testing.assert_array_equal(pruned, full)
-            for p, q in zip(pruned_section, calls[-63:]):
-                np.testing.assert_array_equal(p, q)
+            # the full scan refines constant members too, so it may make more calls
+            pad = full_steps.shape[1] - pruned_steps.shape[1]
+            assert pad >= 0 and (pad == 0 or not moving.all())
+            pruned_steps = np.pad(pruned_steps, ((0, 0), (0, pad)), constant_values=np.nan)
+            np.testing.assert_array_equal(pruned_steps[moving], full_steps[moving])
+            assert np.isnan(pruned_steps[~moving]).all()
 
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(members=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
@@ -622,7 +668,8 @@ class TestPhaseMin:
             def per_phase(p):
                 out = []
                 for j in range(p.shape[-1]):
-                    e = np.exp(1j * p[..., j])[..., None, None]
+                    # a NaN phase is "don't care": any value there is ignored
+                    e = np.exp(1j * np.nan_to_num(p[..., j]))[..., None, None]
                     out.append(norm(a + e * b + e.conj() * c))
                 return np.stack(out, axis=-1)
 
@@ -634,6 +681,69 @@ class TestPhaseMin:
                 halved = mo._affine_min(norm, a, b, c, grid, lip / 2)
                 halved_differs |= not np.array_equal(halved, full)
         assert halved_differs
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(["random", "v-shaped", "constant"]),
+                          min_size=1, max_size=5),
+           n=st.integers(1, 3), seed=st.integers(0, 2 ** 16), scale=st.floats(0.0, 2.0),
+           trace=st.booleans(), bounded=st.booleans())
+    def test_matches_the_golden_section(self, kinds, n, seed, scale, trace, bounded):
+        # Brent's refinement against the golden section it replaced, within
+        # 1e-12, with or without a bound: random members, constant ones, and
+        # V-shaped |1 - e^{i (phi - p0)}| (x) Id, zero at a minimum off the
+        # grid, like an achiever's deviation
+        rng = np.random.default_rng(seed)
+        a, b, c = scale * (rng.standard_normal((3, len(kinds), n, n))
+                           + 1j * rng.standard_normal((3, len(kinds), n, n)))
+        kind = np.array(kinds)[:, None, None]
+        p0 = rng.uniform(-np.pi, np.pi, (len(kinds), 1, 1))
+        a = np.where(kind == "v-shaped", np.eye(n), a)
+        b = np.where(kind == "v-shaped", -np.exp(-1j * p0) * np.eye(n), b)
+        b, c = (np.where(kind == "random", x, 0) for x in (b, c))
+        norm = la.trace_norm if trace else la.spectral_norm
+
+        def f(p):
+            # a NaN phase is "don't care": any value there is ignored
+            e = np.exp(1j * np.nan_to_num(p))[..., None, None]
+            return norm(a[:, None] + e * b[:, None] + e.conj() * c[:, None])
+
+        got = mo._phase_min(f, mo.PHASE_GRID, norm(b) + norm(c) if bounded else np.inf)
+        np.testing.assert_allclose(got, golden_phase_min(f, mo.PHASE_GRID), rtol=0, atol=1e-12)
+        grid_min = f(np.linspace(-np.pi, np.pi, mo.PHASE_GRID, endpoint=False)).min(axis=-1)
+        assert np.all(got <= grid_min)
+        np.testing.assert_array_equal(got[kind[:, 0, 0] == "constant"],
+                                      grid_min[kind[:, 0, 0] == "constant"])
+
+    def test_constant_member_asks_one_phase(self):
+        # a member with bound 0 asks phase 0 alone in the coarse call and no
+        # phase after it; the other member is in every later call
+        calls = []
+
+        def f(p):
+            p = np.broadcast_to(p, (2, p.shape[-1]))
+            calls.append(~np.isnan(p))
+            return np.stack([np.full(p.shape[-1], 2.0), 1 - np.cos(p[1] - 0.3)])
+
+        got = mo._phase_min(f, mo.PHASE_GRID, np.array([0.0, 1.0]))
+        assert got[0] == 2.0 and 0.0 <= got[1] <= 1e-12
+        assert calls[0].sum(axis=-1).tolist() == [1, 90] and calls[0][0, 0]
+        assert len(calls) > 2
+        assert not any(asked[0].any() for asked in calls[1:])
+        assert all(asked[1].any() for asked in calls[1:])
+
+    @pytest.mark.parametrize("grid", [0, -5])
+    def test_grid_below_one_refused(self, grid):
+        u = la.haar_unitary(2, 5)
+        with pytest.raises(ValueError, match=f"grid={grid}"):
+            mo.pure_deviation(co.dong_cUd(2), mo.cum_task(2, 2), u, grid=grid)
+        with pytest.raises(ValueError, match=f"grid={grid}"):
+            mo.eps_distance_estimate(constant_circuit(2), mo.cum_task(2, 1), u, n_samples=1,
+                                     grid=grid)
+
+    def test_one_phase_grid(self):
+        # a single grid phase: its two cells are the whole circle, twice over
+        val = mo._phase_min(lambda p: 1 - np.cos(p - 0.3), 1)
+        assert 0.0 <= val <= 1e-12
 
 
 def benchmark_haar(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -648,44 +758,49 @@ class TestPhaseScanSaving:
     """The Lipschitz bounds leave most phases unevaluated, counted by phase."""
 
     @staticmethod
-    def _count_phases(monkeypatch) -> list[int]:
-        """Record the number of grid phases each ``_phase_min`` call evaluates."""
-        counts = []
+    def _call_sizes(monkeypatch) -> list[list[int]]:
+        """Record the number of phases in each call of each ``_phase_min``
+        scan: the coarse call, the candidate call, then one call per step of
+        the refinement."""
+        scans = []
         original = mo._phase_min
 
         def counting(f, grid, lip=np.inf):
             sizes = []
-            out = original(lambda p: sizes.append(np.shape(p)[-1]) or f(p), grid, lip)
-            # every call but the 63 golden-section calls scans the grid
-            counts.append(sum(sizes[:-63]))
-            return out
+            scans.append(sizes)
+            return original(lambda p: sizes.append(np.shape(p)[-1]) or f(p), grid, lip)
 
         monkeypatch.setattr(mo, "_phase_min", counting)
-        return counts
+        return scans
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("d", [4, 3])
     def test_pure_deviation_evaluates_few_phases(self, monkeypatch, d, seed):
-        counts = self._count_phases(monkeypatch)
+        scans = self._call_sizes(monkeypatch)
         rng = np.random.default_rng([seed, 2])  # the verify-dense oracle stream
         if d == 3:
             for _ in range(2):
                 benchmark_haar(rng, 4)
         val = mo.pure_deviation(co.dong_cUd(d), mo.cum_task(d, d), benchmark_haar(rng, d))
         assert val <= 1e-9
-        assert len(counts) == 1 and counts[0] <= 150
+        (sizes,) = scans
+        # calls per scan, pinned as observed: the refinement's steps follow
+        # the rounding of the deviations, which vanish at these minima
+        calls = {(0, 4): 39, (0, 3): 41, (1, 4): 41, (1, 3): 42}[seed, d]
+        assert sum(sizes[:2]) <= 150 and sizes[2:] == [1] * (calls - 2)
 
     def test_eps_constant_evaluates_few_phases(self, monkeypatch):
         # the constant circuit's oracle in the verify-dense stream at seed 0,
         # after two d = 4 and two d = 3 draws; the bound 2 |X1|_F leaves
-        # 90 + 170 phases (2 sqrt(h) |X1|_F left 90 + 248)
-        counts = self._count_phases(monkeypatch)
+        # 90 + 170 phases (2 sqrt(h) |X1|_F left 90 + 248), then 46 steps
+        scans = self._call_sizes(monkeypatch)
         rng = np.random.default_rng([0, 2])
         for d in (4, 4, 3, 3):
             benchmark_haar(rng, d)
         mo.eps_distance_estimate(constant_circuit(2), mo.cum_task(2, 1), benchmark_haar(rng, 2),
                                  n_samples=2)
-        assert len(counts) == 1 and counts[0] <= 270
+        (sizes,) = scans
+        assert sum(sizes[:2]) <= 270 and len(sizes) == 48
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_zero_bound_states_are_constant(self, monkeypatch, d):
@@ -858,8 +973,10 @@ class TestEpsDistance:
     @pytest.mark.parametrize("n_samples", [1, 3])
     def test_one_phase_minimisation_for_all_states(self, monkeypatch, n_samples):
         # one call on the 2 coarse phases, one on each state's phases among
-        # the 14 it cannot rule out, and 63 golden-section calls, whatever the
-        # number of states: every state's phase is minimised in the same pass
+        # the 14 it cannot rule out, then one call per step of Brent's method
+        # on every state still refining: every state's phase is minimised in
+        # the same pass.  The h + 1 constant states (basis states and I/h,
+        # X1 = 0) ask phase 0 alone and are never refined
         calls = []
         original = la.hermitian_trace_norm
         monkeypatch.setattr(la, "hermitian_trace_norm",
@@ -867,11 +984,12 @@ class TestEpsDistance:
         alg, task = constant_circuit(2), mo.cum_task(2, 1)
         mo.eps_distance_estimate(alg, task, la.haar_unitary(2, 5), n_samples=n_samples, grid=16)
         states = len(mo._state_family(alg, task, n_samples, 0))
+        moving = states - alg.h_dim - 1
         # ((state, phase) pair, h, h) stacks
         sizes = [shape[0] for shape in calls]
-        assert len(sizes) == 65
-        assert sizes[0] == 2 * states and 0 < sizes[1] < 14 * states
-        assert sizes[2:] == [states] * 63
+        assert len(sizes) == 2 + {1: 42, 3: 44}[n_samples]  # steps pinned as observed
+        assert sizes[0] == 2 * moving + alg.h_dim + 1 and 0 < sizes[1] < 14 * moving
+        assert sizes[2] == moving and sizes[2:] == sorted(sizes[2:], reverse=True)
 
     def test_candidate_call_evaluates_only_the_kept_pairs(self, monkeypatch):
         # the scan's second call gives each state its own candidate phases,
