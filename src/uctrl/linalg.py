@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -483,16 +484,17 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def float_array_json(a: np.ndarray) -> str:
     """``json.dumps(a.tolist())`` for a 2-D float array, with the encoder run
     once per distinct bit pattern (so -0.0 keeps its sign) rather than once
-    per entry: program matrices hold few distinct values, mostly zeros."""
+    per entry: program matrices hold few distinct values, mostly zeros, so
+    only the nonzero patterns are sorted, with +0.0 put in front of them."""
     bits = np.ascontiguousarray(a, dtype=float).view(np.uint64)
-    distinct = np.unique(bits)
+    distinct = np.concatenate(([np.uint64(0)], np.unique(bits[bits != 0])))
     # the JSON text of a float never holds ", "
     text = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
     rows = text[np.searchsorted(distinct, bits)].tolist()
     return "[" + ", ".join(["[" + ", ".join(row) + "]" for row in rows]) + "]"
 
 
-# json.dumps text of the arrays of a matrix stub in ``dumps_with_matrices``.
+# json.dumps text of the arrays of a matrix stub in ``iterdumps_with_matrices``.
 # Within a JSON string every quote is escaped, so the quote after ``re`` closes
 # a key: this text marks the stubs and nothing else, whatever the strings of
 # the skeleton hold.
@@ -500,21 +502,30 @@ _STUB_ARRAYS = '"re": NaN, "im": NaN'
 
 
 def dumps_with_matrices(build) -> str:
-    """``json.dumps(build(matrix_to_json))``, byte for byte, without listing
-    the matrices: ``build`` gets a stand-in that records each matrix and
-    returns a stub whose arrays are NaN, and the text of each matrix's arrays
-    (from :func:`float_array_json`) replaces its stub's in one pass over the
-    ``json.dumps`` text of the skeleton.  ``build`` must put no NaN under a
-    key "re" outside the stubs."""
-    arrays = []
+    """``json.dumps(build(matrix_to_json))``, byte for byte: the pieces of
+    :func:`iterdumps_with_matrices` joined."""
+    return "".join(iterdumps_with_matrices(build))
+
+
+def iterdumps_with_matrices(build) -> Iterator[str]:
+    """The text of ``json.dumps(build(matrix_to_json))`` as pieces, without
+    listing the matrices: ``build`` gets a stand-in that records each matrix
+    and returns a stub whose arrays are NaN, and the ``json.dumps`` text of
+    the skeleton, made here, is cut at the stubs.  The text of a matrix's
+    arrays (from :func:`float_array_json`) is made only when its piece is
+    reached, so a writer holds one matrix's text at a time.  ``build`` must
+    put no NaN under a key "re" outside the stubs."""
+    matrices = []
 
     def stub(m: np.ndarray) -> dict:
         m = np.atleast_2d(np.asarray(m, dtype=complex))
-        arrays.append(f'"re": {float_array_json(m.real)}, "im": {float_array_json(m.imag)}')
+        matrices.append(m)
         return {"rows": m.shape[0], "cols": m.shape[1], "re": math.nan, "im": math.nan}
 
     pieces = json.dumps(build(stub)).split(_STUB_ARRAYS)
-    return "".join(itertools.chain.from_iterable(zip(pieces, arrays))) + pieces[-1]
+    arrays = (f'"re": {float_array_json(m.real)}, "im": {float_array_json(m.imag)}'
+              for m in matrices)
+    return itertools.chain(itertools.chain.from_iterable(zip(pieces, arrays)), pieces[-1:])
 
 
 def _float_entries(a: np.ndarray, rows, bool_free: bool) -> np.ndarray:
@@ -539,9 +550,30 @@ def _float_entries(a: np.ndarray, rows, bool_free: bool) -> np.ndarray:
 def load_json(path) -> tuple[object, bool]:
     """The JSON value in the file at ``path``, whose text is read once, and
     whether that text is free of booleans: JSON spells one only as the
-    literal ``true`` or ``false``."""
+    literal ``true`` or ``false``.  In text free of booleans, each object's
+    "re" and "im" lists become arrays as the object closes (see
+    :func:`_arrays_hook`), so the parser holds one matrix's floats at a time;
+    elsewhere the lists stay, for the scan of their entries' types."""
     text = Path(path).read_text()
-    return json.loads(text), not any(_holds_word(text, w) for w in ("true", "false"))
+    bool_free = not any(_holds_word(text, w) for w in ("true", "false"))
+    return json.loads(text, object_hook=_arrays_hook if bool_free else None), bool_free
+
+
+def _arrays_hook(obj: dict) -> dict:
+    """``obj`` with its "re" and "im" lists replaced by ``np.asarray`` of
+    them where that gives numbers: :func:`matrix_from_json` takes such an
+    array as it takes the list.  np.asarray turns [true, 0.5] into floats,
+    so this runs only on text free of booleans; ragged rows, strings, null
+    and integers outside int64 stay lists, for their own errors."""
+    for key in ("re", "im"):
+        if type(obj.get(key)) is list:
+            try:
+                a = np.asarray(obj[key])
+            except ValueError:
+                continue
+            if a.dtype.kind in "iuf":
+                obj[key] = a
+    return obj
 
 
 def _holds_word(text: str, word: str) -> bool:
@@ -568,8 +600,11 @@ def matrix_from_json(obj, *, _bool_free: bool = False) -> np.ndarray:
     shape = (obj["rows"], obj["cols"])
     if not all(isinstance(n, int) and not isinstance(n, bool) for n in shape):
         raise ValueError("matrix JSON rows and cols must be integers")
-    re, im = np.asarray(obj["re"]), np.asarray(obj["im"])
-    if re.shape != shape or im.shape != shape:
+    try:
+        re, im = np.asarray(obj["re"]), np.asarray(obj["im"])
+    except ValueError:  # ragged rows, or a list where a number belongs
+        re = im = None
+    if re is None or re.shape != shape or im.shape != shape:
         raise ValueError("matrix JSON shape fields disagree with data")
     re, im = _float_entries(re, obj["re"], _bool_free), _float_entries(im, obj["im"], _bool_free)
     if not (np.isfinite(re).all() and np.isfinite(im).all()):

@@ -1145,7 +1145,10 @@ def from_ir(obj, base: Path | None = None) -> OracleAlgorithm:
 
 def write_ir(alg: OracleAlgorithm, path) -> None:
     """Write ``json.dumps(to_ir(alg))`` to ``path``; each matrix value is
-    formatted once however often it occurs (see ``la.dumps_with_matrices``)."""
-    text = la.dumps_with_matrices(lambda matrix: _ir(alg, matrix))
+    formatted once however often it occurs, and the text is written piece by
+    piece, one matrix's arrays at a time (see ``la.iterdumps_with_matrices``).
+    The skeleton is made before the file is opened, so a program that cannot
+    be written leaves an existing file as it was."""
+    pieces = la.iterdumps_with_matrices(lambda matrix: _ir(alg, matrix))
     with open(path, "w") as f:
-        f.write(text)
+        f.writelines(pieces)

@@ -446,6 +446,11 @@ def _first_entry(value):
     return mutate
 
 
+def _short_first_row(ir):
+    u = ir["steps"][0]["unitary"]
+    return _first_step("unitary", {**u, "re": [u["re"][0][1:]] + u["re"][1:]})(ir)
+
+
 MALFORMED = "malformed circuit IR"
 MALFORMED_IR = {  # kind: (mutation of a dong d=2 IR, expected message fragment)
     "layout-of-bare-ints": (lambda ir: {**ir, "layout": [f["dim"] for f in ir["layout"]]},
@@ -469,6 +474,8 @@ MALFORMED_IR = {  # kind: (mutation of a dong d=2 IR, expected message fragment)
     "role-not-a-string": (lambda ir: {**ir, "layout": ir["layout"][:2] + [
         {**ir["layout"][2], "role": 5}] + ir["layout"][3:]}, MALFORMED),
     "name-not-a-string": (_with("name", {"a": 1}), MALFORMED),
+    "unitary-ragged-row": (_short_first_row, "matrix JSON shape fields disagree with data"),
+    "unitary-list-entry": (_first_entry([0.5]), "matrix JSON shape fields disagree with data"),
 }
 
 

@@ -835,6 +835,13 @@ class TestMatrixJson:
         assert la.float_array_json(a) == json.dumps(a.tolist())
         assert la.float_array_json(a.T) == json.dumps(a.T.tolist())  # not contiguous
 
+    @pytest.mark.parametrize("a", [
+        np.array([[1.0, -2.5], [0.1, 3.0]]), np.zeros((2, 3)), np.full((3, 2), -0.0),
+        np.zeros((0, 3)), np.zeros((3, 0)),
+    ], ids=["no-zero", "all-zeros", "negative-zeros", "no-rows", "no-cols"])
+    def test_float_array_json_cases(self, a):
+        assert la.float_array_json(a) == json.dumps(a.tolist())
+
     @settings(max_examples=200, derandomize=True)
     @given(text=st.text(alphabet="truefals \"", max_size=12),
            word=st.sampled_from(["true", "false"]))

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from uctrl import constructions as co
 from uctrl import linalg as la
 from uctrl import model as mo
 from uctrl.linalg import RegisterLayout
+
+from test_cli import MALFORMED_IR
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -1363,6 +1366,104 @@ class TestIrReader:
         assert "true" not in path.read_text() and "false" not in path.read_text()
         with pytest.raises(ValueError, match="must be numbers"):
             mo.from_ir(path)
+
+
+def _assert_same_program(a: mo.OracleAlgorithm, b: mo.OracleAlgorithm) -> None:
+    """The two programs hold the same fields, every matrix bit for bit."""
+    def same_matrix(x, y):
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    assert (a.name, a.oracle_dim, a.layout, a.task_out) == (b.name, b.oracle_dim, b.layout, b.task_out)
+    assert [(type(s), s.targets) for s in a.steps] == [(type(t), t.targets) for t in b.steps]
+    for s, t in zip(a.steps, b.steps):
+        assert same_matrix(s.op, t.op) if isinstance(s, mo.FixedStep) else s.letter == t.letter
+    assert (a.projector is None) == (b.projector is None)
+    if a.projector is not None:
+        assert same_matrix(a.projector[0], b.projector[0]) and a.projector[1] == b.projector[1]
+
+
+BUILT = [(n, d) for n in sorted(co.BUILDERS) + ["power"] for d in (2, 3, 4)
+         if not (n in ("inverse", "spin-echo") and d == 4)]
+
+
+class TestIrFileReader:
+    """A file's inline matrices become arrays as their JSON objects close;
+    the program and every error are those of the dict json.loads gives."""
+
+    @pytest.mark.parametrize("name,d", BUILT)
+    def test_file_is_the_parsed_dict(self, name, d, tmp_path):
+        path = tmp_path / "alg.json"
+        mo.write_ir(co.build(name, d, 2 * d if name == "power" else None), path)
+        _assert_same_program(mo.from_ir(path), mo.from_ir(json.loads(path.read_text())))
+
+    def test_external_matrix_file_is_the_parsed_dict(self, tmp_path):
+        ir = mo.to_ir(co.build("dong", 3))
+        (tmp_path / "step.json").write_text(json.dumps(ir["steps"][0]["unitary"]))
+        ir["steps"][0]["unitary"] = "step.json"
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(ir))
+        parsed = json.loads(path.read_text())
+        parsed["steps"][0]["unitary"] = json.loads((tmp_path / "step.json").read_text())
+        _assert_same_program(mo.from_ir(path), mo.from_ir(parsed))
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_IR))
+    def test_malformed_file_fails_as_the_parsed_dict(self, kind, tmp_path):
+        mutate, _ = MALFORMED_IR[kind]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(mutate(mo.to_ir(co.build("dong", 2)))))
+        with pytest.raises(Exception) as from_dict:
+            mo.from_ir(json.loads(path.read_text()))
+        with pytest.raises(type(from_dict.value)) as from_file:
+            mo.from_ir(path)
+        assert str(from_file.value) == str(from_dict.value)
+
+
+def _traced_peak(f) -> int:
+    """The peak of the memory traced while ``f()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestIrMemory:
+    """IR files are read and written about one matrix at a time.  Each
+    program is read or written once untraced first: np.unique's first call
+    imports numpy.ma, about 1 MB."""
+
+    def test_from_ir_peak(self, tmp_path):
+        # a json.loads that holds every float of the 1.5 MB file at once peaks at 12.4 MB
+        path = tmp_path / "dong4.json"
+        mo.write_ir(co.build("dong", 4), path)
+        mo.from_ir(path)
+        assert _traced_peak(lambda: mo.from_ir(path)) <= 9e6
+
+    def test_write_ir_peak(self, tmp_path):
+        # joining the whole text before writing it peaks at 4.5 MB
+        alg, path = co.build("dong", 4), tmp_path / "dong4.json"
+        mo.write_ir(alg, path)
+        assert _traced_peak(lambda: mo.write_ir(alg, path)) <= 3e6
+
+
+class TestIrWriter:
+    def test_dumps_with_matrices_joins_the_written_pieces(self, tmp_path):
+        alg, path = co.build("spin-echo", 3), tmp_path / "alg.json"
+        mo.write_ir(alg, path)
+        assert la.dumps_with_matrices(lambda matrix: mo._ir(alg, matrix)) == path.read_text()
+
+    def test_failed_write_keeps_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "alg.json"
+        path.write_text("old")
+
+        def no_skeleton(alg, matrix):
+            raise RuntimeError("no skeleton")
+
+        monkeypatch.setattr(mo, "_ir", no_skeleton)
+        with pytest.raises(RuntimeError, match="no skeleton"):
+            mo.write_ir(co.build("dong", 2), path)
+        assert path.read_text() == "old"
 
 
 class TestValidation:
