@@ -35,9 +35,18 @@ def require_square(m: np.ndarray, what: str = "matrix") -> int:
     return m.shape[0]
 
 
+def entry_above(m: np.ndarray, bound: float) -> bool | np.ndarray:
+    """Whether some entry of ``m`` has modulus above ``bound``; for a stack
+    (..., r, c) the array of each matrix's answer.  A NaN is not above."""
+    return (np.abs(m) > bound).any(axis=(-2, -1))
+
+
 def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+    """An entry of modulus above sqrt(1 + tol) puts the largest singular
+    value above it, so |m^dagger m - I|_2 > tol: such an ``m`` is refused
+    before m^dagger m is formed, which could overflow."""
     n = require_square(m)
-    return norm_within(dagger(m) @ m - np.eye(n), tol)
+    return not entry_above(m, math.sqrt(1 + tol)) and norm_within(dagger(m) @ m - np.eye(n), tol)
 
 
 def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL, what: str = "matrix") -> np.ndarray:
@@ -51,7 +60,11 @@ def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL, what: str = "matrix
         return m
     if m.shape[1] != m.shape[2]:
         raise ValueError(f"{what} must be a stack of square matrices, got shape {m.shape}")
-    bad = np.flatnonzero(~norm_within(dagger(m) @ m - np.eye(m.shape[1]), tol))
+    # as in is_unitary, a matrix with an entry above sqrt(1 + tol) fails first
+    ok = ~entry_above(m, math.sqrt(1 + tol))
+    good = m if ok.all() else m[ok]
+    ok[ok] = norm_within(dagger(good) @ good - np.eye(m.shape[1]), tol)
+    bad = np.flatnonzero(~ok)
     if bad.size:
         raise ValueError(f"{what} at index {bad[0]} is not unitary to tolerance {tol}")
     return m
@@ -485,9 +498,12 @@ def float_array_json(a: np.ndarray) -> str:
     """``json.dumps(a.tolist())`` for a 2-D float array, with the encoder run
     once per distinct bit pattern (so -0.0 keeps its sign) rather than once
     per entry: program matrices hold few distinct values, mostly zeros, so
-    only the nonzero patterns are sorted, with +0.0 put in front of them."""
+    only the nonzero patterns are sorted, with +0.0 put in front of them, and
+    each kept where it differs from the one before (``np.unique`` would
+    import ``numpy.ma``)."""
     bits = np.ascontiguousarray(a, dtype=float).view(np.uint64)
-    distinct = np.concatenate(([np.uint64(0)], np.unique(bits[bits != 0])))
+    patterns = np.concatenate(([np.uint64(0)], np.sort(bits[bits != 0])))
+    distinct = patterns[np.concatenate(([True], patterns[1:] != patterns[:-1]))]
     # the JSON text of a float never holds ", "
     text = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
     rows = text[np.searchsorted(distinct, bits)].tolist()

@@ -133,7 +133,11 @@ class OracleAlgorithm:
             p, targets = self.projector
             p = np.asarray(p, dtype=complex)
             ops.append((p, la.check_targets(p, targets, self.dims), _moved_block(p)))
-            if not (la.norm_within(p @ p - p, la.UNITARY_TOL)
+            # within tol t of Hermitian and of idempotent, p has a Hermitian
+            # part whose eigenvalues lie within a few t of 0 or 1, so a norm
+            # below 2: an entry above 2 fails, refused before the defects,
+            # whose norms could overflow, are formed
+            if la.entry_above(p, 2) or not (la.norm_within(p @ p - p, la.UNITARY_TOL)
                     and la.norm_within(p - la.dagger(p), la.UNITARY_TOL)):
                 raise ValueError(f"projector of {self.name} is not an orthogonal projector")
         if self.task_out is not None and la.target_dim(self.task_out, self.dims) != self.h_dim:
@@ -737,9 +741,16 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
     The garbage vector is the least-squares ancilla factor for the candidate
     task member; for the controlled family the relative phase is scanned on a
     uniform grid of ``grid`` phases (at least 1) and the best one refined by
-    Brent's method (``_phase_min``).  ``u`` is one (d, d) oracle, not a
-    stack.
+    Brent's method (``_phase_min``).  Before that scan, the deviation is
+    evaluated once at the fitted phase, that of <g0, g1> when member(phi)'s
+    garbage is g0 + e^{-i phi} g1, which is an exact achiever's phase.  A
+    value there of at most ``lip * 4 * _REFINE_TOL`` (``lip`` bounding the
+    deviation's Lipschitz constant in the phase) is returned without a scan:
+    no norm is below 0, so it is within the scan's stated accuracy of the
+    global minimum.  ``u`` is one (d, d) oracle, not a stack.
     """
+    if grid < 1:  # here, as an achiever returns before _phase_min checks it
+        raise ValueError(f"the phase grid needs at least 1 phase, got grid={grid}")
     _check_compat(alg, task)
     _one_oracle(u, alg.oracle_dim, "pure_deviation")
     bp, big_t = _schmidt_views(alg, alg.task_block(u))
@@ -776,7 +787,13 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
     # is at most |T1|_F |g_q0| + |T0|_F |g_q1|
     lip = (np.linalg.norm(t1) * np.linalg.norm(g_q[:, 0])
            + np.linalg.norm(t0) * np.linalg.norm(g_q[:, 1])) * (1 + 1e-9)
-    # each deviation is tall, so its spectral norm comes from its h x h Gram matrix
+    # each deviation is tall, so its spectral norm comes from its h x h Gram
+    # matrix.  An exact achiever at phase phi has g1 = s e^{i phi} g0 with
+    # s = |T1|_F^2 / |T0|_F^2, so <g0, g1> has the phase phi
+    e = np.exp(1j * np.angle(np.vdot(g[:, 0], g[:, 1])))
+    fit = la.gram_spectral_norm(a + e * b + e.conj() * c)
+    if fit <= lip * 4 * _REFINE_TOL:
+        return float(fit)
     return float(_affine_min(la.gram_spectral_norm, a, b, c, grid, lip))
 
 

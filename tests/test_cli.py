@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -514,6 +515,27 @@ class TestInputErrors:
                    "--out", tmp_path / "rep.json")
         assert fragment in self._input_error(code, capsys)
 
+    @pytest.mark.parametrize("name,argv,fragment", [
+        ("dong", ["--task", "cUm", "--m", 2], "fixed step in dong is not unitary"),
+        ("transpose", ["--task", "transpose"],
+         "projector of transpose is not an orthogonal projector"),
+    ], ids=["dong-step", "transpose-projector"])
+    def test_huge_finite_entry(self, name, argv, fragment, tmp_path, capsys):
+        # an entry near the float maximum fails its check before any product
+        # could overflow: the one error line, and no numpy warning
+        ir = mo.to_ir(co.build(name, 2))
+        matrix = ir["projector"]["matrix"] if name == "transpose" else ir["steps"][0]["unitary"]
+        matrix["re"][0][0] = 1.7e308
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(ir))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("verify", path, *argv, "--d", 2, "--samples", 2,
+                       "--out", tmp_path / "rep.json")
+        err = self._input_error(code, capsys)
+        assert caught == []
+        assert fragment in err and err.count("\n") == 1 and err.endswith("\n")
+
     @pytest.mark.parametrize("argv", [
         ["bu-scan", "--refinements", 0],
         ["bu-scan", "--refinements", -2],
@@ -658,6 +680,18 @@ class TestStartUp:
                                  "a single-matrix root": [], "probe root-composed": []}
         np.testing.assert_array_equal(np.load(tmp_path / "root.npy"),
                                       la.principal_root(la.haar_unitary(2, 5), 2))
+
+    def test_build_leaves_numpy_ma_unloaded(self, tmp_path):
+        # the IR writer finds its distinct floats without np.unique, whose
+        # first call imports numpy.ma
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys; from uctrl import cli; "
+                  "code = cli.main(['build', 'dong', '--d', '2', '--out', sys.argv[1]]); "
+                  "print(code, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "dong2.json")], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout.splitlines()[-1] == f"{cli.EXIT_OK} False"
 
 
 # -- property test: random field mutations of valid IR --------------------------

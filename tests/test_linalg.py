@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,26 @@ class TestNormWithin:
         la.require_unitary(np.stack([q, np.eye(256)]))
         layout = la.RegisterLayout.of([256], ["task"])
         mo.OracleAlgorithm("scaled", 256, layout, (mo.FixedStep(q, (0,)), mo.QueryStep(mo.ID, (0,))))
+
+    def test_huge_entry_fails_before_its_product(self):
+        # an entry above sqrt(1 + tol) puts the largest singular value above
+        # it: not unitary, decided before m^dagger m could overflow, and a
+        # stack names the first such matrix
+        q = la.haar_unitary(3, 45)
+        huge = q.copy()
+        huge[1, 2] = 1.7e308
+        just = q * (1 + 1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not la.is_unitary(huge) and not la.is_unitary(just)
+            with pytest.raises(ValueError, match="at index 1 is not unitary"):
+                la.require_unitary(np.stack([q, huge, just]))
+            la.require_unitary(np.stack([q, q]))
+        # ``just`` has no large entry: it fails by the norm of its defect
+        assert la.spectral_norm(la.dagger(just) @ just - np.eye(3)) > self.TOL
+        assert la.entry_above(np.stack([q, huge, just]), math.sqrt(1 + self.TOL)).tolist() \
+            == [False, True, False]
+        assert not la.entry_above(np.full((2, 2), np.nan), 1.0)
 
     def test_empty(self):
         assert la.norm_within(np.zeros((0, 0), dtype=complex), self.TOL) is True

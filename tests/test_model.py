@@ -779,18 +779,25 @@ class TestPhaseScanSaving:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("d", [4, 3])
     def test_pure_deviation_evaluates_few_phases(self, monkeypatch, d, seed):
-        scans = self._call_sizes(monkeypatch)
+        # the verify-dense achievers are certified at their fitted phase:
+        # no phase scan at all
         rng = np.random.default_rng([seed, 2])  # the verify-dense oracle stream
         if d == 3:
             for _ in range(2):
                 benchmark_haar(rng, 4)
-        val = mo.pure_deviation(co.dong_cUd(d), mo.cum_task(d, d), benchmark_haar(rng, d))
-        assert val <= 1e-9
-        (sizes,) = scans
-        # calls per scan, pinned as observed: the refinement's steps follow
-        # the rounding of the deviations, which vanish at these minima
-        calls = {(0, 4): 39, (0, 3): 41, (1, 4): 41, (1, 3): 42}[seed, d]
-        assert sum(sizes[:2]) <= 150 and sizes[2:] == [1] * (calls - 2)
+        alg, task, u = co.dong_cUd(d), mo.cum_task(d, d), benchmark_haar(rng, d)
+        _, lip = full_scan(monkeypatch, alg, task, u)
+        scans = self._call_sizes(monkeypatch)
+        assert mo.pure_deviation(alg, task, u) <= lip * 4 * mo._REFINE_TOL
+        assert scans == []
+
+    def test_pure_deviation_non_achiever_scan(self, monkeypatch):
+        # kitaev is far from c-U^1: one pruned scan, its call sizes pinned as
+        # observed (the coarse call, the candidates, then Brent's 39 steps)
+        scans = self._call_sizes(monkeypatch)
+        val = mo.pure_deviation(co.kitaev_cswap(2), mo.cum_task(2, 1), la.haar_unitary(2, 14))
+        assert val > 0.1
+        assert scans == [[90, 103] + [1] * 39]
 
     def test_eps_constant_evaluates_few_phases(self, monkeypatch):
         # the constant circuit's oracle in the verify-dense stream at seed 0,
@@ -826,6 +833,82 @@ class TestPhaseScanSaving:
         vals = f(np.linspace(-np.pi, np.pi, grid, endpoint=False))[zero]
         assert vals.shape == (h + 1, mo.PHASE_GRID)
         np.testing.assert_array_equal(vals, np.broadcast_to(vals[:, :1], vals.shape))
+
+
+def full_scan(monkeypatch, alg, task, u) -> tuple[float, float]:
+    """``pure_deviation`` of a controlled-power task by its phase scan alone,
+    and the scan's Lipschitz bound ``lip``: the deviation at the fitted phase,
+    the one norm of a single matrix (the scan's are of stacks), is made inf,
+    so that no certificate holds."""
+    norm, affine_min = la.gram_spectral_norm, mo._affine_min
+    lips = []
+    with monkeypatch.context() as m:
+        m.setattr(la, "gram_spectral_norm", lambda x: np.inf if x.ndim == 2 else norm(x))
+        m.setattr(mo, "_affine_min", lambda *args: lips.append(args[-1]) or affine_min(*args))
+        val = mo.pure_deviation(alg, task, u)
+    (lip,) = lips
+    return val, lip
+
+
+def turned_dong(theta: float) -> mo.OracleAlgorithm:
+    """dong d = 2 with its first fixed step turned by a rotation of angle
+    ``theta`` between its first two basis states: a near-achiever."""
+    alg = co.dong_cUd(2)
+    first = alg.steps[0]
+    turn = np.eye(len(first.op), dtype=complex)
+    turn[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    steps = (mo.FixedStep(turn @ first.op, first.targets),) + alg.steps[1:]
+    return mo.OracleAlgorithm("turned", 2, alg.layout, steps)
+
+
+class TestFittedPhaseCertificate:
+    """``pure_deviation`` returns its value at the fitted phase, without a
+    scan, when that value is at most ``lip * 4 * _REFINE_TOL``; any other
+    input takes the one phase scan it took before, bit for bit."""
+
+    @staticmethod
+    def assert_certified(monkeypatch, alg, task, u):
+        scanned, lip = full_scan(monkeypatch, alg, task, u)
+        scans = []
+        with monkeypatch.context() as m:
+            m.setattr(mo, "_phase_min", lambda *args: scans.append(args))
+            val = mo.pure_deviation(alg, task, u)
+        assert scans == []
+        assert val <= lip * 4 * mo._REFINE_TOL
+        assert abs(val - scanned) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["dong", "spin-echo"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_builder_achievers(self, monkeypatch, name, d):
+        # the builders that achieve a controlled-power task: dong and
+        # spin-echo, of c-U^d (kitaev achieves none)
+        alg = co.BUILDERS[name](d)
+        for s in range(3):
+            self.assert_certified(monkeypatch, alg, mo.cum_task(d, d), la.haar_unitary(d, 990 + s))
+
+    def test_power_2_4(self, monkeypatch):
+        self.assert_certified(monkeypatch, co.power_cUm(2, 4), mo.cum_task(2, 4),
+                              la.haar_unitary(2, 993))
+
+    @pytest.mark.parametrize("phase", [np.pi - 1e-6, np.pi + 1e-6, 0.1])
+    def test_composed_root_across_the_cut(self, monkeypatch, phase):
+        ev = co.composed_root_cU(2, lambda u: la.principal_root(u, 2))
+        self.assert_certified(monkeypatch, ev, mo.cum_task(2, 1),
+                              np.diag([1, np.exp(1j * phase)]).astype(complex))
+
+    @pytest.mark.parametrize("theta", [1e-6, 1e-10, 1e-12])
+    def test_near_achievers_scan_as_before(self, monkeypatch, theta):
+        # deviations of about 0.68 theta, above the certificate bound (5.7e-14
+        # here): one scan, whose value is _affine_min's, bit for bit
+        alg, task, u = turned_dong(theta), mo.cum_task(2, 2), la.haar_unitary(2, 5)
+        scanned, _ = full_scan(monkeypatch, alg, task, u)
+        phase_min, scans = mo._phase_min, []
+        with monkeypatch.context() as m:
+            m.setattr(mo, "_phase_min", lambda *args: scans.append(args) or phase_min(*args))
+            val = mo.pure_deviation(alg, task, u)
+        assert len(scans) == 1
+        assert val.hex() == scanned.hex()
+        assert 0.5 * theta <= val <= theta
 
 
 def constant_circuit(d: int) -> mo.OracleAlgorithm:
