@@ -870,23 +870,37 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
     controlled-power non-achiever the phase is chosen per state: the value is
     the max over states of the min over phases, a lower bound on the min over
     phases of the max over states that approximate control_phi(U) asks for.
+    Each state's best phase comes from a secular equation, not a phase scan
+    (``_eps_from_block``), so ``grid`` is still checked (at least 1) but no
+    longer changes the value.
 
     ``u`` may be a (B, d, d) stack, giving the B estimates as an array; it is
     evaluated through ``over_stack``, each oracle's slice width counting its
-    task block and its phase scan, and a single (d, d) oracle is the stack
-    of one.
+    task block and _PHASE_CHUNK h x h matrices per state, and a single
+    (d, d) oracle is the stack of one.
     """
-    pairs = _exact_and_eps(alg, task, u, EXACT_TOL, n_samples, seed, grid)
+    if grid < 1:
+        raise ValueError(f"the phase grid needs at least 1 phase, got grid={grid}")
+    pairs = _exact_and_eps(alg, task, u, EXACT_TOL, n_samples, seed)
     if isinstance(pairs, tuple):  # one oracle's (result, estimate)
         return pairs[1]
     return np.array([val for _, val in pairs], dtype=float)
 
 
 def _eps_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
-                    exact: list[AchievementResult], rhos: np.ndarray, grid: int) -> np.ndarray:
+                    exact: list[AchievementResult], rhos: np.ndarray) -> np.ndarray:
     """``eps_distance_estimate`` on a (B, d, d) stack of oracles over the
     states ``rhos``, from their (B, N, h) zero-ancilla blocks ``b`` and
-    their ``check_exact`` results at ``EXACT_TOL``, already computed."""
+    their ``check_exact`` results at ``EXACT_TOL``, already computed.
+
+    A non-achiever of a controlled-power task takes, for each state, the
+    phase that minimises its defect's trace norm, found without a scan.  A
+    pure state's defect is sigma - psi psi^dagger, with at most one negative
+    eigenvalue -mu; the least mu over the phase is the root of a secular
+    equation (Golub 1973), bracketed in [0, |psi|^2] and narrowed by a fixed
+    56 halvings.  The value is the trace norm of the defect at the phase
+    found, up to rounding at most 2^-55 |psi|^2 above its minimum over the
+    circle.  I/h does not depend on the phase and takes phase 0."""
     outs, trs = _channel_from_block(alg, b, rhos)
     if np.any(trs <= 1e-14):
         raise ModelViolationError("postselection probability vanished on a sampled state")
@@ -905,28 +919,49 @@ def _eps_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
     if not fixed.all():
         # member(phi) rho member(phi)^dagger has terms in 1, e^{i phi} and
         # e^{-i phi}: the defect is X0 - e^{i phi} X1 - e^{-i phi} X1^dagger,
-        # Hermitian, minimised over every (oracle, state) pair in one pass
+        # Hermitian, with X0 = sigma - fit, sigma the normalised output
         t0, t1 = (t[:, None] for t in _affine_member(task, us[~fixed]))
         x1s = t1 @ rhos @ la.dagger(t0)
-        x0s = normalised[~fixed] - t0 @ rhos @ la.dagger(t0) - t1 @ rhos @ la.dagger(t1)
-        # d/dphi of the defect has trace norm at most 2 |X1|_*.  Every
-        # state of the family but I/h is pure, rho = v v^dagger, so
-        # X1 = (T1 v)(T0 v)^dagger has rank at most 1; for I/h it is
-        # T1 T0^dagger / h = 0, the control blocks being disjoint.  So
-        # |X1|_* = |X1|_F, up to rounding far below _phase_min's slack
-        lip = 2 * np.linalg.norm(x1s, axis=(-2, -1))
-        vals[~fixed] = np.max(_affine_min(la.hermitian_trace_norm, x0s, -x1s,
-                                          -la.dagger(x1s), grid, lip), axis=-1)
+        fit = t0 @ rhos @ la.dagger(t0) + t1 @ rhos @ la.dagger(t1)
+        # For rho = v v^dagger the defect is sigma - psi psi^dagger with
+        # psi = T0 v + e^{i phi} T1 v, its two parts on disjoint control
+        # blocks: its trace is the same at every phase and, sigma being PSD,
+        # it has at most one negative eigenvalue -mu, so its trace norm is
+        # least where mu is.  With sigma = E diag(s) E^dagger, mu is the root
+        # of sum |E^dagger psi|^2 / (s + mu) = 1, and |E^dagger psi|^2 is
+        # p + 2 Re(e^{i phi} q), p and q the diagonals of E^dagger fit E and
+        # E^dagger X1 E.  So the least mu over the phase is the root of the
+        # decreasing sum w p - 2 |sum w q| = 1, w = 1 / (s + mu), in
+        # [0, sum p]: 14 rounds each cut every member's bracket into 16.  At
+        # its top end, the phase with e^{i phi} Q = -|Q|, Q = sum w q, has
+        # its mu below that end.  Q = 0 where X1 = 0 (I/h, basis states): phase 0
+        s, e = np.linalg.eigh(normalised[~fixed])
+        s = np.maximum(s, 0)
+        p = np.sum(e.conj() * (fit @ e), axis=-2).real
+        q = np.sum(e.conj() * (x1s @ e), axis=-2)
+        pq = np.stack([p, q.real, q.imag], axis=-1)
+        lo, width = np.zeros(p.shape[:-1]), p.sum(axis=-1)
+        for _ in range(14):
+            width = width / 16
+            mu = lo[..., None] + width[..., None] * np.arange(1, 16)
+            g = (1 / (s[..., None, :] + mu[..., None])) @ pq
+            lo = lo + width * np.sum(g[..., 0] - 2 * np.hypot(g[..., 1], g[..., 2]) > 1, axis=-1)
+        big_q = np.sum(q / (s + (lo + width)[..., None]), axis=-1)[..., None, None]
+        r = np.abs(big_q)
+        z = np.where(r > 0, -big_q.conj(), 1) / np.where(r > 0, r, 1)
+        # the trace norm at that phase, not tr + 2 mu: p and 2 |Q| cancel
+        # at a small mu, and the eigenvalues keep the rounding absolute
+        defect = normalised[~fixed] - fit - z * x1s - z.conj() * la.dagger(x1s)
+        vals[~fixed] = np.max(la.hermitian_trace_norm(defect), axis=-1)
     return vals
 
 
-def _exact_and_eps(alg, task: Task, u: np.ndarray, tol: float, n_samples: int, seed: int,
-                   grid: int = PHASE_GRID):
+def _exact_and_eps(alg, task: Task, u: np.ndarray, tol: float, n_samples: int, seed: int):
     """``check_exact(alg, task, u, tol)`` beside ``eps_distance_estimate(alg,
-    task, u, n_samples, seed, grid)``, each oracle's zero-ancilla block built
+    task, u, n_samples, seed)``, each oracle's zero-ancilla block built
     once: the list of (result, estimate) pairs of a (B, d, d) stack, or the
     pair of a single (d, d) oracle.  Each oracle's ``over_stack`` slice width
-    counts its task block and its phase scan."""
+    counts its task block and _PHASE_CHUNK h x h matrices per state."""
     _check_compat(alg, task)
     rhos = _state_family(alg, task, n_samples, seed)
 
@@ -935,9 +970,10 @@ def _exact_and_eps(alg, task: Task, u: np.ndarray, tol: float, n_samples: int, s
         exact = _exact_from_block(alg, task, us, b, tol)
         # the estimate tells achievers by the results at EXACT_TOL
         at_exact_tol = exact if tol == EXACT_TOL else _exact_from_block(alg, task, us, b, EXACT_TOL)
-        return list(zip(exact, _eps_from_block(alg, task, us, b, at_exact_tol, rhos, grid)))
+        return list(zip(exact, _eps_from_block(alg, task, us, b, at_exact_tol, rhos)))
 
-    # a phase scan keeps at most _PHASE_CHUNK h x h defects per state
+    # room for _PHASE_CHUNK h x h matrices per state, more than the phase
+    # choice keeps (15 h-vectors and a few h x h matrices per state)
     width = alg.total_dim * alg.h_dim + len(rhos) * _PHASE_CHUNK * alg.h_dim ** 2
     return over_stack(both, u, alg.oracle_dim, width)
 

@@ -801,16 +801,15 @@ class TestPhaseScanSaving:
 
     def test_eps_constant_evaluates_few_phases(self, monkeypatch):
         # the constant circuit's oracle in the verify-dense stream at seed 0,
-        # after two d = 4 and two d = 3 draws; the bound 2 |X1|_F leaves
-        # 90 + 170 phases (2 sqrt(h) |X1|_F left 90 + 248), then 46 steps
+        # after two d = 4 and two d = 3 draws: a non-achiever, whose phases
+        # come from the secular equation, with no phase scan at all
         scans = self._call_sizes(monkeypatch)
         rng = np.random.default_rng([0, 2])
         for d in (4, 4, 3, 3):
             benchmark_haar(rng, d)
-        mo.eps_distance_estimate(constant_circuit(2), mo.cum_task(2, 1), benchmark_haar(rng, 2),
-                                 n_samples=2)
-        (sizes,) = scans
-        assert sum(sizes[:2]) <= 270 and len(sizes) == 48
+        val = mo.eps_distance_estimate(constant_circuit(2), mo.cum_task(2, 1),
+                                       benchmark_haar(rng, 2), n_samples=2)
+        assert val >= 1 and scans == []
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_zero_bound_states_are_constant(self, monkeypatch, d):
@@ -824,8 +823,7 @@ class TestPhaseScanSaving:
             return original(f, grid, lip)
 
         monkeypatch.setattr(mo, "_phase_min", capture)
-        mo.eps_distance_estimate(constant_circuit(d), mo.cum_task(d, 1), la.haar_unitary(d, 962),
-                                 n_samples=2)
+        eps_affine_min(constant_circuit(d), mo.cum_task(d, 1), la.haar_unitary(d, 962), 2)
         (f, grid, lip), = scans
         h = 2 * d
         zero = lip == 0
@@ -953,6 +951,42 @@ def per_phase_eps(alg, task, u, n_samples, grid):
     return worst
 
 
+def stacked_phase_eps(alg, task, u, n_samples, grid):
+    """``per_phase_eps`` with the phases of each call stacked: the trace
+    distance to the full target member rho member^dagger, by SVD, every
+    state and phase of a call in one stack.  member(phi) = A + e^{i phi} B
+    is read off the members at 0 and pi."""
+    exact = mo.check_exact(alg, task, u)
+    rhos = mo._state_family(alg, task, n_samples, 0)
+    sigma = np.stack([out / tr for out, tr in (mo.apply_channel(alg, u, rho) for rho in rhos)])
+    if exact.achieved or task.control_power is None:
+        member = task.member(u, exact.phase)
+        return la.trace_norm(sigma - member @ rhos @ la.dagger(member)).max()
+    m0, m1 = task.member(u, 0.0), task.member(u, np.pi)
+
+    def dist(p):
+        # a NaN phase is "don't care": any value there is ignored
+        member = (m0 + m1) / 2 + np.exp(1j * np.nan_to_num(p))[..., None, None] * (m0 - m1) / 2
+        return la.trace_norm(sigma[:, None] - member @ rhos[:, None] @ la.dagger(member))
+
+    return mo._phase_min(dist, grid).max()
+
+
+def eps_affine_min(alg, task, u, n_samples, grid=mo.PHASE_GRID):
+    """eps of a controlled-power non-achiever by a phase scan instead of the
+    secular equation: ``_affine_min`` over the oracle's (1, S) family of
+    defects X0 - e^{i phi} X1 - e^{-i phi} X1^dagger, with the bound
+    2 |X1|_F on each member's Lipschitz constant."""
+    us = u[None]
+    rhos = mo._state_family(alg, task, n_samples, 0)
+    outs, trs = mo._channel_from_block(alg, alg.task_block(us), rhos)
+    t0, t1 = (t[:, None] for t in mo._affine_member(task, us))
+    x1s = t1 @ rhos @ la.dagger(t0)
+    x0s = outs / trs[..., None, None] - t0 @ rhos @ la.dagger(t0) - t1 @ rhos @ la.dagger(t1)
+    lip = 2 * np.linalg.norm(x1s, axis=(-2, -1))
+    return np.max(mo._affine_min(la.hermitian_trace_norm, x0s, -x1s, -la.dagger(x1s), grid, lip))
+
+
 def compatible_tasks(alg, d):
     tasks = [mo.cum_task(d, d), mo.cum_task(d, 1), mo.cum_task(d, -1),
              mo.conjugation_task(d), mo.transpose_task(d), mo.inverse_task(d)]
@@ -1024,6 +1058,91 @@ class TestPhaseScanEquivalence:
                           grid=mo.PHASE_GRID)
 
 
+class TestSecularPhase:
+    """eps of a controlled-power non-achiever takes each state's phase from
+    the secular equation of its rank-one defect, with no phase scan, and
+    matches a full scan of 4,096 phases per state, refined by Brent's
+    method, to 1e-12."""
+
+    GRID = 4096
+
+    def assert_dense(self, monkeypatch, alg, task, u) -> float:
+        scans = []
+        with monkeypatch.context() as m:
+            m.setattr(mo, "_phase_min", lambda *args: scans.append(args))
+            val = mo.eps_distance_estimate(alg, task, u, n_samples=2)
+        assert scans == []
+        assert abs(val - stacked_phase_eps(alg, task, u, 2, self.GRID)) <= 1e-12
+        return val
+
+    def test_stacked_reference_is_per_phase_eps(self):
+        # the reference with stacked phases against per_phase_eps, one phase
+        # per call, on every builder and task that scans at d = 2, at 100
+        # phases
+        u = la.haar_unitary(2, 972)
+        scanned = 0
+        for name in ("dong", "kitaev", "spin-echo"):
+            alg = co.BUILDERS[name](2)
+            for task in compatible_tasks(alg, 2):
+                if task.control_power is not None and not mo.check_exact(alg, task, u).achieved:
+                    scanned += 1
+                    assert abs(stacked_phase_eps(alg, task, u, 2, 100)
+                               - per_phase_eps(alg, task, u, 2, 100)) <= 1e-13
+        assert scanned == 7  # dong's c-U^+-1, kitaev's three, spin-echo's c-U^+-1
+
+    # the neutraliser has no task register, so no task applies to it
+    @pytest.mark.parametrize("name", sorted(set(co.BUILDERS) - {"neutraliser"}))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_builders(self, monkeypatch, name, d):
+        alg = co.BUILDERS[name](d)
+        tasks = compatible_tasks(alg, d)
+        assert tasks
+        u = la.haar_unitary(d, 970 + d)
+        for task in tasks:
+            self.assert_dense(monkeypatch, alg, task, u)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_constant_circuit(self, monkeypatch, d):
+        # against the dense scan and against _affine_min's pruned scan
+        alg, task, u = constant_circuit(d), mo.cum_task(d, 1), la.haar_unitary(d, 975)
+        val = self.assert_dense(monkeypatch, alg, task, u)
+        assert abs(val - eps_affine_min(alg, task, u, 2)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 3, 5])
+    def test_scrambled_program(self, monkeypatch, seed):
+        # a Haar-random step on the control, the task and a two-dimensional
+        # ancilla: unlike the builders' outputs, these make the best phase
+        # depend on mu.  At a mu that ignores the term 2 |sum w q|, each
+        # seed's eps is off by 2e-8 to 8e-7 at m = 1 or 2
+        layout = RegisterLayout.of([2, 2, 2], ["control", "task", "anc"])
+        alg = mo.OracleAlgorithm("scrambled", 2, layout, (
+            mo.QueryStep(mo.ID, (1,)), mo.FixedStep(la.haar_unitary(8, 963 + seed), (0, 1, 2))))
+        for m in (1, 2):
+            self.assert_dense(monkeypatch, alg, mo.cum_task(2, m), la.haar_unitary(2, 964 + seed))
+
+    @pytest.mark.parametrize("theta", [1e-3, 1e-6])
+    def test_turned_dong(self, monkeypatch, theta):
+        # near-achievers, their eps about 0.8 theta^2
+        alg, task, u = turned_dong(theta), mo.cum_task(2, 2), la.haar_unitary(2, 5)
+        assert not mo.check_exact(alg, task, u).achieved
+        val = self.assert_dense(monkeypatch, alg, task, u)
+        assert 0.1 * theta ** 2 <= val <= theta ** 2
+
+    def test_oracle_off_the_unitaries(self, monkeypatch):
+        # a near-achiever at an oracle scaled by 1 + 3e-12, eps about 1.2e-11:
+        # there sum w p and 2 |sum w q| cancel, so only the trace norm at the
+        # chosen phase, not 2 mu plus the trace, holds 1e-12
+        alg, task = turned_dong(1e-6), mo.cum_task(2, 2)
+        u = la.haar_unitary(2, 5) * (1 + 3e-12)
+        val = self.assert_dense(monkeypatch, alg, task, u)
+        assert 1e-12 <= val <= 1e-10
+
+    def test_grid_does_not_change_the_value(self):
+        alg, task, u = constant_circuit(2), mo.cum_task(2, 1), la.haar_unitary(2, 5)
+        vals = [mo.eps_distance_estimate(alg, task, u, n_samples=2, grid=g) for g in (1, 16, 720)]
+        assert vals[0] == vals[1] == vals[2]
+
+
 class TestEpsDistance:
     def test_exact_achievers_zero(self):
         cases = [
@@ -1058,24 +1177,25 @@ class TestEpsDistance:
 
     @pytest.mark.parametrize("n_samples", [1, 3])
     def test_one_phase_minimisation_for_all_states(self, monkeypatch, n_samples):
-        # one call on the 2 coarse phases, one on each state's phases among
-        # the 14 it cannot rule out, then one call per step of Brent's method
-        # on every state still refining: every state's phase is minimised in
-        # the same pass.  The h + 1 constant states (basis states and I/h,
-        # X1 = 0) ask phase 0 alone and are never refined
+        # every state's phase is chosen in the same pass, and every (oracle,
+        # state) defect at its phase goes to one trace-norm call: one call
+        # per over_stack slice, here three oracles in one slice, then in
+        # slices of one
         calls = []
         original = la.hermitian_trace_norm
         monkeypatch.setattr(la, "hermitian_trace_norm",
                             lambda m: calls.append(m.shape) or original(m))
         alg, task = constant_circuit(2), mo.cum_task(2, 1)
-        mo.eps_distance_estimate(alg, task, la.haar_unitary(2, 5), n_samples=n_samples, grid=16)
+        us = np.stack(la.haar_unitaries(2, 3, 5))
+        whole = mo.eps_distance_estimate(alg, task, us, n_samples=n_samples, grid=16)
         states = len(mo._state_family(alg, task, n_samples, 0))
-        moving = states - alg.h_dim - 1
-        # ((state, phase) pair, h, h) stacks
-        sizes = [shape[0] for shape in calls]
-        assert len(sizes) == 2 + {1: 42, 3: 44}[n_samples]  # steps pinned as observed
-        assert sizes[0] == 2 * moving + alg.h_dim + 1 and 0 < sizes[1] < 14 * moving
-        assert sizes[2] == moving and sizes[2:] == sorted(sizes[2:], reverse=True)
+        assert calls == [(3, states, alg.h_dim, alg.h_dim)]
+        calls.clear()
+        width = alg.total_dim * alg.h_dim + states * mo._PHASE_CHUNK * alg.h_dim ** 2
+        monkeypatch.setattr(mo, "SLICE_ENTRIES", width)
+        sliced = mo.eps_distance_estimate(alg, task, us, n_samples=n_samples, grid=16)
+        assert calls == [(1, states, alg.h_dim, alg.h_dim)] * 3
+        np.testing.assert_array_equal(sliced, whole)
 
     def test_candidate_call_evaluates_only_the_kept_pairs(self, monkeypatch):
         # the scan's second call gives each state its own candidate phases,
@@ -1090,13 +1210,24 @@ class TestEpsDistance:
         monkeypatch.setattr(la, "hermitian_trace_norm",
                             lambda m: log.append(("norms", len(m))) or original(m))
         monkeypatch.setattr(mo, "_phase_min", spying)
-        mo.eps_distance_estimate(constant_circuit(2), mo.cum_task(2, 1), la.haar_unitary(2, 5),
-                                 n_samples=2)
+        eps_affine_min(constant_circuit(2), mo.cum_task(2, 1), la.haar_unitary(2, 5), 2)
         starts = [i for i, (what, _) in enumerate(log) if what == "phases"]
         candidates = log[starts[1]][1]
         evaluated = sum(n for what, n in log[starts[1] + 1:starts[2]])
         assert candidates.ndim == 3 and np.isnan(candidates).any()
         assert evaluated == np.count_nonzero(~np.isnan(candidates)) < candidates.size
+
+    @pytest.mark.parametrize("grid", [0, -4])
+    @pytest.mark.parametrize("case", ["dong-achiever", "conjugation"])
+    def test_grid_below_one_refused_without_a_phase_choice(self, case, grid):
+        # neither input chooses a phase: dong d = 2 achieves c-U^2, and
+        # conjugation has no phase family; grid 1 gives a value
+        alg, task = {"dong-achiever": (co.dong_cUd(2), mo.cum_task(2, 2)),
+                     "conjugation": (co.conjugation(3), mo.conjugation_task(3))}[case]
+        u = la.haar_unitary(alg.oracle_dim, 5)
+        with pytest.raises(ValueError, match=rf"^the phase grid needs at least 1 phase, got grid={grid}$"):
+            mo.eps_distance_estimate(alg, task, u, n_samples=1, grid=grid)
+        assert mo.eps_distance_estimate(alg, task, u, n_samples=1, grid=1) <= 1e-9
 
     def test_composed_root_loop_is_exact(self):
         # pointwise the root composition implements a controlled-U member for
