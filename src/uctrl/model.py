@@ -22,7 +22,7 @@ from .linalg import RegisterLayout
 
 EXACT_TOL = 1e-8
 PHASE_GRID = 720
-_PHASE_CHUNK = 64  # phase-scan pairs per member in one stacked evaluation
+_PHASE_CHUNK = 64  # phases of a scan in one stacked evaluation
 _PHASE_STRIDE = 8  # a phase scan first evaluates every 8th grid phase
 _REFINE_TOL = 1e-14  # a phase refinement stops at a bracket 4 x this wide
 _GOLDEN = (3 - math.sqrt(5)) / 2
@@ -585,14 +585,14 @@ def _exact_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
             for i in range(n)]
 
 
-def _brent(a: float, b: float):
-    """Brent's bounded minimiser on [a, b] (Brent 1973, ch. 5) as a
-    generator: it yields each point to evaluate and is sent the value there,
-    a parabolic step through its three best points where that step is safe
-    and a golden-section step where not.  It stops once the bracket around
-    its best point is at most 4 _REFINE_TOL wide."""
+def _brent(f, a: float, b: float) -> float:
+    """Brent's bounded minimiser of the scalar function ``f`` on [a, b]
+    (Brent 1973, ch. 5): a parabolic step through its three best points
+    where that step is safe and a golden-section step where not, each point
+    one call of ``f``.  It stops once the bracket around its best point is at
+    most 4 _REFINE_TOL wide and returns the least value it saw."""
     v = w = x = a + _GOLDEN * (b - a)
-    fv = fw = fx = yield x
+    fv = fw = fx = f(x)
     d = e = 0.0
     while abs(x - (a + b) / 2) > 2 * _REFINE_TOL - (b - a) / 2:
         m = (a + b) / 2
@@ -613,7 +613,7 @@ def _brent(a: float, b: float):
             e = (a if x >= m else b) - x
             d = _GOLDEN * e
         u = x + math.copysign(max(abs(d), _REFINE_TOL), d)
-        fu = yield u
+        fu = f(u)
         if fu <= fx:
             a, b = (x, b) if u >= x else (a, x)
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
@@ -623,104 +623,65 @@ def _brent(a: float, b: float):
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+    return fx
 
 
-def _phase_min(f, grid: int, lip=np.inf) -> np.ndarray:
-    """Minimum over the phase circle of each member of a family of functions:
-    f maps a phase array p of shape (k,), shared by every member, or
-    (*family, k), each member's own, to values of shape (*family, k), and
-    the family may be empty.  A NaN phase is "don't care": its value is
-    ignored, so f need not evaluate it.  ``lip`` (a scalar, or one value per
-    member) bounds each member's Lipschitz constant in the phase.
+def _phase_min(f, grid: int, lip: float = np.inf) -> float:
+    """Minimum of one function over the phase circle: ``f`` maps a (k,)
+    array of phases to their (k,) values, and ``lip`` bounds its Lipschitz
+    constant in the phase.
 
-    Each member's best of ``grid`` uniform phases is found without evaluating
-    every phase: one call on every _PHASE_STRIDE-th phase, then one call on
-    each member's phases that it cannot rule out.  A skipped phase is bounded
-    below by ``f(neighbour) - lip * distance`` from its nearest evaluated
-    phase on either side, around the circle, and is evaluated only where that
-    bound is not above the coarse best plus a rounding slack.  Every phase
-    left out lies above the grid minimum, so the best grid phase is the full
-    scan's (``lip=np.inf`` scans the whole grid).  A member with ``lip == 0``
-    is constant: it is evaluated at phase 0 alone and never refined.
+    The best of ``grid`` uniform phases is found without evaluating every
+    phase: one call on every _PHASE_STRIDE-th phase, then one call on the
+    phases that the coarse values cannot rule out.  A skipped phase is
+    bounded below by ``f(neighbour) - lip * distance`` from its nearest
+    evaluated phase on either side, around the circle, and is evaluated only
+    where that bound is not above the coarse best plus a rounding slack.
+    Every phase left out lies above the grid minimum, so the best grid phase
+    is the full scan's (``lip=np.inf`` scans the whole grid).
 
-    Every other member refines its best grid phase by Brent's method
-    (``_brent``) over the two grid cells around it, to the absolute bracket
-    width 4 _REFINE_TOL, whatever ``lip``.  Each step is one call on a
-    (*family, 1) array of each member's own next phase, NaN for the members
-    done.  Assuming one minimum in the bracket, as any local refinement
-    does, a value is within ``lip * 4 * _REFINE_TOL`` of the bracket's
-    minimum; it is the least value seen, never above the best grid value.
-    The result has the family's shape, 0-d for a single function."""
+    That phase is refined by Brent's method (``_brent``) over the two grid
+    cells around it, to the absolute bracket width 4 _REFINE_TOL, whatever
+    ``lip``, each step one call on a single phase.  Assuming one minimum in
+    the bracket, as any local refinement does, the result is within
+    ``lip * 4 * _REFINE_TOL`` of the bracket's minimum; it is the least value
+    seen, never above the best grid value."""
     if grid < 1:
         raise ValueError(f"the phase grid needs at least 1 phase, got grid={grid}")
     phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
     step = 2 * np.pi / grid
     coarse = np.arange(0, grid, _PHASE_STRIDE)
-    lip = np.asarray(lip, dtype=float)[..., None]
-    flat = (lip == 0) & (coarse > 0)
-    asked = np.where(flat, np.nan, phis[coarse]) if flat.any() else phis[coarse]
-    first = np.where(np.isnan(asked), np.inf, f(asked))
-    family = first.shape[:-1]
-    vals = np.full(family + (grid,), np.inf)
-    vals[..., coarse] = first
+    first = f(phis[coarse])
+    vals = np.full(grid, np.inf)
+    vals[coarse] = first
 
     # the nearest coarse phases left and right of each skipped phase, the
     # right one of the last cell being phase 0 one turn on
     skipped = np.flatnonzero(np.arange(grid) % _PHASE_STRIDE)
     cell = skipped // _PHASE_STRIDE
-    bound = np.maximum(first[..., cell] - lip * ((skipped - coarse[cell]) * step),
-                       first[..., (cell + 1) % len(coarse)]
+    bound = np.maximum(first[cell] - lip * ((skipped - coarse[cell]) * step),
+                       first[(cell + 1) % len(coarse)]
                        - lip * ((np.append(coarse, grid)[cell + 1] - skipped) * step))
-    best = first.min(axis=-1, keepdims=True)
-    keep = ~(bound > best + 1e-9 * (1 + np.abs(best))) & (lip > 0)
-    wanted = np.flatnonzero(keep.any(axis=tuple(range(keep.ndim - 1))))
+    best = first.min()
+    wanted = skipped[~(bound > best + 1e-9 * (1 + abs(best)))]
     if len(wanted):
-        # each member at its own candidates, NaN at the phases it ruled out
-        keep = keep[..., wanted]
-        own = np.where(keep, phis[skipped[wanted]], np.nan)
-        vals[..., skipped[wanted]] = np.where(keep, f(own), np.inf)
-
-    # one Brent run per member that is not constant, all stepped together
-    result = vals.min(axis=-1).reshape(-1)
-    centre = phis[np.argmin(vals, axis=-1)].reshape(-1).tolist()
-    runs = {i: _brent(centre[i] - step, centre[i] + step)
-            for i in np.flatnonzero(np.broadcast_to(lip[..., 0] > 0, family)).tolist()}
-    asks = {i: next(run) for i, run in runs.items()}
-    while asks:
-        at = list(asks)
-        p = np.full(len(result), np.nan)
-        p[at] = list(asks.values())
-        got = f(p.reshape(family + (1,))).reshape(-1)[at]
-        result[at] = np.fmin(result[at], got)
-        for i, y in zip(at, got.tolist()):
-            try:
-                asks[i] = runs[i].send(y)
-            except StopIteration:
-                del asks[i]
-    return result.reshape(family)
+        vals[wanted] = f(phis[wanted])
+    centre = float(phis[np.argmin(vals)])
+    return float(min(vals.min(), _brent(lambda x: f(np.array([x]))[0],
+                                        centre - step, centre + step)))
 
 
 def _affine_min(norm, a: np.ndarray, b: np.ndarray, c: np.ndarray, grid: int,
-                lip) -> np.ndarray:
+                lip: float) -> float:
     """Minimum over the phase of ``norm(A + e^{i phi} B + e^{-i phi} C)`` for
-    a family of fixed (A, B, C): (*family, r, k) arrays, ``norm`` taking
-    (..., r, k) stacks.  ``lip`` bounds each member's Lipschitz constant in
-    the phase, as in ``_phase_min``.  Only the (member, phase) pairs with a
-    phase, not NaN, are evaluated, in chunks of _PHASE_CHUNK pairs per
-    member, so that no stacked intermediate grows with the grid."""
-    family = a.shape[:-2]
-    chunk = _PHASE_CHUNK * max(1, math.prod(family))
-
+    fixed (r, k) matrices A, B and C, ``norm`` taking (..., r, k) stacks.
+    ``lip`` bounds its Lipschitz constant in the phase, as in ``_phase_min``.
+    The phases of a call are evaluated in chunks of _PHASE_CHUNK, so that no
+    stacked intermediate grows with the grid."""
     def f(phis: np.ndarray) -> np.ndarray:
-        phis = np.broadcast_to(phis, family + phis.shape[-1:])
-        pairs = np.nonzero(~np.isnan(phis))
-        out = np.full(phis.shape, np.nan)
-        for i in range(0, len(pairs[-1]), chunk):
-            at = tuple(x[i:i + chunk] for x in pairs)
-            member = at[:-1]
-            e = np.exp(1j * phis[at])[:, None, None]
-            out[at] = norm(a[member] + e * b[member] + e.conj() * c[member])
-        return out
+        es = (np.exp(1j * phis[i:i + _PHASE_CHUNK])[:, None, None]
+              for i in range(0, len(phis), _PHASE_CHUNK))
+        return np.concatenate([norm(a + e * b + e.conj() * c) for e in es])
 
     return _phase_min(f, grid, lip)
 
@@ -747,7 +708,9 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
     value there of at most ``lip * 4 * _REFINE_TOL`` (``lip`` bounding the
     deviation's Lipschitz constant in the phase) is returned without a scan:
     no norm is below 0, so it is within the scan's stated accuracy of the
-    global minimum.  ``u`` is one (d, d) oracle, not a stack.
+    global minimum.  So is the value of a zero ``lip``, where the garbage fit
+    is zero and the deviation the same at every phase.  ``u`` is one (d, d)
+    oracle, not a stack.
     """
     if grid < 1:  # here, as an achiever returns before _phase_min checks it
         raise ValueError(f"the phase grid needs at least 1 phase, got grid={grid}")
@@ -792,9 +755,9 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
     # s = |T1|_F^2 / |T0|_F^2, so <g0, g1> has the phase phi
     e = np.exp(1j * np.angle(np.vdot(g[:, 0], g[:, 1])))
     fit = la.gram_spectral_norm(a + e * b + e.conj() * c)
-    if fit <= lip * 4 * _REFINE_TOL:
+    if fit <= lip * 4 * _REFINE_TOL or lip == 0:
         return float(fit)
-    return float(_affine_min(la.gram_spectral_norm, a, b, c, grid, lip))
+    return _affine_min(la.gram_spectral_norm, a, b, c, grid, lip)
 
 
 # -- channel form ----------------------------------------------------------------
@@ -876,7 +839,7 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
 
     ``u`` may be a (B, d, d) stack, giving the B estimates as an array; it is
     evaluated through ``over_stack``, each oracle's slice width counting its
-    task block and _PHASE_CHUNK h x h matrices per state, and a single
+    task block and the arrays kept per state (``_eps_width``), and a single
     (d, d) oracle is the stack of one.
     """
     if grid < 1:
@@ -961,7 +924,7 @@ def _exact_and_eps(alg, task: Task, u: np.ndarray, tol: float, n_samples: int, s
     task, u, n_samples, seed)``, each oracle's zero-ancilla block built
     once: the list of (result, estimate) pairs of a (B, d, d) stack, or the
     pair of a single (d, d) oracle.  Each oracle's ``over_stack`` slice width
-    counts its task block and _PHASE_CHUNK h x h matrices per state."""
+    is ``_eps_width``."""
     _check_compat(alg, task)
     rhos = _state_family(alg, task, n_samples, seed)
 
@@ -972,10 +935,18 @@ def _exact_and_eps(alg, task: Task, u: np.ndarray, tol: float, n_samples: int, s
         at_exact_tol = exact if tol == EXACT_TOL else _exact_from_block(alg, task, us, b, EXACT_TOL)
         return list(zip(exact, _eps_from_block(alg, task, us, b, at_exact_tol, rhos)))
 
-    # room for _PHASE_CHUNK h x h matrices per state, more than the phase
-    # choice keeps (15 h-vectors and a few h x h matrices per state)
-    width = alg.total_dim * alg.h_dim + len(rhos) * _PHASE_CHUNK * alg.h_dim ** 2
-    return over_stack(both, u, alg.oracle_dim, width)
+    return over_stack(both, u, alg.oracle_dim, _eps_width(alg, len(rhos)))
+
+
+def _eps_width(alg, states: int) -> int:
+    """An oracle's ``over_stack`` slice width for eps over ``states`` states,
+    in complex entries: its task block, its channel's Gram matrix G (h^4
+    entries), and per state what ``_eps_from_block`` keeps: 8 h x h matrices
+    (the channel output, sigma, X1, the fit, sigma's eigenvectors, the defect
+    and two products on the way) and 21 h-vectors (s, p, q, the three columns
+    of pq and the weights w at the 15 trial mu's)."""
+    h = alg.h_dim
+    return alg.total_dim * h + h ** 4 + states * (8 * h * h + 21 * h)
 
 
 # -- neutralisation, cleanness, homogeneity ------------------------------------

@@ -505,10 +505,8 @@ EPS_CASES = TASKED + [pytest.param(f"constant-{d}", lambda d=d: _constant_circui
 
 
 def _eps_width(alg, task, n_samples: int) -> int:
-    """An oracle's eps slice width: its task block, and a phase chunk of
-    every state's h x h defect."""
-    states = len(mo._state_family(alg, task, n_samples, 0))
-    return alg.total_dim * alg.h_dim + states * mo._PHASE_CHUNK * alg.h_dim ** 2
+    """An oracle's eps slice width over the state family of ``n_samples``."""
+    return mo._eps_width(alg, len(mo._state_family(alg, task, n_samples, 0)))
 
 
 @pytest.mark.parametrize("label,make,m", EPS_CASES)

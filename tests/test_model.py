@@ -517,81 +517,35 @@ class TestPhaseMin:
     def test_no_bound_scans_the_whole_grid(self):
         assert self.call_sizes(np.inf) == [90, 630] + [1] * 23
 
-    def test_candidate_call_is_per_member(self):
-        # a constant member (bound 0) rules every skipped phase out and a
-        # member with no usable bound rules none out: the candidate call asks
-        # the first for nothing and the second for all 630, not both for all
-        calls = []
-
-        def f(p):
-            p = np.broadcast_to(p, (2, p.shape[-1]))
-            calls.append(p)
-            return np.stack([np.ones(p.shape[-1]), 1 - np.cos(p[1] - 0.3)])
-
-        mo._phase_min(f, mo.PHASE_GRID, np.array([0.0, 1e6]))
-        wanted = ~np.isnan(calls[1])
-        assert wanted.sum(axis=-1).tolist() == [0, 630]
-
-    def test_family_matches_single_functions(self):
-        # seven members with their own minima, widths and second harmonics;
-        # p0 = pi - 2e-4 sits across the grid's wrap-around point
-        p0 = np.array([0.3, -2.0, np.pi - 2e-4, 1.1, -0.7, 2.9, 0.0])
-        w = np.array([1.0, 0.5, 2.0, 1.5, 0.8, 1.2, 3.0])
-        q = np.array([0.1, 1.3, -0.4, 2.2, 0.0, -1.9, 0.6])
-
-        def member(k):
-            return lambda p: w[k] * (1 - np.cos(p - p0[k])) + 0.2 * np.sin(2 * (p - q[k])) ** 2
-
-        def family(p):
-            return w[:, None] * (1 - np.cos(p - p0[:, None])) + 0.2 * np.sin(2 * (p - q[:, None])) ** 2
-
-        got = mo._phase_min(family, mo.PHASE_GRID)
-        assert got.shape == (7,)
-        single = [mo._phase_min(member(k), mo.PHASE_GRID) for k in range(7)]
-        assert all(np.ndim(v) == 0 for v in single)
-        np.testing.assert_array_equal(got, single)
-
     @staticmethod
     def assert_pruned_is_full_scan(a, b, c, norm, lip=None):
-        """The members norm(A + e^{i phi} B + e^{-i phi} C), with the bound
-        norm(B) + norm(C) on |f'| unless ``lip`` is given: the pruned scan
-        gives the full scan's values, bit for bit, and every member that is
-        not constant (bound above 0) asks the full scan's phases in every call
-        after the candidate call; a constant member asks none."""
-        def f(p):
-            calls.append(np.array(p))
-            # a NaN phase is "don't care": any value there is ignored
-            e = np.exp(1j * np.nan_to_num(p))[..., None, None]
-            return norm(a[:, None] + e * b[:, None] + e.conj() * c[:, None])
-
-        def refinement(phis) -> np.ndarray:
-            """Each member's phases in the calls after the coarse call and
-            the candidate call, if any (it asks grid phases only), one
-            column per call."""
+        """Each member norm(A + e^{i phi} B + e^{-i phi} C) on its own, with
+        the bound norm(B) + norm(C) on |f'| unless ``lip`` is given: the
+        pruned scan gives the full scan's value, bit for bit, and asks the
+        full scan's phases in every call after the candidate call.  A member
+        of bound 0 scans its tied grid, so it refines as the full scan does."""
+        def scan(f, grid, bound) -> tuple[float, np.ndarray]:
+            """The minimum and the phases of the calls after the coarse call
+            and the candidate call, if any (it asks grid phases only)."""
+            calls.clear()
+            val = mo._phase_min(lambda p: calls.append(np.array(p)) or f(p), grid, bound)
             rest = calls[1:]
-            if rest and np.isin(rest[0][~np.isnan(rest[0])], phis).all():
+            if rest and np.isin(rest[0], np.linspace(-np.pi, np.pi, grid, endpoint=False)).all():
                 rest = rest[1:]
-            return np.concatenate([np.broadcast_to(p, (len(a), 1)) for p in rest]
-                                  + [np.empty((len(a), 0))], axis=-1)
+            return val, np.concatenate(rest + [np.empty(0)])
 
-        if lip is None:
-            lip = norm(b) + norm(c)
-        moving = np.broadcast_to(lip, (len(a),)) > 0
-        for grid in (720, 100, 16):
-            phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
-            calls = []
-            pruned = mo._phase_min(f, grid, lip)
-            pruned_steps = refinement(phis)
-            calls = []
-            full = mo._phase_min(f, grid, np.inf)
-            full_steps = refinement(phis)
-            np.testing.assert_array_equal(pruned, full)
-            # the full scan refines constant members too, so it may make more calls
-            pad = full_steps.shape[1] - pruned_steps.shape[1]
-            assert pad >= 0 and (pad == 0 or not moving.all())
-            pruned_steps = np.pad(pruned_steps, ((0, 0), (0, pad)), constant_values=np.nan)
-            np.testing.assert_array_equal(pruned_steps[moving], full_steps[moving])
-            assert np.isnan(pruned_steps[~moving]).all()
+        calls = []
+        lip = np.broadcast_to(norm(b) + norm(c) if lip is None else lip, (len(a),))
+        for j in range(len(a)):
+            def f(p, j=j):
+                e = np.exp(1j * p)[:, None, None]
+                return norm(a[j] + e * b[j] + e.conj() * c[j])
+
+            for grid in (720, 100, 16):
+                pruned, pruned_steps = scan(f, grid, lip[j])
+                full, full_steps = scan(f, grid, np.inf)
+                assert pruned.hex() == full.hex()
+                np.testing.assert_array_equal(pruned_steps, full_steps)
 
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(members=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
@@ -622,14 +576,14 @@ class TestPhaseMin:
 
     @pytest.mark.parametrize("lip", [0.0, 1.0], ids=["zero-bound", "loose-bound"])
     def test_pruned_scan_all_tied(self, lip):
-        # every member constant, so every phase ties and each member's golden
-        # section starts from grid index 0, with or without the zero-bound rule
+        # every member constant, so every phase ties and each member's
+        # refinement starts from grid index 0, with a zero bound or a loose one
         a = np.random.default_rng(5).standard_normal((3, 2, 2)).astype(complex)
         zero = np.zeros_like(a)
         self.assert_pruned_is_full_scan(a, zero, zero, la.spectral_norm, np.full(3, lip))
 
     def test_pruned_scan_mixed_bounds(self):
-        # a flat member beside phase-dependent ones, in one family
+        # a flat member beside phase-dependent ones
         rng = np.random.default_rng(7)
         a, b, c = rng.standard_normal((3, 3, 2, 2)) + 0j
         b[1], c[1] = 0, 0
@@ -638,10 +592,11 @@ class TestPhaseMin:
 
     @staticmethod
     def affine_cases():
-        """(norm, A, B, C, bound on |f'|) for the phase scans' two norms over
-        the family shapes (), (B,) and (B, S).  Members whose varying part is
-        |1 - e^{i (phi - p0)}| (x) Id have their minimum between coarse phases,
-        where the bound alone decides whether it is scanned."""
+        """(norm, A, B, C, bound on |f'|) for the phase scans' two norms, for
+        arrays of members of shapes (), (B,) and (B, S).  Members whose
+        varying part is |1 - e^{i (phi - p0)}| (x) Id have their minimum
+        between coarse phases, where the bound alone decides whether it is
+        scanned."""
         rng = np.random.default_rng(11)
 
         def cplx(*shape):
@@ -664,25 +619,21 @@ class TestPhaseMin:
 
     def test_affine_min_is_the_full_scan(self):
         # the pruned, chunked helper against _phase_min's full scan over a
-        # per-phase loop of the same expression, bit for bit; a bound halved
-        # on purpose prunes some member's true grid minimum
+        # per-phase loop of the same expression, member by member, bit for
+        # bit; a bound halved on purpose prunes some member's true grid minimum
         halved_differs = False
         for norm, a, b, c, lip in self.affine_cases():
-            def per_phase(p):
-                out = []
-                for j in range(p.shape[-1]):
-                    # a NaN phase is "don't care": any value there is ignored
-                    e = np.exp(1j * np.nan_to_num(p[..., j]))[..., None, None]
-                    out.append(norm(a + e * b + e.conj() * c))
-                return np.stack(out, axis=-1)
+            for i in np.ndindex(a.shape[:-2]):
+                def per_phase(p, i=i):
+                    e = np.exp(1j * p)
+                    return np.array([norm(a[i] + x * b[i] + x.conj() * c[i]) for x in e])
 
-            for grid in (mo.PHASE_GRID, 100):
-                full = mo._phase_min(per_phase, grid, np.inf)
-                got = mo._affine_min(norm, a, b, c, grid, lip)
-                assert got.shape == a.shape[:-2]
-                np.testing.assert_array_equal(got, full)
-                halved = mo._affine_min(norm, a, b, c, grid, lip / 2)
-                halved_differs |= not np.array_equal(halved, full)
+                for grid in (mo.PHASE_GRID, 100):
+                    full = mo._phase_min(per_phase, grid, np.inf)
+                    got = mo._affine_min(norm, a[i], b[i], c[i], grid, lip[i])
+                    assert got.hex() == full.hex()
+                    halved = mo._affine_min(norm, a[i], b[i], c[i], grid, lip[i] / 2)
+                    halved_differs |= halved != full
         assert halved_differs
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -705,34 +656,18 @@ class TestPhaseMin:
         b, c = (np.where(kind == "random", x, 0) for x in (b, c))
         norm = la.trace_norm if trace else la.spectral_norm
 
-        def f(p):
-            # a NaN phase is "don't care": any value there is ignored
-            e = np.exp(1j * np.nan_to_num(p))[..., None, None]
-            return norm(a[:, None] + e * b[:, None] + e.conj() * c[:, None])
+        lip = norm(b) + norm(c) if bounded else np.full(len(kinds), np.inf)
+        for j, kind_j in enumerate(kinds):
+            def f(p, j=j):
+                e = np.exp(1j * p)[..., None, None]
+                return norm(a[j] + e * b[j] + e.conj() * c[j])
 
-        got = mo._phase_min(f, mo.PHASE_GRID, norm(b) + norm(c) if bounded else np.inf)
-        np.testing.assert_allclose(got, golden_phase_min(f, mo.PHASE_GRID), rtol=0, atol=1e-12)
-        grid_min = f(np.linspace(-np.pi, np.pi, mo.PHASE_GRID, endpoint=False)).min(axis=-1)
-        assert np.all(got <= grid_min)
-        np.testing.assert_array_equal(got[kind[:, 0, 0] == "constant"],
-                                      grid_min[kind[:, 0, 0] == "constant"])
-
-    def test_constant_member_asks_one_phase(self):
-        # a member with bound 0 asks phase 0 alone in the coarse call and no
-        # phase after it; the other member is in every later call
-        calls = []
-
-        def f(p):
-            p = np.broadcast_to(p, (2, p.shape[-1]))
-            calls.append(~np.isnan(p))
-            return np.stack([np.full(p.shape[-1], 2.0), 1 - np.cos(p[1] - 0.3)])
-
-        got = mo._phase_min(f, mo.PHASE_GRID, np.array([0.0, 1.0]))
-        assert got[0] == 2.0 and 0.0 <= got[1] <= 1e-12
-        assert calls[0].sum(axis=-1).tolist() == [1, 90] and calls[0][0, 0]
-        assert len(calls) > 2
-        assert not any(asked[0].any() for asked in calls[1:])
-        assert all(asked[1].any() for asked in calls[1:])
+            got = mo._phase_min(f, mo.PHASE_GRID, lip[j])
+            np.testing.assert_allclose(got, golden_phase_min(f, mo.PHASE_GRID), rtol=0, atol=1e-12)
+            grid_min = f(np.linspace(-np.pi, np.pi, mo.PHASE_GRID, endpoint=False)).min()
+            assert got <= grid_min
+            if kind_j == "constant":
+                assert got == grid_min
 
     @pytest.mark.parametrize("grid", [0, -5])
     def test_grid_below_one_refused(self, grid):
@@ -811,27 +746,6 @@ class TestPhaseScanSaving:
                                        benchmark_haar(rng, 2), n_samples=2)
         assert val >= 1 and scans == []
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_zero_bound_states_are_constant(self, monkeypatch, d):
-        # basis states and I/h have X1 = 0: the zero-bound rule keeps their
-        # coarse values only, which is exact because every grid value is equal
-        scans = []
-        original = mo._phase_min
-
-        def capture(f, grid, lip=np.inf):
-            scans.append((f, grid, np.asarray(lip)))
-            return original(f, grid, lip)
-
-        monkeypatch.setattr(mo, "_phase_min", capture)
-        eps_affine_min(constant_circuit(d), mo.cum_task(d, 1), la.haar_unitary(d, 962), 2)
-        (f, grid, lip), = scans
-        h = 2 * d
-        zero = lip == 0
-        assert zero.sum() == h + 1 and lip.size == h + 1 + d + 2
-        vals = f(np.linspace(-np.pi, np.pi, grid, endpoint=False))[zero]
-        assert vals.shape == (h + 1, mo.PHASE_GRID)
-        np.testing.assert_array_equal(vals, np.broadcast_to(vals[:, :1], vals.shape))
-
 
 def full_scan(monkeypatch, alg, task, u) -> tuple[float, float]:
     """``pure_deviation`` of a controlled-power task by its phase scan alone,
@@ -908,6 +822,25 @@ class TestFittedPhaseCertificate:
         assert val.hex() == scanned.hex()
         assert 0.5 * theta <= val <= theta
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_bound_returns_the_fit(self, monkeypatch, d):
+        # X on the control leaves no overlap with either control block of
+        # c-U^1: the garbage fit is zero, so is the Lipschitz bound, and the
+        # deviation is the same at every phase, returned with no scan
+        alg, task, u = control_flip(d), mo.cum_task(d, 1), la.haar_unitary(d, 994)
+        scanned = per_phase_deviation(alg, task, u, mo.PHASE_GRID)
+        scans = []
+        with monkeypatch.context() as m:
+            m.setattr(mo, "_phase_min", lambda *args: scans.append(args))
+            val = mo.pure_deviation(alg, task, u)
+        assert scans == []
+        assert abs(val - scanned) <= 1e-12
+
+
+def control_flip(d: int) -> mo.OracleAlgorithm:
+    layout = RegisterLayout.of([2, d], ["control", "task"])
+    return mo.OracleAlgorithm("control-flip", d, layout, (mo.FixedStep(X, (0,)),))
+
 
 def constant_circuit(d: int) -> mo.OracleAlgorithm:
     layout = RegisterLayout.of([2, d], ["control", "task"])
@@ -954,8 +887,8 @@ def per_phase_eps(alg, task, u, n_samples, grid):
 def stacked_phase_eps(alg, task, u, n_samples, grid):
     """``per_phase_eps`` with the phases of each call stacked: the trace
     distance to the full target member rho member^dagger, by SVD, every
-    state and phase of a call in one stack.  member(phi) = A + e^{i phi} B
-    is read off the members at 0 and pi."""
+    phase of a call in one stack, one scan per state.  member(phi) =
+    A + e^{i phi} B is read off the members at 0 and pi."""
     exact = mo.check_exact(alg, task, u)
     rhos = mo._state_family(alg, task, n_samples, 0)
     sigma = np.stack([out / tr for out, tr in (mo.apply_channel(alg, u, rho) for rho in rhos)])
@@ -964,27 +897,26 @@ def stacked_phase_eps(alg, task, u, n_samples, grid):
         return la.trace_norm(sigma - member @ rhos @ la.dagger(member)).max()
     m0, m1 = task.member(u, 0.0), task.member(u, np.pi)
 
-    def dist(p):
-        # a NaN phase is "don't care": any value there is ignored
-        member = (m0 + m1) / 2 + np.exp(1j * np.nan_to_num(p))[..., None, None] * (m0 - m1) / 2
-        return la.trace_norm(sigma[:, None] - member @ rhos[:, None] @ la.dagger(member))
+    def dist(s, p):
+        member = (m0 + m1) / 2 + np.exp(1j * p)[:, None, None] * (m0 - m1) / 2
+        return la.trace_norm(sigma[s] - member @ rhos[s] @ la.dagger(member))
 
-    return mo._phase_min(dist, grid).max()
+    return max(mo._phase_min(lambda p, s=s: dist(s, p), grid) for s in range(len(rhos)))
 
 
 def eps_affine_min(alg, task, u, n_samples, grid=mo.PHASE_GRID):
     """eps of a controlled-power non-achiever by a phase scan instead of the
-    secular equation: ``_affine_min`` over the oracle's (1, S) family of
-    defects X0 - e^{i phi} X1 - e^{-i phi} X1^dagger, with the bound
-    2 |X1|_F on each member's Lipschitz constant."""
-    us = u[None]
+    secular equation: ``_affine_min`` on each state's defect
+    X0 - e^{i phi} X1 - e^{-i phi} X1^dagger, with the bound 2 |X1|_F on its
+    Lipschitz constant."""
     rhos = mo._state_family(alg, task, n_samples, 0)
-    outs, trs = mo._channel_from_block(alg, alg.task_block(us), rhos)
-    t0, t1 = (t[:, None] for t in mo._affine_member(task, us))
+    outs, trs = mo._channel_from_block(alg, alg.task_block(u), rhos)
+    t0, t1 = mo._affine_member(task, u)
     x1s = t1 @ rhos @ la.dagger(t0)
-    x0s = outs / trs[..., None, None] - t0 @ rhos @ la.dagger(t0) - t1 @ rhos @ la.dagger(t1)
+    x0s = outs / trs[:, None, None] - t0 @ rhos @ la.dagger(t0) - t1 @ rhos @ la.dagger(t1)
     lip = 2 * np.linalg.norm(x1s, axis=(-2, -1))
-    return np.max(mo._affine_min(la.hermitian_trace_norm, x0s, -x1s, -la.dagger(x1s), grid, lip))
+    return max(mo._affine_min(la.hermitian_trace_norm, x0, -x1, -la.dagger(x1), grid, bound)
+               for x0, x1, bound in zip(x0s, x1s, lip))
 
 
 def compatible_tasks(alg, d):
@@ -1191,31 +1123,10 @@ class TestEpsDistance:
         states = len(mo._state_family(alg, task, n_samples, 0))
         assert calls == [(3, states, alg.h_dim, alg.h_dim)]
         calls.clear()
-        width = alg.total_dim * alg.h_dim + states * mo._PHASE_CHUNK * alg.h_dim ** 2
-        monkeypatch.setattr(mo, "SLICE_ENTRIES", width)
+        monkeypatch.setattr(mo, "SLICE_ENTRIES", mo._eps_width(alg, states))
         sliced = mo.eps_distance_estimate(alg, task, us, n_samples=n_samples, grid=16)
         assert calls == [(1, states, alg.h_dim, alg.h_dim)] * 3
         np.testing.assert_array_equal(sliced, whole)
-
-    def test_candidate_call_evaluates_only_the_kept_pairs(self, monkeypatch):
-        # the scan's second call gives each state its own candidate phases,
-        # NaN elsewhere, and the trace norms evaluated are exactly those
-        # (state, phase) pairs, fewer than every state at every candidate
-        log = []
-        original, phase_min = la.hermitian_trace_norm, mo._phase_min
-
-        def spying(f, grid, lip):
-            return phase_min(lambda p: log.append(("phases", p)) or f(p), grid, lip)
-
-        monkeypatch.setattr(la, "hermitian_trace_norm",
-                            lambda m: log.append(("norms", len(m))) or original(m))
-        monkeypatch.setattr(mo, "_phase_min", spying)
-        eps_affine_min(constant_circuit(2), mo.cum_task(2, 1), la.haar_unitary(2, 5), 2)
-        starts = [i for i, (what, _) in enumerate(log) if what == "phases"]
-        candidates = log[starts[1]][1]
-        evaluated = sum(n for what, n in log[starts[1] + 1:starts[2]])
-        assert candidates.ndim == 3 and np.isnan(candidates).any()
-        assert evaluated == np.count_nonzero(~np.isnan(candidates)) < candidates.size
 
     @pytest.mark.parametrize("grid", [0, -4])
     @pytest.mark.parametrize("case", ["dong-achiever", "conjugation"])
