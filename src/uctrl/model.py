@@ -22,10 +22,8 @@ from .linalg import RegisterLayout
 
 EXACT_TOL = 1e-8
 PHASE_GRID = 720
-_PHASE_CHUNK = 64  # phases of a scan in one stacked evaluation
-_PHASE_STRIDE = 8  # a phase scan first evaluates every 8th grid phase
-_REFINE_TOL = 1e-14  # a phase refinement stops at a bracket 4 x this wide
-_GOLDEN = (3 - math.sqrt(5)) / 2
+_REFINE_TOL = 1e-14  # pure_deviation keeps a fitted phase's value below lip x 4 x this
+_CAYLEY = np.exp(1.2345j)  # the level sets' z at w = 0; w = inf maps to -_CAYLEY
 
 # Longest stretch of oracle-stack state evaluated at once, in complex
 # entries: a witness or checker over B oracles keeps B x (its entries per
@@ -531,12 +529,13 @@ def check_exact(alg, task: Task, u: np.ndarray,
     is the spectral norm of the full deviation from the fitted product form.
 
     ``u`` may be a (B, d, d) stack, giving the list of B results; it is
-    evaluated through ``over_stack`` in slices of at most ``SLICE_ENTRIES``
-    block entries, and a single (d, d) oracle is the stack of one.
+    evaluated through ``over_stack``, each oracle's slice width counting
+    what the check keeps (``_exact_width``), and a single (d, d) oracle is
+    the stack of one.
     """
     _check_compat(alg, task)
     return over_stack(lambda us: _exact_from_block(alg, task, us, alg.task_block(us), tol),
-                      u, alg.oracle_dim, alg.total_dim * alg.h_dim)
+                      u, alg.oracle_dim, _exact_width(alg))
 
 
 def _exact_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
@@ -585,105 +584,54 @@ def _exact_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
             for i in range(n)]
 
 
-def _brent(f, a: float, b: float) -> float:
-    """Brent's bounded minimiser of the scalar function ``f`` on [a, b]
-    (Brent 1973, ch. 5): a parabolic step through its three best points
-    where that step is safe and a golden-section step where not, each point
-    one call of ``f``.  It stops once the bracket around its best point is at
-    most 4 _REFINE_TOL wide and returns the least value it saw."""
-    v = w = x = a + _GOLDEN * (b - a)
-    fv = fw = fx = f(x)
-    d = e = 0.0
-    while abs(x - (a + b) / 2) > 2 * _REFINE_TOL - (b - a) / 2:
-        m = (a + b) / 2
-        golden = True
-        if abs(e) > _REFINE_TOL:
-            # the vertex of the parabola through x, w and v, if it lies in
-            # the bracket and moves less than half the step before last
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2 * (q - r)
-            p, q = (-p, q) if q > 0 else (p, -q)
-            if abs(p) < abs(q * e / 2) and q * (a - x) < p < q * (b - x):
-                e, d, golden = d, p / q, False
-                if min(x + d - a, b - x - d) < 2 * _REFINE_TOL:
-                    d = math.copysign(_REFINE_TOL, m - x)
-        if golden:
-            e = (a if x >= m else b) - x
-            d = _GOLDEN * e
-        u = x + math.copysign(max(abs(d), _REFINE_TOL), d)
-        fu = f(u)
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (a, u) if u >= x else (u, b)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return fx
+def _level_min(a: np.ndarray, b: np.ndarray, c: np.ndarray, best: float) -> float:
+    """Minimum over |z| = 1 of ``|A + z B + conj(z) C|_2`` for (r, h) matrices
+    with C^dagger B = 0, by level sets (Byers 1988; Boyd and Balakrishnan
+    1990), from ``best``, the value at some phase.
 
-
-def _phase_min(f, grid: int, lip: float = np.inf) -> float:
-    """Minimum of one function over the phase circle: ``f`` maps a (k,)
-    array of phases to their (k,) values, and ``lip`` bounds its Lipschitz
-    constant in the phase.
-
-    The best of ``grid`` uniform phases is found without evaluating every
-    phase: one call on every _PHASE_STRIDE-th phase, then one call on the
-    phases that the coarse values cannot rule out.  A skipped phase is
-    bounded below by ``f(neighbour) - lip * distance`` from its nearest
-    evaluated phase on either side, around the circle, and is evaluated only
-    where that bound is not above the coarse best plus a rounding slack.
-    Every phase left out lies above the grid minimum, so the best grid phase
-    is the full scan's (``lip=np.inf`` scans the whole grid).
-
-    That phase is refined by Brent's method (``_brent``) over the two grid
-    cells around it, to the absolute bracket width 4 _REFINE_TOL, whatever
-    ``lip``, each step one call on a single phase.  Assuming one minimum in
-    the bracket, as any local refinement does, the result is within
-    ``lip * 4 * _REFINE_TOL`` of the bracket's minimum; it is the least value
-    seen, never above the best grid value."""
-    if grid < 1:
-        raise ValueError(f"the phase grid needs at least 1 phase, got grid={grid}")
-    phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
-    step = 2 * np.pi / grid
-    coarse = np.arange(0, grid, _PHASE_STRIDE)
-    first = f(phis[coarse])
-    vals = np.full(grid, np.inf)
-    vals[coarse] = first
-
-    # the nearest coarse phases left and right of each skipped phase, the
-    # right one of the last cell being phase 0 one turn on
-    skipped = np.flatnonzero(np.arange(grid) % _PHASE_STRIDE)
-    cell = skipped // _PHASE_STRIDE
-    bound = np.maximum(first[cell] - lip * ((skipped - coarse[cell]) * step),
-                       first[(cell + 1) % len(coarse)]
-                       - lip * ((np.append(coarse, grid)[cell + 1] - skipped) * step))
-    best = first.min()
-    wanted = skipped[~(bound > best + 1e-9 * (1 + abs(best)))]
-    if len(wanted):
-        vals[wanted] = f(phis[wanted])
-    centre = float(phis[np.argmin(vals)])
-    return float(min(vals.min(), _brent(lambda x: f(np.array([x]))[0],
-                                        centre - step, centre + step)))
-
-
-def _affine_min(norm, a: np.ndarray, b: np.ndarray, c: np.ndarray, grid: int,
-                lip: float) -> float:
-    """Minimum over the phase of ``norm(A + e^{i phi} B + e^{-i phi} C)`` for
-    fixed (r, k) matrices A, B and C, ``norm`` taking (..., r, k) stacks.
-    ``lip`` bounds its Lipschitz constant in the phase, as in ``_phase_min``.
-    The phases of a call are evaluated in chunks of _PHASE_CHUNK, so that no
-    stacked intermediate grows with the grid."""
-    def f(phis: np.ndarray) -> np.ndarray:
-        es = (np.exp(1j * phis[i:i + _PHASE_CHUNK])[:, None, None]
-              for i in range(0, len(phis), _PHASE_CHUNK))
-        return np.concatenate([norm(a + e * b + e.conj() * c) for e in es])
-
-    return _phase_min(f, grid, lip)
+    At a level gamma, the phases where gamma is a singular value of
+    M(z) = A + z B + conj(z) C are the unit-circle roots of a Hermitian pencil
+    K0 + z K1 + conj(z) K1^dagger.  With z = _CAYLEY (1 + i w) / (1 - i w) they
+    are the real roots w of a Hermitian quadratic, read off the eigenvalues
+    of its companion matrix (real where |Im w| < 1e-8 (1 + |w|)).  M is
+    evaluated at the midpoint of every arc between those phases, and gamma
+    moves to the least value found.  A level with no lower midpoint, no real
+    root or a singular leading coefficient ends the search.  It runs on the
+    h-wide squared pencil, M^dagger M - gamma^2, then on the Jordan-Wielandt
+    pencil [[-gamma, M], [M^dagger, -gamma]]: the squared one is cheaper but
+    loses gaps below about 1e-8 to rounding, which the other keeps.  The
+    result is the least value evaluated, so a root missed or added by the
+    real-root test never gives a value that no phase attains.  It can stop
+    above a deep minimum where B and C share columns (README "Tolerances");
+    pure_deviation's do not."""
+    r, h = a.shape
+    ad = la.dagger(a)
+    zr, zh = np.zeros((r, r)), np.zeros((h, h))
+    squared = (ad @ a + la.dagger(b) @ b + la.dagger(c) @ c, ad @ b + la.dagger(c) @ a, 2)
+    jordan = (np.block([[zr, a], [ad, zh]]), np.block([[zr, b], [la.dagger(c), zh]]), 1)
+    for base, k1, power in (squared, jordan):
+        # (1 + w^2) times the pencil is w^2 (K0 - s) + w q1 + (K0 + s)
+        n, rk = len(base), _CAYLEY * k1
+        s, q1, eye = rk + la.dagger(rk), 2j * (rk - la.dagger(rk)), np.eye(n)
+        comp = np.eye(2 * n, k=-n, dtype=complex)
+        while True:
+            k0 = base - best ** power * eye
+            try:
+                comp[:n] = -np.linalg.solve(k0 - s, np.concatenate([q1, k0 + s], axis=1))
+            except np.linalg.LinAlgError:
+                break
+            w = np.linalg.eigvals(comp)
+            w = w.real[abs(w.imag) < 1e-8 * (1 + abs(w))]
+            if not len(w):
+                break
+            phis = np.sort(2 * np.arctan(w))
+            mids = (phis + np.append(phis[1:], phis[0] + 2 * np.pi)) / 2
+            z = _CAYLEY * np.exp(1j * mids)[:, None, None]
+            vals = la.gram_spectral_norm(a + z * b + z.conj() * c)
+            if not vals.min() < best:
+                break
+            best = float(vals.min())
+    return best
 
 
 def _affine_member(task: Task, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -700,19 +648,19 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
     (zero-ancilla block) - (task member) (x) (garbage).
 
     The garbage vector is the least-squares ancilla factor for the candidate
-    task member; for the controlled family the relative phase is scanned on a
-    uniform grid of ``grid`` phases (at least 1) and the best one refined by
-    Brent's method (``_phase_min``).  Before that scan, the deviation is
-    evaluated once at the fitted phase, that of <g0, g1> when member(phi)'s
-    garbage is g0 + e^{-i phi} g1, which is an exact achiever's phase.  A
-    value there of at most ``lip * 4 * _REFINE_TOL`` (``lip`` bounding the
-    deviation's Lipschitz constant in the phase) is returned without a scan:
-    no norm is below 0, so it is within the scan's stated accuracy of the
-    global minimum.  So is the value of a zero ``lip``, where the garbage fit
-    is zero and the deviation the same at every phase.  ``u`` is one (d, d)
-    oracle, not a stack.
+    task member.  For the controlled family the deviation is first evaluated
+    at the fitted phase, that of <g0, g1> when member(phi)'s garbage is
+    g0 + e^{-i phi} g1, which is an exact achiever's phase.  A value there of
+    at most ``lip * 4 * _REFINE_TOL`` (``lip`` bounding the deviation's
+    Lipschitz constant in the phase) is returned as it is: no norm is below
+    0, so it is within 4e-14 lip of the minimum.  So is the value of a zero
+    ``lip``, where the garbage fit is zero and the deviation the same at
+    every phase.  Any other value starts the level-set search over the phase
+    (``_level_min``), whose result is the least deviation it evaluated.
+    ``grid`` is checked (at least 1) but no longer changes the value.
+    ``u`` is one (d, d) oracle, not a stack.
     """
-    if grid < 1:  # here, as an achiever returns before _phase_min checks it
+    if grid < 1:
         raise ValueError(f"the phase grid needs at least 1 phase, got grid={grid}")
     _check_compat(alg, task)
     _one_oracle(u, alg.oracle_dim, "pure_deviation")
@@ -757,7 +705,7 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
     fit = la.gram_spectral_norm(a + e * b + e.conj() * c)
     if fit <= lip * 4 * _REFINE_TOL or lip == 0:
         return float(fit)
-    return _affine_min(la.gram_spectral_norm, a, b, c, grid, lip)
+    return _level_min(a, b, c, float(fit))
 
 
 # -- channel form ----------------------------------------------------------------
@@ -766,14 +714,15 @@ def pure_deviation(alg, task: Task, u: np.ndarray, grid: int = PHASE_GRID) -> fl
 def success_prob(alg, u: np.ndarray, state: np.ndarray) -> float | list[float]:
     """Postselection probability on a normalised task-space input with zero
     ancillas.  ``u`` may be a (B, d, d) stack, giving the list of B
-    probabilities; it is evaluated in slices like ``check_exact``."""
+    probabilities; it is evaluated through ``over_stack``, each oracle's
+    slice width being ``_prob_width``."""
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.shape[0] != alg.h_dim:
         raise ValueError(f"input state must live on the {alg.h_dim}-dimensional task space")
     if abs(np.linalg.norm(state) - 1.0) > 1e-8:
         raise ValueError("input state is not normalised")
     return over_stack(lambda s: [float(np.linalg.norm(b @ state) ** 2) for b in alg.task_block(s)],
-                      u, alg.oracle_dim, alg.total_dim * alg.h_dim)
+                      u, alg.oracle_dim, _prob_width(alg))
 
 
 def _channel_from_block(alg, b: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -938,15 +887,32 @@ def _exact_and_eps(alg, task: Task, u: np.ndarray, tol: float, n_samples: int, s
     return over_stack(both, u, alg.oracle_dim, _eps_width(alg, len(rhos)))
 
 
+def _prob_width(alg) -> int:
+    """An oracle's ``over_stack`` slice width for ``success_prob``, in
+    complex entries: its total_dim x h zero-ancilla block and the second
+    buffer that ``task_block`` fills it from."""
+    return 2 * alg.total_dim * alg.h_dim
+
+
+def _exact_width(alg) -> int:
+    """An oracle's ``over_stack`` slice width for ``check_exact``, in complex
+    entries: six total_dim x h blocks, the most it keeps at once.  Those are
+    the zero-ancilla block with the second buffer ``task_block`` fills it
+    from, then beside the block its (out, anc, in) tensor, the Schmidt
+    matricisation T, the fitted product and the deviation from it."""
+    return 6 * alg.total_dim * alg.h_dim
+
+
 def _eps_width(alg, states: int) -> int:
     """An oracle's ``over_stack`` slice width for eps over ``states`` states,
-    in complex entries: its task block, its channel's Gram matrix G (h^4
-    entries), and per state what ``_eps_from_block`` keeps: 8 h x h matrices
-    (the channel output, sigma, X1, the fit, sigma's eigenvectors, the defect
-    and two products on the way) and 21 h-vectors (s, p, q, the three columns
-    of pq and the weights w at the 15 trial mu's)."""
+    in complex entries: ``check_exact``'s, which every slice runs first on
+    the same task block, then its channel's Gram matrix G (h^4 entries), and
+    per state what ``_eps_from_block`` keeps: 8 h x h matrices (the channel
+    output, sigma, X1, the fit, sigma's eigenvectors, the defect and two
+    products on the way) and 21 h-vectors (s, p, q, the three columns of pq
+    and the weights w at the 15 trial mu's)."""
     h = alg.h_dim
-    return alg.total_dim * h + h ** 4 + states * (8 * h * h + 21 * h)
+    return _exact_width(alg) + h ** 4 + states * (8 * h * h + 21 * h)
 
 
 # -- neutralisation, cleanness, homogeneity ------------------------------------
@@ -1132,34 +1098,38 @@ def from_ir(obj, base: Path | None = None) -> OracleAlgorithm:
         obj, bool_free = la.load_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"malformed circuit IR: expected a JSON object, got {type(obj).__name__}")
-    factors, step_objs = obj["layout"], obj["steps"]
-    if not (isinstance(factors, list) and factors and isinstance(step_objs, list)
-            and all(isinstance(x, dict) for x in factors + step_objs)):
-        raise ValueError('malformed circuit IR: "layout" (non-empty) and "steps" must be lists of objects')
-    dims = _ir_ints([f["dim"] for f in factors], "layout dims")
-    layout = RegisterLayout(tuple(zip(dims, (_ir_str(f["role"], '"role"') for f in factors))))
-    all_targets = tuple(range(len(layout)))
-    steps = []
-    for s in step_objs:
-        if "query" in s:
-            if s["query"] not in tuple(LETTERS):  # a tuple: unhashable JSON values compare unequal
-                raise ValueError(f"malformed circuit IR: unknown query letter {s['query']!r:.40}")
-            steps.append(QueryStep(LETTERS[s["query"]], _ir_ints(s["targets"], "query targets")))
+    try:
+        factors, step_objs = obj["layout"], obj["steps"]
+        if not (isinstance(factors, list) and factors and isinstance(step_objs, list)
+                and all(isinstance(x, dict) for x in factors + step_objs)):
+            raise ValueError('malformed circuit IR: "layout" (non-empty) and "steps" must be lists of objects')
+        dims = _ir_ints([f["dim"] for f in factors], "layout dims")
+        layout = RegisterLayout(tuple(zip(dims, (_ir_str(f["role"], '"role"') for f in factors))))
+        all_targets = tuple(range(len(layout)))
+        steps = []
+        for s in step_objs:
+            if "query" in s:
+                if s["query"] not in tuple(LETTERS):  # a tuple: unhashable JSON values compare unequal
+                    raise ValueError(f"malformed circuit IR: unknown query letter {s['query']!r:.40}")
+                steps.append(QueryStep(LETTERS[s["query"]], _ir_ints(s["targets"], "query targets")))
+            else:
+                targets = _ir_ints(s.get("targets", all_targets), "step targets")
+                steps.append(FixedStep(_load_matrix(s["unitary"], base, bool_free), targets))
+        proj_obj = obj.get("projector", "identity")
+        if proj_obj == "identity" or proj_obj is None:
+            projector = None
+        elif isinstance(proj_obj, dict) and "matrix" in proj_obj:
+            projector = (_load_matrix(proj_obj["matrix"], base, bool_free),
+                         _ir_ints(proj_obj.get("targets", all_targets), "projector targets"))
         else:
-            targets = _ir_ints(s.get("targets", all_targets), "step targets")
-            steps.append(FixedStep(_load_matrix(s["unitary"], base, bool_free), targets))
-    proj_obj = obj.get("projector", "identity")
-    if proj_obj == "identity" or proj_obj is None:
-        projector = None
-    elif isinstance(proj_obj, dict) and "matrix" in proj_obj:
-        projector = (_load_matrix(proj_obj["matrix"], base, bool_free),
-                     _ir_ints(proj_obj.get("targets", all_targets), "projector targets"))
-    else:
-        projector = (_load_matrix(proj_obj, base, bool_free), all_targets)
-    task_out = _ir_ints(obj["task_out"], '"task_out"') if "task_out" in obj else None
+            projector = (_load_matrix(proj_obj, base, bool_free), all_targets)
+        task_out = _ir_ints(obj["task_out"], '"task_out"') if "task_out" in obj else None
+        oracle_dim = _ir_ints([obj["d"]], '"d"')[0]
+    except KeyError as exc:
+        raise ValueError(f"malformed circuit IR: missing key {exc}") from exc
     return OracleAlgorithm(
         name=_ir_str(obj.get("name", "ir"), '"name"'),
-        oracle_dim=_ir_ints([obj["d"]], '"d"')[0],
+        oracle_dim=oracle_dim,
         layout=layout,
         steps=tuple(steps),
         projector=projector,

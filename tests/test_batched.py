@@ -363,10 +363,11 @@ def test_sliced_check_exact_matches_whole_stack(monkeypatch, label, make, m):
     whole = mo.check_exact(alg, task, us)
     probs = mo.success_prob(alg, us, la.basis_state(alg.h_dim, 0))
     calls = _count_calls(monkeypatch, alg, "task_block")
-    monkeypatch.setattr(mo, "SLICE_ENTRIES", 3 * alg.total_dim * alg.h_dim)
+    monkeypatch.setattr(mo, "SLICE_ENTRIES", 3 * mo._exact_width(alg))
     sliced = mo.check_exact(alg, task, us)
     assert calls == [3, 3, 1]
     assert all(_same_result(a, b) for a, b in zip(whole, sliced, strict=True))
+    monkeypatch.setattr(mo, "SLICE_ENTRIES", 3 * mo._prob_width(alg))
     assert mo.success_prob(alg, us, la.basis_state(alg.h_dim, 0)) == probs
     assert calls == [3, 3, 1] * 2
 

@@ -464,10 +464,10 @@ class TestPureDeviation:
 
 
 def golden_phase_min(f, grid: int) -> np.ndarray:
-    """The phase minimum as it was refined before Brent's method, kept as a
-    reference: the best of the full grid, then a 60-step golden section over
-    the two grid cells around it, every member's bracket moved by its own
-    comparison, and the final midpoint; never above the best grid value."""
+    """A phase minimum by scanning, kept as the tests' reference: the best of
+    the full grid, then a 60-step golden section over the two grid cells
+    around it, every member's bracket moved by its own comparison, and the
+    final midpoint; never above the best grid value."""
     phis = np.linspace(-np.pi, np.pi, grid, endpoint=False)
     step = 2 * np.pi / grid
     vals = f(phis)
@@ -491,184 +491,6 @@ def golden_phase_min(f, grid: int) -> np.ndarray:
 
 
 class TestPhaseMin:
-    @pytest.mark.parametrize("p0", [0.3, np.pi - 1e-4, -np.pi + 1e-4])
-    def test_finds_cosine_minimum(self, p0):
-        # p0 = +-(pi - 1e-4) sits across the grid's wrap-around point
-        val = mo._phase_min(lambda p: 1 - np.cos(p - p0), mo.PHASE_GRID)
-        assert 0.0 <= val <= 1e-12
-
-    @staticmethod
-    def call_sizes(lip) -> list[int]:
-        sizes = []
-
-        def f(phis):
-            sizes.append(len(phis))
-            return 1 - np.cos(phis - 0.3)
-
-        mo._phase_min(f, mo.PHASE_GRID, lip)
-        return sizes
-
-    def test_one_grid_call_then_length_one_calls(self):
-        # every 8th phase at once, then the 38 phases the bound |f'| <= 1
-        # cannot rule out, then one call per step of Brent's method: its
-        # starting point and 22 steps
-        assert self.call_sizes(1.0) == [90, 38] + [1] * 23
-
-    def test_no_bound_scans_the_whole_grid(self):
-        assert self.call_sizes(np.inf) == [90, 630] + [1] * 23
-
-    @staticmethod
-    def assert_pruned_is_full_scan(a, b, c, norm, lip=None):
-        """Each member norm(A + e^{i phi} B + e^{-i phi} C) on its own, with
-        the bound norm(B) + norm(C) on |f'| unless ``lip`` is given: the
-        pruned scan gives the full scan's value, bit for bit, and asks the
-        full scan's phases in every call after the candidate call.  A member
-        of bound 0 scans its tied grid, so it refines as the full scan does."""
-        def scan(f, grid, bound) -> tuple[float, np.ndarray]:
-            """The minimum and the phases of the calls after the coarse call
-            and the candidate call, if any (it asks grid phases only)."""
-            calls.clear()
-            val = mo._phase_min(lambda p: calls.append(np.array(p)) or f(p), grid, bound)
-            rest = calls[1:]
-            if rest and np.isin(rest[0], np.linspace(-np.pi, np.pi, grid, endpoint=False)).all():
-                rest = rest[1:]
-            return val, np.concatenate(rest + [np.empty(0)])
-
-        calls = []
-        lip = np.broadcast_to(norm(b) + norm(c) if lip is None else lip, (len(a),))
-        for j in range(len(a)):
-            def f(p, j=j):
-                e = np.exp(1j * p)[:, None, None]
-                return norm(a[j] + e * b[j] + e.conj() * c[j])
-
-            for grid in (720, 100, 16):
-                pruned, pruned_steps = scan(f, grid, lip[j])
-                full, full_steps = scan(f, grid, np.inf)
-                assert pruned.hex() == full.hex()
-                np.testing.assert_array_equal(pruned_steps, full_steps)
-
-    @settings(max_examples=25, derandomize=True, deadline=None)
-    @given(members=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
-           flat=st.lists(st.booleans(), min_size=4, max_size=4),
-           scale=st.floats(0.0, 3.0), trace=st.booleans())
-    def test_pruned_scan_is_full_scan(self, members, n, seed, flat, scale, trace):
-        rng = np.random.default_rng(seed)
-        a, b, c = (rng.standard_normal((3, members, n, n))
-                   + 1j * rng.standard_normal((3, members, n, n)))
-        # some members have B = C = 0: a zero bound, constant in the phase
-        zero = np.array(flat[:members])[:, None, None]
-        b, c = np.where(zero, 0, scale * b), np.where(zero, 0, scale * c)
-        self.assert_pruned_is_full_scan(a, b, c, la.trace_norm if trace else la.spectral_norm)
-
-    @pytest.mark.parametrize("norm", [la.spectral_norm, la.trace_norm], ids=["spectral", "trace"])
-    def test_pruned_scan_minimum_across_the_wrap(self, norm):
-        # |1 - cos(phi - p0)| (x) Id, with p0 just either side of phi = +-pi,
-        # then the V-shaped |1 - e^{i (phi - p0)}| (x) Id, whose grid minimum
-        # lies in the last coarse cell (short at 100 phases): its right
-        # neighbour is phase 0 one turn on
-        p0 = np.array([np.pi - 1e-4, -np.pi + 1e-4, np.pi - 0.05, 0.3, np.pi - 0.05, np.pi - 0.006])
-        eye = np.eye(2)
-        a = np.broadcast_to(eye, (6, 2, 2)).astype(complex)
-        b = -0.5 * np.exp(-1j * p0)[:, None, None] * eye
-        c = b.conj()
-        b[4:], c[4:] = 2 * b[4:], 0
-        self.assert_pruned_is_full_scan(a, b, c, norm)
-
-    @pytest.mark.parametrize("lip", [0.0, 1.0], ids=["zero-bound", "loose-bound"])
-    def test_pruned_scan_all_tied(self, lip):
-        # every member constant, so every phase ties and each member's
-        # refinement starts from grid index 0, with a zero bound or a loose one
-        a = np.random.default_rng(5).standard_normal((3, 2, 2)).astype(complex)
-        zero = np.zeros_like(a)
-        self.assert_pruned_is_full_scan(a, zero, zero, la.spectral_norm, np.full(3, lip))
-
-    def test_pruned_scan_mixed_bounds(self):
-        # a flat member beside phase-dependent ones
-        rng = np.random.default_rng(7)
-        a, b, c = rng.standard_normal((3, 3, 2, 2)) + 0j
-        b[1], c[1] = 0, 0
-        self.assert_pruned_is_full_scan(a, b, c, la.trace_norm)
-
-
-    @staticmethod
-    def affine_cases():
-        """(norm, A, B, C, bound on |f'|) for the phase scans' two norms, for
-        arrays of members of shapes (), (B,) and (B, S).  Members whose
-        varying part is |1 - e^{i (phi - p0)}| (x) Id have their minimum
-        between coarse phases, where the bound alone decides whether it is
-        scanned."""
-        rng = np.random.default_rng(11)
-
-        def cplx(*shape):
-            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-        # spectral: random members, then V-shaped ones off the coarse grid
-        p0 = np.array([0.3 + 0.01, -2.0 + 0.02, np.pi - 0.06])
-        a = np.concatenate([cplx(3, 5, 3), np.broadcast_to(np.eye(5, 3), (3, 5, 3))])
-        b = np.concatenate([cplx(3, 5, 3), -np.exp(-1j * p0)[:, None, None] * np.eye(5, 3)])
-        c = np.concatenate([cplx(3, 5, 3), np.zeros((3, 5, 3))])
-        spec = la.spectral_norm(b) + la.spectral_norm(c)
-        yield la.spectral_norm, a[3], b[3], c[3], spec[3]
-        yield la.spectral_norm, a, b, c, spec
-        # trace: rank-one B and C = B^dagger, as in the eps scan, bound 2 |B|_F
-        v, w = cplx(2, 3, 4, 1), cplx(2, 3, 4, 1)
-        b = v @ la.dagger(w)
-        b[0, 0] = 0  # a member constant in the phase
-        a = cplx(2, 3, 4, 4)
-        yield la.trace_norm, a, b, la.dagger(b), 2 * np.linalg.norm(b, axis=(-2, -1))
-
-    def test_affine_min_is_the_full_scan(self):
-        # the pruned, chunked helper against _phase_min's full scan over a
-        # per-phase loop of the same expression, member by member, bit for
-        # bit; a bound halved on purpose prunes some member's true grid minimum
-        halved_differs = False
-        for norm, a, b, c, lip in self.affine_cases():
-            for i in np.ndindex(a.shape[:-2]):
-                def per_phase(p, i=i):
-                    e = np.exp(1j * p)
-                    return np.array([norm(a[i] + x * b[i] + x.conj() * c[i]) for x in e])
-
-                for grid in (mo.PHASE_GRID, 100):
-                    full = mo._phase_min(per_phase, grid, np.inf)
-                    got = mo._affine_min(norm, a[i], b[i], c[i], grid, lip[i])
-                    assert got.hex() == full.hex()
-                    halved = mo._affine_min(norm, a[i], b[i], c[i], grid, lip[i] / 2)
-                    halved_differs |= halved != full
-        assert halved_differs
-
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(kinds=st.lists(st.sampled_from(["random", "v-shaped", "constant"]),
-                          min_size=1, max_size=5),
-           n=st.integers(1, 3), seed=st.integers(0, 2 ** 16), scale=st.floats(0.0, 2.0),
-           trace=st.booleans(), bounded=st.booleans())
-    def test_matches_the_golden_section(self, kinds, n, seed, scale, trace, bounded):
-        # Brent's refinement against the golden section it replaced, within
-        # 1e-12, with or without a bound: random members, constant ones, and
-        # V-shaped |1 - e^{i (phi - p0)}| (x) Id, zero at a minimum off the
-        # grid, like an achiever's deviation
-        rng = np.random.default_rng(seed)
-        a, b, c = scale * (rng.standard_normal((3, len(kinds), n, n))
-                           + 1j * rng.standard_normal((3, len(kinds), n, n)))
-        kind = np.array(kinds)[:, None, None]
-        p0 = rng.uniform(-np.pi, np.pi, (len(kinds), 1, 1))
-        a = np.where(kind == "v-shaped", np.eye(n), a)
-        b = np.where(kind == "v-shaped", -np.exp(-1j * p0) * np.eye(n), b)
-        b, c = (np.where(kind == "random", x, 0) for x in (b, c))
-        norm = la.trace_norm if trace else la.spectral_norm
-
-        lip = norm(b) + norm(c) if bounded else np.full(len(kinds), np.inf)
-        for j, kind_j in enumerate(kinds):
-            def f(p, j=j):
-                e = np.exp(1j * p)[..., None, None]
-                return norm(a[j] + e * b[j] + e.conj() * c[j])
-
-            got = mo._phase_min(f, mo.PHASE_GRID, lip[j])
-            np.testing.assert_allclose(got, golden_phase_min(f, mo.PHASE_GRID), rtol=0, atol=1e-12)
-            grid_min = f(np.linspace(-np.pi, np.pi, mo.PHASE_GRID, endpoint=False)).min()
-            assert got <= grid_min
-            if kind_j == "constant":
-                assert got == grid_min
-
     @pytest.mark.parametrize("grid", [0, -5])
     def test_grid_below_one_refused(self, grid):
         u = la.haar_unitary(2, 5)
@@ -677,11 +499,6 @@ class TestPhaseMin:
         with pytest.raises(ValueError, match=f"grid={grid}"):
             mo.eps_distance_estimate(constant_circuit(2), mo.cum_task(2, 1), u, n_samples=1,
                                      grid=grid)
-
-    def test_one_phase_grid(self):
-        # a single grid phase: its two cells are the whole circle, twice over
-        val = mo._phase_min(lambda p: 1 - np.cos(p - 0.3), 1)
-        assert 0.0 <= val <= 1e-12
 
 
 def benchmark_haar(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -693,29 +510,22 @@ def benchmark_haar(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 class TestPhaseScanSaving:
-    """The Lipschitz bounds leave most phases unevaluated, counted by phase."""
+    """Which inputs reach the level-set search over the phase."""
 
     @staticmethod
-    def _call_sizes(monkeypatch) -> list[list[int]]:
-        """Record the number of phases in each call of each ``_phase_min``
-        scan: the coarse call, the candidate call, then one call per step of
-        the refinement."""
+    def _call_sizes(monkeypatch) -> list[tuple[int, int]]:
+        """Record the (rows, columns) of A in each ``_level_min`` call."""
         scans = []
-        original = mo._phase_min
-
-        def counting(f, grid, lip=np.inf):
-            sizes = []
-            scans.append(sizes)
-            return original(lambda p: sizes.append(np.shape(p)[-1]) or f(p), grid, lip)
-
-        monkeypatch.setattr(mo, "_phase_min", counting)
+        original = mo._level_min
+        monkeypatch.setattr(mo, "_level_min",
+                            lambda a, *rest: scans.append(a.shape) or original(a, *rest))
         return scans
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("d", [4, 3])
     def test_pure_deviation_evaluates_few_phases(self, monkeypatch, d, seed):
         # the verify-dense achievers are certified at their fitted phase:
-        # no phase scan at all
+        # no level-set search at all
         rng = np.random.default_rng([seed, 2])  # the verify-dense oracle stream
         if d == 3:
             for _ in range(2):
@@ -727,17 +537,16 @@ class TestPhaseScanSaving:
         assert scans == []
 
     def test_pure_deviation_non_achiever_scan(self, monkeypatch):
-        # kitaev is far from c-U^1: one pruned scan, its call sizes pinned as
-        # observed (the coarse call, the candidates, then Brent's 39 steps)
+        # kitaev is far from c-U^1: one search, on 3 h = 12 rows of h = 4
         scans = self._call_sizes(monkeypatch)
         val = mo.pure_deviation(co.kitaev_cswap(2), mo.cum_task(2, 1), la.haar_unitary(2, 14))
         assert val > 0.1
-        assert scans == [[90, 103] + [1] * 39]
+        assert scans == [(12, 4)]
 
     def test_eps_constant_evaluates_few_phases(self, monkeypatch):
         # the constant circuit's oracle in the verify-dense stream at seed 0,
         # after two d = 4 and two d = 3 draws: a non-achiever, whose phases
-        # come from the secular equation, with no phase scan at all
+        # come from the secular equation, with no level-set search at all
         scans = self._call_sizes(monkeypatch)
         rng = np.random.default_rng([0, 2])
         for d in (4, 4, 3, 3):
@@ -747,19 +556,24 @@ class TestPhaseScanSaving:
         assert val >= 1 and scans == []
 
 
-def full_scan(monkeypatch, alg, task, u) -> tuple[float, float]:
-    """``pure_deviation`` of a controlled-power task by its phase scan alone,
-    and the scan's Lipschitz bound ``lip``: the deviation at the fitted phase,
-    the one norm of a single matrix (the scan's are of stacks), is made inf,
-    so that no certificate holds."""
-    norm, affine_min = la.gram_spectral_norm, mo._affine_min
-    lips = []
+def searched(monkeypatch, alg, task, u) -> tuple[float, list[tuple]]:
+    """``pure_deviation`` of a controlled-power task by its level-set search
+    alone, and the arguments (A, B, C, start) of each ``_level_min`` call: a
+    negative _REFINE_TOL lets no certificate hold."""
+    level_min, calls = mo._level_min, []
     with monkeypatch.context() as m:
-        m.setattr(la, "gram_spectral_norm", lambda x: np.inf if x.ndim == 2 else norm(x))
-        m.setattr(mo, "_affine_min", lambda *args: lips.append(args[-1]) or affine_min(*args))
+        m.setattr(mo, "_REFINE_TOL", -1.0)
+        m.setattr(mo, "_level_min", lambda *args: calls.append(args) or level_min(*args))
         val = mo.pure_deviation(alg, task, u)
-    (lip,) = lips
-    return val, lip
+    return val, calls
+
+
+def full_scan(monkeypatch, alg, task, u) -> tuple[float, float]:
+    """``searched``'s value and the certificate's Lipschitz bound ``lip``.
+    B = -T1 (x) g_q0 and C = -T0 (x) g_q1, so ``lip`` is
+    (|B|_F + |C|_F) (1 + 1e-9) up to rounding."""
+    val, ((_, b, c, _),) = searched(monkeypatch, alg, task, u)
+    return val, (np.linalg.norm(b) + np.linalg.norm(c)) * (1 + 1e-9)
 
 
 def turned_dong(theta: float) -> mo.OracleAlgorithm:
@@ -775,15 +589,15 @@ def turned_dong(theta: float) -> mo.OracleAlgorithm:
 
 class TestFittedPhaseCertificate:
     """``pure_deviation`` returns its value at the fitted phase, without a
-    scan, when that value is at most ``lip * 4 * _REFINE_TOL``; any other
-    input takes the one phase scan it took before, bit for bit."""
+    search, when that value is at most ``lip * 4 * _REFINE_TOL``; any other
+    input takes one level-set search from there."""
 
     @staticmethod
     def assert_certified(monkeypatch, alg, task, u):
         scanned, lip = full_scan(monkeypatch, alg, task, u)
         scans = []
         with monkeypatch.context() as m:
-            m.setattr(mo, "_phase_min", lambda *args: scans.append(args))
+            m.setattr(mo, "_level_min", lambda *args: scans.append(args))
             val = mo.pure_deviation(alg, task, u)
         assert scans == []
         assert val <= lip * 4 * mo._REFINE_TOL
@@ -811,12 +625,12 @@ class TestFittedPhaseCertificate:
     @pytest.mark.parametrize("theta", [1e-6, 1e-10, 1e-12])
     def test_near_achievers_scan_as_before(self, monkeypatch, theta):
         # deviations of about 0.68 theta, above the certificate bound (5.7e-14
-        # here): one scan, whose value is _affine_min's, bit for bit
+        # here): one search, whose value is the search's alone, bit for bit
         alg, task, u = turned_dong(theta), mo.cum_task(2, 2), la.haar_unitary(2, 5)
         scanned, _ = full_scan(monkeypatch, alg, task, u)
-        phase_min, scans = mo._phase_min, []
+        level_min, scans = mo._level_min, []
         with monkeypatch.context() as m:
-            m.setattr(mo, "_phase_min", lambda *args: scans.append(args) or phase_min(*args))
+            m.setattr(mo, "_level_min", lambda *args: scans.append(args) or level_min(*args))
             val = mo.pure_deviation(alg, task, u)
         assert len(scans) == 1
         assert val.hex() == scanned.hex()
@@ -826,15 +640,108 @@ class TestFittedPhaseCertificate:
     def test_zero_bound_returns_the_fit(self, monkeypatch, d):
         # X on the control leaves no overlap with either control block of
         # c-U^1: the garbage fit is zero, so is the Lipschitz bound, and the
-        # deviation is the same at every phase, returned with no scan
+        # deviation is the same at every phase, returned with no search
         alg, task, u = control_flip(d), mo.cum_task(d, 1), la.haar_unitary(d, 994)
         scanned = per_phase_deviation(alg, task, u, mo.PHASE_GRID)
         scans = []
         with monkeypatch.context() as m:
-            m.setattr(mo, "_phase_min", lambda *args: scans.append(args))
+            m.setattr(mo, "_level_min", lambda *args: scans.append(args))
             val = mo.pure_deviation(alg, task, u)
         assert scans == []
         assert abs(val - scanned) <= 1e-12
+
+
+def kicked_dong(d: int, eps: float, seed: int) -> mo.OracleAlgorithm:
+    """dong with one fixed step, chosen by ``seed``, multiplied by
+    exp(i eps H) for a random Hermitian H: a near-achiever."""
+    alg = co.dong_cUd(d)
+    steps = list(alg.steps)
+    fixed = [i for i, step in enumerate(steps) if isinstance(step, mo.FixedStep)]
+    i = fixed[seed % len(fixed)]
+    n = len(steps[i].op)
+    x = np.random.default_rng(seed).standard_normal((2, n, n))
+    lam, v = np.linalg.eigh(x[0] + 1j * x[1] + la.dagger(x[0] + 1j * x[1]))
+    steps[i] = mo.FixedStep((v * np.exp(1j * eps * lam)) @ la.dagger(v) @ steps[i].op,
+                            steps[i].targets)
+    return mo.OracleAlgorithm("kicked", d, alg.layout, tuple(steps))
+
+
+class TestLevelSets:
+    """``_level_min``: the squared pencil, then the Jordan-Wielandt one."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("k", range(9))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_near_achievers(self, d, k, seed):
+        # eps from 1e-2 down to 1e-12: there the squared pencil alone ends
+        # up to 5e-11 above the minimum, which the second pencil recovers
+        alg, task = kicked_dong(d, 10.0 ** (-2 - 1.25 * k), seed), mo.cum_task(d, d)
+        u = la.haar_unitary(d, 3700 + seed)
+        assert mo.pure_deviation(alg, task, u) <= per_phase_deviation(alg, task, u, 64) + 1e-15
+
+    @staticmethod
+    def assert_minimum(a, b, c, start):
+        """The search from phase ``start`` against a dense evaluation of
+        10^4 phases and against the golden-section reference."""
+        def f(phis):
+            e = np.exp(1j * phis)[..., None, None]
+            return la.gram_spectral_norm(a + e * b + e.conj() * c)
+
+        z = np.exp(1j * start)
+        val = mo._level_min(a, b, c, float(la.gram_spectral_norm(a + z * b + z.conj() * c)))
+        assert val <= f(np.linspace(-np.pi, np.pi, 10 ** 4, endpoint=False)).min() + 1e-15 * (1 + val)
+        assert abs(val - golden_phase_min(f, 4096)) <= 1e-12
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(h=st.integers(1, 4), rows=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+           seed=st.integers(0, 2 ** 16))
+    def test_drawn_families(self, h, rows, seed):
+        # B and C on disjoint row blocks, any further rows of A alone
+        rng = np.random.default_rng(seed)
+        rb, rc, ra = rows
+        x = rng.standard_normal((2, 3, rb + rc + ra + 1, h))
+        a, b, c = x[0] + 1j * x[1]
+        b[rb:], c[:rb], c[rb + rc:] = 0, 0, 0
+        self.assert_minimum(a, b, c, rng.uniform(-np.pi, np.pi))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(h=st.integers(1, 4), rows=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+           seed=st.integers(0, 2 ** 16), depth=st.sampled_from([1.0, 1e-4, 1e-9, 1e-13]))
+    def test_deep_minima(self, h, rows, seed, depth):
+        # pure_deviation's structure: B and C on disjoint row blocks and
+        # disjoint column blocks, so M(z) is A0 + conj(z) C0 beside A1 + z B1,
+        # with M pushed down to ``depth`` at a random phase, where every
+        # singular value is small (README "Tolerances" on rows alone)
+        rng = np.random.default_rng(seed)
+        rb, rc, ra = rows
+        x = rng.standard_normal((2, 3, rb + rc + ra + 1, h))
+        a, b, c = x[0] + 1j * x[1]
+        b[rb:], b[:, :h // 2], c[:rb], c[rb + rc:], c[:, h // 2:] = 0, 0, 0, 0, 0
+        z0 = np.exp(1j * rng.uniform(-np.pi, np.pi))
+        self.assert_minimum(depth * a - z0 * b - z0.conj() * c, b, c, rng.uniform(-np.pi, np.pi))
+
+    @pytest.mark.parametrize("h", [1, 3])
+    def test_constant_family(self, h):
+        # B = C = 0: the value is the same at every phase, and at h = 1 the
+        # squared pencil's leading coefficient |A|^2 - gamma^2 is often
+        # exactly 0, which ends the search at the value it started from
+        a = np.random.default_rng(h).standard_normal((4, h)) + 0j
+        zero, value = np.zeros_like(a), float(la.gram_spectral_norm(a))
+        assert mo._level_min(a, zero, zero, value) == value
+
+    @pytest.mark.parametrize("name", ["dong", "kitaev", "spin-echo"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_blocks_are_disjoint(self, monkeypatch, name, d):
+        # the squared pencil is exact because C^dagger B = 0: B lies on the
+        # control-1 output and input blocks and C on the control-0 ones, exactly
+        alg, u = co.BUILDERS[name](d), la.haar_unitary(d, 985)
+        tasks = [t for t in compatible_tasks(alg, d) if t.control_power is not None]
+        assert tasks
+        for task in tasks:
+            _, calls = searched(monkeypatch, alg, task, u)
+            for _, b, c, _ in calls:
+                assert not (la.dagger(c) @ b).any()
+                assert not (b @ la.dagger(c)).any()
 
 
 def control_flip(d: int) -> mo.OracleAlgorithm:
@@ -861,7 +768,7 @@ def per_phase_deviation(alg, task, u, grid):
 
     if task.control_power is None:
         return dev(task.base(u))
-    return mo._phase_min(lambda phis: np.array([dev(task.member(u, p)) for p in phis]), grid)
+    return golden_phase_min(lambda phis: np.array([dev(task.member(u, p)) for p in phis]), grid)
 
 
 def per_phase_eps(alg, task, u, n_samples, grid):
@@ -879,7 +786,7 @@ def per_phase_eps(alg, task, u, n_samples, grid):
         if exact.achieved or task.control_power is None:
             val = dist(exact.phase)
         else:
-            val = mo._phase_min(lambda phis: np.array([dist(p) for p in phis]), grid)
+            val = golden_phase_min(lambda phis: np.array([dist(p) for p in phis]), grid)
         worst = max(worst, val)
     return worst
 
@@ -901,22 +808,24 @@ def stacked_phase_eps(alg, task, u, n_samples, grid):
         member = (m0 + m1) / 2 + np.exp(1j * p)[:, None, None] * (m0 - m1) / 2
         return la.trace_norm(sigma[s] - member @ rhos[s] @ la.dagger(member))
 
-    return max(mo._phase_min(lambda p, s=s: dist(s, p), grid) for s in range(len(rhos)))
+    return max(golden_phase_min(lambda p, s=s: dist(s, p), grid) for s in range(len(rhos)))
 
 
 def eps_affine_min(alg, task, u, n_samples, grid=mo.PHASE_GRID):
     """eps of a controlled-power non-achiever by a phase scan instead of the
-    secular equation: ``_affine_min`` on each state's defect
-    X0 - e^{i phi} X1 - e^{-i phi} X1^dagger, with the bound 2 |X1|_F on its
-    Lipschitz constant."""
+    secular equation: ``golden_phase_min`` on each state's defect
+    X0 - e^{i phi} X1 - e^{-i phi} X1^dagger, every state at once."""
     rhos = mo._state_family(alg, task, n_samples, 0)
     outs, trs = mo._channel_from_block(alg, alg.task_block(u), rhos)
     t0, t1 = mo._affine_member(task, u)
-    x1s = t1 @ rhos @ la.dagger(t0)
-    x0s = outs / trs[:, None, None] - t0 @ rhos @ la.dagger(t0) - t1 @ rhos @ la.dagger(t1)
-    lip = 2 * np.linalg.norm(x1s, axis=(-2, -1))
-    return max(mo._affine_min(la.hermitian_trace_norm, x0, -x1, -la.dagger(x1), grid, bound)
-               for x0, x1, bound in zip(x0s, x1s, lip))
+    x1s = (t1 @ rhos @ la.dagger(t0))[:, None]
+    x0s = (outs / trs[:, None, None] - t0 @ rhos @ la.dagger(t0) - t1 @ rhos @ la.dagger(t1))[:, None]
+
+    def defect_norm(phis):  # (S, k) values at phases broadcasting to (S, k)
+        e = np.exp(1j * phis)[..., None, None]
+        return la.hermitian_trace_norm(x0s - e * x1s - e.conj() * la.dagger(x1s))
+
+    return golden_phase_min(defect_norm, grid).max()
 
 
 def compatible_tasks(alg, d):
@@ -933,9 +842,9 @@ def compatible_tasks(alg, d):
 
 
 class TestPhaseScanEquivalence:
-    """The phase scans run on reduced matrices and stacked norms; they match
-    the per-phase formulas to 1e-12.  A grid of 100 phases spans one full
-    evaluation chunk and part of a second."""
+    """pure_deviation's level-set search runs on reduced matrices, and eps
+    on its secular equation; both match the per-phase formulas, scanned on a
+    grid of 100 phases and refined by a golden section, to 1e-12."""
 
     GRID = 100
 
@@ -992,16 +901,16 @@ class TestPhaseScanEquivalence:
 
 class TestSecularPhase:
     """eps of a controlled-power non-achiever takes each state's phase from
-    the secular equation of its rank-one defect, with no phase scan, and
-    matches a full scan of 4,096 phases per state, refined by Brent's
-    method, to 1e-12."""
+    the secular equation of its rank-one defect, with no phase search, and
+    matches a full scan of 4,096 phases per state, refined by a golden
+    section, to 1e-12."""
 
     GRID = 4096
 
     def assert_dense(self, monkeypatch, alg, task, u) -> float:
         scans = []
         with monkeypatch.context() as m:
-            m.setattr(mo, "_phase_min", lambda *args: scans.append(args))
+            m.setattr(mo, "_level_min", lambda *args: scans.append(args))
             val = mo.eps_distance_estimate(alg, task, u, n_samples=2)
         assert scans == []
         assert abs(val - stacked_phase_eps(alg, task, u, 2, self.GRID)) <= 1e-12
@@ -1035,7 +944,8 @@ class TestSecularPhase:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_constant_circuit(self, monkeypatch, d):
-        # against the dense scan and against _affine_min's pruned scan
+        # against the dense scan and against a golden-section scan of each
+        # state's defect
         alg, task, u = constant_circuit(d), mo.cum_task(d, 1), la.haar_unitary(d, 975)
         val = self.assert_dense(monkeypatch, alg, task, u)
         assert abs(val - eps_affine_min(alg, task, u, 2)) <= 1e-12
@@ -1493,6 +1403,25 @@ class TestIrReader:
             mo.from_ir(path)
 
 
+def _drop(ir: dict, key: str) -> None:
+    """Delete ``key`` from the first object of ``ir`` that holds it: the top
+    level, a layout factor, a query step or a fixed step."""
+    for node in [ir, *ir["layout"], *ir["steps"]]:
+        if key in node and (key != "targets" or "query" in node):
+            del node[key]
+            return
+    raise AssertionError(f"no {key!r} in the IR")
+
+
+class TestIrMissingKeys:
+    @pytest.mark.parametrize("key", ["layout", "steps", "d", "dim", "role", "targets", "unitary"])
+    def test_missing_key_is_malformed(self, key):
+        ir = mo.to_ir(co.build("dong", 2))
+        _drop(ir, key)
+        with pytest.raises(ValueError, match=f"^malformed circuit IR: missing key '{key}'$"):
+            mo.from_ir(ir)
+
+
 def _assert_same_program(a: mo.OracleAlgorithm, b: mo.OracleAlgorithm) -> None:
     """The two programs hold the same fields, every matrix bit for bit."""
     def same_matrix(x, y):
@@ -1570,6 +1499,26 @@ class TestIrMemory:
         alg, path = co.build("dong", 4), tmp_path / "dong4.json"
         mo.write_ir(alg, path)
         assert _traced_peak(lambda: mo.write_ir(alg, path)) <= 3e6
+
+
+class TestSliceMemory:
+    """Each stacked checker keeps its slices within the SLICE_ENTRIES budget:
+    64 dong d = 4 oracles peak at most at twice the budget, in bytes.  Each
+    call runs once untraced first."""
+
+    BOUND = 2 * mo.SLICE_ENTRIES * 16
+
+    @pytest.mark.parametrize("check", ["check_exact", "success_prob", "eps"])
+    def test_dong_d4_peak(self, check):
+        # sized by the block alone, check_exact peaked at 88.5 MiB, eps at
+        # 47.1 MiB and success_prob at 32.3 MiB
+        alg, task = co.build("dong", 4), mo.cum_task(4, 4)
+        us = np.stack(la.haar_unitaries(4, 64, 7))
+        run = {"check_exact": lambda: mo.check_exact(alg, task, us),
+               "success_prob": lambda: mo.success_prob(alg, us, la.basis_state(alg.h_dim, 0)),
+               "eps": lambda: mo.eps_distance_estimate(alg, task, us, n_samples=2)}[check]
+        run()
+        assert _traced_peak(run) <= self.BOUND
 
 
 class TestIrWriter:
