@@ -758,7 +758,12 @@ def apply_channel(alg, u: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, floa
 
 def _state_family(alg, task: Task, n_samples: int, seed: int) -> np.ndarray:
     """The state family of ``eps_distance_estimate`` as one (S, h, h) stack:
-    basis states, I/h, plus-control states, then Haar states."""
+    basis states, I/h, plus-control states, then Haar states.  Both inputs
+    are checked first: ``alg`` against ``task`` (``_check_compat``), and
+    ``n_samples`` at least 0."""
+    _check_compat(alg, task)
+    if n_samples < 0:
+        raise ValueError(f"the state family needs n_samples >= 0, got n_samples={n_samples}")
     h = alg.h_dim
     dt = h // 2 if task.control_power is not None else 0
     eye = np.eye(h, dtype=complex)
@@ -779,12 +784,13 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
     the maximally mixed state, plus-control superpositions where a control
     register exists, and seeded Haar-random pure states), so the value is a
     lower bound on the supremum over all density matrices.  For a
-    controlled-power non-achiever the phase is chosen per state: the value is
-    the max over states of the min over phases, a lower bound on the min over
-    phases of the max over states that approximate control_phi(U) asks for.
-    Each state's best phase comes from a secular equation, not a phase scan
-    (``_eps_from_block``), so ``grid`` is still checked (at least 1) but no
-    longer changes the value.
+    controlled-power task the phase is chosen per state, for every oracle:
+    the value is the max over states of the min over phases, a lower bound
+    on the min over phases of the max over states that approximate
+    control_phi(U) asks for.  Each state's best phase comes from a secular
+    equation, not a phase scan (``_eps_from_block``), so ``grid`` is still
+    checked (at least 1) but no longer changes the value.  No exact check
+    runs, so no tolerance enters the value.
 
     ``u`` may be a (B, d, d) stack, giving the B estimates as an array; it is
     evaluated through ``over_stack``, each oracle's slice width counting its
@@ -793,21 +799,22 @@ def eps_distance_estimate(alg, task: Task, u: np.ndarray, n_samples: int = 8,
     """
     if grid < 1:
         raise ValueError(f"the phase grid needs at least 1 phase, got grid={grid}")
-    pairs = _exact_and_eps(alg, task, u, EXACT_TOL, n_samples, seed)
-    if isinstance(pairs, tuple):  # one oracle's (result, estimate)
-        return pairs[1]
-    return np.array([val for _, val in pairs], dtype=float)
+    rhos = _state_family(alg, task, n_samples, seed)
+    return over_stack(lambda us: _eps_from_block(alg, task, us, alg.task_block(us), rhos),
+                      u, alg.oracle_dim, _eps_width(alg, len(rhos)))
 
 
 def _eps_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
-                    exact: list[AchievementResult], rhos: np.ndarray) -> np.ndarray:
+                    rhos: np.ndarray) -> np.ndarray:
     """``eps_distance_estimate`` on a (B, d, d) stack of oracles over the
-    states ``rhos``, from their (B, N, h) zero-ancilla blocks ``b`` and
-    their ``check_exact`` results at ``EXACT_TOL``, already computed.
+    states ``rhos``, from their (B, N, h) zero-ancilla blocks ``b``, already
+    computed.
 
-    A non-achiever of a controlled-power task takes, for each state, the
-    phase that minimises its defect's trace norm, found without a scan.  A
-    pure state's defect is sigma - psi psi^dagger, with at most one negative
+    Without a phase family every oracle is compared with ``task.base``: a
+    global phase cancels in T rho T^dagger.  For a controlled-power task
+    every oracle, achiever or not, takes for each state the phase that
+    minimises its defect's trace norm, found without a scan.  A pure
+    state's defect is sigma - psi psi^dagger, with at most one negative
     eigenvalue -mu; the least mu over the phase is the root of a secular
     equation (Golub 1973), bracketed in [0, |psi|^2] and narrowed by a fixed
     56 halvings.  The value is the trace norm of the defect at the phase
@@ -817,55 +824,46 @@ def _eps_from_block(alg, task: Task, us: np.ndarray, b: np.ndarray,
     if np.any(trs <= 1e-14):
         raise ModelViolationError("postselection probability vanished on a sampled state")
     normalised = outs / trs[..., None, None]
-    vals = np.empty(len(us))
-    # achievers, and every oracle when the task has no phase family, are
-    # compared with their fixed member
-    fixed = np.array([r.achieved or task.control_power is None for r in exact], dtype=bool)
-    if fixed.any():
-        # no phase as NaN, and member(u, 0) is member(u, None); each
-        # defect is Hermitian, so its trace norm comes from eigenvalues
-        phis = np.array([r.phase for r in exact], dtype=float)[fixed]
-        t = task.member(us[fixed], np.nan_to_num(phis))[:, None]
-        vals[fixed] = np.max(la.hermitian_trace_norm(normalised[fixed]
-                                                     - t @ rhos @ la.dagger(t)), axis=-1)
-    if not fixed.all():
-        # member(phi) rho member(phi)^dagger has terms in 1, e^{i phi} and
-        # e^{-i phi}: the defect is X0 - e^{i phi} X1 - e^{-i phi} X1^dagger,
-        # Hermitian, with X0 = sigma - fit, sigma the normalised output
-        t0, t1 = (t[:, None] for t in _affine_member(task, us[~fixed]))
-        x1s = t1 @ rhos @ la.dagger(t0)
-        fit = t0 @ rhos @ la.dagger(t0) + t1 @ rhos @ la.dagger(t1)
-        # For rho = v v^dagger the defect is sigma - psi psi^dagger with
-        # psi = T0 v + e^{i phi} T1 v, its two parts on disjoint control
-        # blocks: its trace is the same at every phase and, sigma being PSD,
-        # it has at most one negative eigenvalue -mu, so its trace norm is
-        # least where mu is.  With sigma = E diag(s) E^dagger, mu is the root
-        # of sum |E^dagger psi|^2 / (s + mu) = 1, and |E^dagger psi|^2 is
-        # p + 2 Re(e^{i phi} q), p and q the diagonals of E^dagger fit E and
-        # E^dagger X1 E.  So the least mu over the phase is the root of the
-        # decreasing sum w p - 2 |sum w q| = 1, w = 1 / (s + mu), in
-        # [0, sum p]: 14 rounds each cut every member's bracket into 16.  At
-        # its top end, the phase with e^{i phi} Q = -|Q|, Q = sum w q, has
-        # its mu below that end.  Q = 0 where X1 = 0 (I/h, basis states): phase 0
-        s, e = np.linalg.eigh(normalised[~fixed])
-        s = np.maximum(s, 0)
-        p = np.sum(e.conj() * (fit @ e), axis=-2).real
-        q = np.sum(e.conj() * (x1s @ e), axis=-2)
-        pq = np.stack([p, q.real, q.imag], axis=-1)
-        lo, width = np.zeros(p.shape[:-1]), p.sum(axis=-1)
-        for _ in range(14):
-            width = width / 16
-            mu = lo[..., None] + width[..., None] * np.arange(1, 16)
-            g = (1 / (s[..., None, :] + mu[..., None])) @ pq
-            lo = lo + width * np.sum(g[..., 0] - 2 * np.hypot(g[..., 1], g[..., 2]) > 1, axis=-1)
-        big_q = np.sum(q / (s + (lo + width)[..., None]), axis=-1)[..., None, None]
-        r = np.abs(big_q)
-        z = np.where(r > 0, -big_q.conj(), 1) / np.where(r > 0, r, 1)
-        # the trace norm at that phase, not tr + 2 mu: p and 2 |Q| cancel
-        # at a small mu, and the eigenvalues keep the rounding absolute
-        defect = normalised[~fixed] - fit - z * x1s - z.conj() * la.dagger(x1s)
-        vals[~fixed] = np.max(la.hermitian_trace_norm(defect), axis=-1)
-    return vals
+    # each defect is Hermitian, so its trace norm comes from eigenvalues
+    if task.control_power is None:
+        t = task.base(us)[:, None]
+        return np.max(la.hermitian_trace_norm(normalised - t @ rhos @ la.dagger(t)), axis=-1)
+    # member(phi) rho member(phi)^dagger has terms in 1, e^{i phi} and
+    # e^{-i phi}: the defect is X0 - e^{i phi} X1 - e^{-i phi} X1^dagger,
+    # Hermitian, with X0 = sigma - fit, sigma the normalised output
+    t0, t1 = (t[:, None] for t in _affine_member(task, us))
+    x1s = t1 @ rhos @ la.dagger(t0)
+    fit = t0 @ rhos @ la.dagger(t0) + t1 @ rhos @ la.dagger(t1)
+    # For rho = v v^dagger the defect is sigma - psi psi^dagger with
+    # psi = T0 v + e^{i phi} T1 v, its two parts on disjoint control
+    # blocks: its trace is the same at every phase and, sigma being PSD,
+    # it has at most one negative eigenvalue -mu, so its trace norm is
+    # least where mu is.  With sigma = E diag(s) E^dagger, mu is the root
+    # of sum |E^dagger psi|^2 / (s + mu) = 1, and |E^dagger psi|^2 is
+    # p + 2 Re(e^{i phi} q), p and q the diagonals of E^dagger fit E and
+    # E^dagger X1 E.  So the least mu over the phase is the root of the
+    # decreasing sum w p - 2 |sum w q| = 1, w = 1 / (s + mu), in
+    # [0, sum p]: 14 rounds each cut every member's bracket into 16.  At
+    # its top end, the phase with e^{i phi} Q = -|Q|, Q = sum w q, has
+    # its mu below that end.  Q = 0 where X1 = 0 (I/h, basis states): phase 0
+    s, e = np.linalg.eigh(normalised)
+    s = np.maximum(s, 0)
+    p = np.sum(e.conj() * (fit @ e), axis=-2).real
+    q = np.sum(e.conj() * (x1s @ e), axis=-2)
+    pq = np.stack([p, q.real, q.imag], axis=-1)
+    lo, width = np.zeros(p.shape[:-1]), p.sum(axis=-1)
+    for _ in range(14):
+        width = width / 16
+        mu = lo[..., None] + width[..., None] * np.arange(1, 16)
+        g = (1 / (s[..., None, :] + mu[..., None])) @ pq
+        lo = lo + width * np.sum(g[..., 0] - 2 * np.hypot(g[..., 1], g[..., 2]) > 1, axis=-1)
+    big_q = np.sum(q / (s + (lo + width)[..., None]), axis=-1)[..., None, None]
+    r = np.abs(big_q)
+    z = np.where(r > 0, -big_q.conj(), 1) / np.where(r > 0, r, 1)
+    # the trace norm at that phase, not tr + 2 mu: p and 2 |Q| cancel
+    # at a small mu, and the eigenvalues keep the rounding absolute
+    defect = normalised - fit - z * x1s - z.conj() * la.dagger(x1s)
+    return np.max(la.hermitian_trace_norm(defect), axis=-1)
 
 
 def _exact_and_eps(alg, task: Task, u: np.ndarray, tol: float, n_samples: int, seed: int):
@@ -873,18 +871,16 @@ def _exact_and_eps(alg, task: Task, u: np.ndarray, tol: float, n_samples: int, s
     task, u, n_samples, seed)``, each oracle's zero-ancilla block built
     once: the list of (result, estimate) pairs of a (B, d, d) stack, or the
     pair of a single (d, d) oracle.  Each oracle's ``over_stack`` slice width
-    is ``_eps_width``."""
-    _check_compat(alg, task)
+    is ``check_exact``'s and eps's, the four blocks they share counted once."""
     rhos = _state_family(alg, task, n_samples, seed)
 
     def both(us: np.ndarray) -> list:
         b = alg.task_block(us)
-        exact = _exact_from_block(alg, task, us, b, tol)
-        # the estimate tells achievers by the results at EXACT_TOL
-        at_exact_tol = exact if tol == EXACT_TOL else _exact_from_block(alg, task, us, b, EXACT_TOL)
-        return list(zip(exact, _eps_from_block(alg, task, us, b, at_exact_tol, rhos)))
+        return list(zip(_exact_from_block(alg, task, us, b, tol),
+                        _eps_from_block(alg, task, us, b, rhos)))
 
-    return over_stack(both, u, alg.oracle_dim, _eps_width(alg, len(rhos)))
+    width = _exact_width(alg) + _eps_width(alg, len(rhos)) - 4 * alg.total_dim * alg.h_dim
+    return over_stack(both, u, alg.oracle_dim, width)
 
 
 def _prob_width(alg) -> int:
@@ -905,14 +901,16 @@ def _exact_width(alg) -> int:
 
 def _eps_width(alg, states: int) -> int:
     """An oracle's ``over_stack`` slice width for eps over ``states`` states,
-    in complex entries: ``check_exact``'s, which every slice runs first on
-    the same task block, then its channel's Gram matrix G (h^4 entries), and
-    per state what ``_eps_from_block`` keeps: 8 h x h matrices (the channel
-    output, sigma, X1, the fit, sigma's eigenvectors, the defect and two
-    products on the way) and 21 h-vectors (s, p, q, the three columns of pq
-    and the weights w at the 15 trial mu's)."""
+    in complex entries: four total_dim x h blocks (the zero-ancilla block
+    with the second buffer ``task_block`` fills it from, then the block's
+    (out, anc, in) tensor and its Schmidt matricisation T), the channel's
+    Gram matrix G (h^4 entries), and per state what ``_eps_from_block``
+    keeps: 8 h x h matrices (the channel output, sigma, X1, the fit,
+    sigma's eigenvectors, the defect and two products on the way) and 21
+    h-vectors (s, p, q, the three columns of pq and the weights w at the 15
+    trial mu's)."""
     h = alg.h_dim
-    return _exact_width(alg) + h ** 4 + states * (8 * h * h + 21 * h)
+    return 4 * alg.total_dim * h + h ** 4 + states * (8 * h * h + 21 * h)
 
 
 # -- neutralisation, cleanness, homogeneity ------------------------------------
@@ -933,7 +931,10 @@ def check_neutralises(alg, u_list, tol: float = EXACT_TOL) -> NeutralisationResu
     times itself on the full space, with a common r in (0, 1] across U.
     ``u_list`` is a list or a (B, d, d) stack of oracles, and a single
     (d, d) oracle is the stack of one; it is evaluated through ``over_stack``,
-    an oracle's slice width being its one full-space image."""
+    an oracle's slice width being its one full-space image.  An empty stack
+    is refused: r and its spread need at least one oracle."""
+    if not np.size(u_list):
+        raise ValueError("check_neutralises needs at least one oracle, got an empty stack")
     e0 = la.basis_state(alg.total_dim, 0)
 
     def ray_fit(us: np.ndarray) -> np.ndarray:
@@ -966,7 +967,10 @@ def check_clean(alg, task: Task, u_list, tol: float = EXACT_TOL) -> CleanResult:
     """A program is clean when all garbage vectors agree up to a unimodular
     phase: constant norm and pairwise saturated overlaps.  ``u_list`` is a
     list or a (B, d, d) stack of oracles, checked in one stacked
-    ``check_exact``, and a single (d, d) oracle is the stack of one."""
+    ``check_exact``, and a single (d, d) oracle is the stack of one.  An
+    empty stack is refused: cleanness is a claim about some oracle."""
+    if not np.size(u_list):
+        raise ValueError("check_clean needs at least one oracle, got an empty stack")
     results = check_exact(alg, task, oracle_stack(u_list, alg.oracle_dim)[0], tol=tol)
     for i, res in enumerate(results):
         if not res.achieved:

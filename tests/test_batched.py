@@ -3,6 +3,7 @@ evaluating its oracles one at a time."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -499,8 +500,8 @@ def _constant_circuit(d: int) -> mo.OracleAlgorithm:
 
 
 # every TASKED entry, and the constant circuit against c-U^1, which achieves
-# it at the central-loop samples and at no Haar oracle: one stack mixes the
-# fixed-member comparison with the phase scan
+# it at the central-loop samples and at no Haar oracle: one stack mixes
+# achievers with non-achievers, all through the one secular equation
 EPS_CASES = TASKED + [pytest.param(f"constant-{d}", lambda d=d: _constant_circuit(d), 1,
                                    id=f"constant-{d}") for d in (2, 3)]
 
@@ -573,6 +574,28 @@ def test_empty_stack_gives_empty_result(make, m, check):
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     if isinstance(want, np.ndarray):
         assert got.dtype == want.dtype
+
+
+# the stacked checkers whose verdict needs at least one oracle
+NONEMPTY_STACK_CHECKS = {
+    "check_clean": lambda us: mo.check_clean(co.dong_cUd(2), mo.cum_task(2, 2), us),
+    "check_neutralises": lambda us: mo.check_neutralises(co.neutraliser_parallel(2), us),
+}
+
+
+@pytest.mark.parametrize("empty", [pytest.param(np.empty((0, 2, 2)), id="stack"),
+                                   pytest.param([], id="list")])
+@pytest.mark.parametrize("check", sorted(NONEMPTY_STACK_CHECKS))
+def test_empty_stack_refused(monkeypatch, check, empty):
+    # refused before any oracle is evaluated, with no numpy warning on the way
+    def evaluate(*args):
+        raise AssertionError("an empty stack was evaluated")
+
+    monkeypatch.setattr(mo, "over_stack", evaluate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{check} needs at least one oracle, got an empty stack$"):
+            NONEMPTY_STACK_CHECKS[check](empty)
 
 
 # -- fixed steps restricted to their moved rows --------------------------------------

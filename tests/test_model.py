@@ -900,10 +900,10 @@ class TestPhaseScanEquivalence:
 
 
 class TestSecularPhase:
-    """eps of a controlled-power non-achiever takes each state's phase from
-    the secular equation of its rank-one defect, with no phase search, and
+    """eps of a controlled-power oracle takes each state's phase from the
+    secular equation of its rank-one defect, with no phase search, and
     matches a full scan of 4,096 phases per state, refined by a golden
-    section, to 1e-12."""
+    section (an achiever's fixed member), to 1e-12."""
 
     GRID = 4096
 
@@ -985,6 +985,52 @@ class TestSecularPhase:
         assert vals[0] == vals[1] == vals[2]
 
 
+def fixed_member_eps(alg, task, u, n_samples):
+    """eps of an exact achiever against its fixed member, the task member at
+    ``check_exact``'s phase: the max over states of the defect's trace norm."""
+    res = mo.check_exact(alg, task, u)
+    assert res.achieved
+    rhos = mo._state_family(alg, task, n_samples, 0)
+    out, tr = mo._channel_from_block(alg, alg.task_block(u), rhos)
+    t = task.member(u, res.phase)
+    return float(np.max(la.hermitian_trace_norm(out / tr[:, None, None]
+                                                - t @ rhos @ la.dagger(t))))
+
+
+# exact achievers: builder name, d, and the m of the controlled power they
+# achieve, or None for the inverse
+ACHIEVERS = [("dong", 2, 2), ("dong", 3, 3), ("spin-echo", 2, 2), ("spin-echo", 3, 3),
+             ("power", 2, 4), ("power", 2, -2), ("inverse", 3, None)]
+
+
+class TestEpsWithoutExactCheck:
+    """eps runs no exact check: achievers take their phases from the same
+    secular equation as every other controlled-power oracle, and a task
+    without a phase family compares with its base."""
+
+    def test_no_exact_check(self, monkeypatch):
+        alg, task = co.dong_cUd(2), mo.cum_task(2, 2)
+        us = np.stack(la.haar_unitaries(2, 3, 980))
+        want = mo.eps_distance_estimate(alg, task, us, n_samples=2)
+
+        def check(*args):
+            raise AssertionError("eps ran an exact check")
+
+        monkeypatch.setattr(mo, "_exact_from_block", check)
+        np.testing.assert_array_equal(mo.eps_distance_estimate(alg, task, us, n_samples=2), want)
+        assert np.all(want <= 1e-9)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(case=st.sampled_from(ACHIEVERS), seed=st.integers(0, 2 ** 32 - 1),
+           n_samples=st.integers(0, 8))
+    def test_achievers_match_their_fixed_member(self, case, seed, n_samples):
+        name, d, m = case
+        alg, task = co.build(name, d, m), mo.inverse_task(d) if m is None else mo.cum_task(d, m)
+        u = la.haar_unitary(d, seed)
+        val = mo.eps_distance_estimate(alg, task, u, n_samples=n_samples)
+        assert abs(val - fixed_member_eps(alg, task, u, n_samples)) <= 1e-15
+
+
 class TestEpsDistance:
     def test_exact_achievers_zero(self):
         cases = [
@@ -1049,6 +1095,17 @@ class TestEpsDistance:
         with pytest.raises(ValueError, match=rf"^the phase grid needs at least 1 phase, got grid={grid}$"):
             mo.eps_distance_estimate(alg, task, u, n_samples=1, grid=grid)
         assert mo.eps_distance_estimate(alg, task, u, n_samples=1, grid=1) <= 1e-9
+
+    @pytest.mark.parametrize("call", ["eps", "exact-and-eps"])
+    def test_negative_samples_refused(self, call):
+        # numpy would refuse the state family's shape; zero samples leave the
+        # basis states, I/h and the plus-control states
+        alg, task, u = co.dong_cUd(2), mo.cum_task(2, 2), la.haar_unitary(2, 5)
+        run = {"eps": lambda n: mo.eps_distance_estimate(alg, task, u, n_samples=n),
+               "exact-and-eps": lambda n: mo._exact_and_eps(alg, task, u, mo.EXACT_TOL, n, 0)[1]}
+        with pytest.raises(ValueError, match=r"^the state family needs n_samples >= 0, got n_samples=-1$"):
+            run[call](-1)
+        assert run[call](0) <= 1e-9
 
     def test_composed_root_loop_is_exact(self):
         # pointwise the root composition implements a controlled-U member for
