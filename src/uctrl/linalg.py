@@ -544,35 +544,37 @@ def iterdumps_with_matrices(build) -> Iterator[str]:
     return itertools.chain(itertools.chain.from_iterable(zip(pieces, arrays)), pieces[-1:])
 
 
-def _float_entries(a: np.ndarray, rows, bool_free: bool) -> np.ndarray:
+def _float_entries(a: np.ndarray, rows) -> np.ndarray:
     """The entries behind ``a = np.asarray(rows)`` as floats, or ValueError
     unless they are all numbers.  np.asarray(..., dtype=float) would parse
     "1.5", and np.asarray turns [true, 0.5] into [1.0, 0.5], so a bool among
     numbers shows only in the entries' types, which are scanned unless
-    ``bool_free`` (the rows came from JSON text without a boolean).  An
-    integer outside int64 makes ``a`` an object array; numbers there load as
-    their floats, and one too large for a float is not finite."""
+    ``rows`` is already an array: an array holds no JSON boolean
+    (:func:`_arrays_hook` makes one only from text without a boolean
+    literal), so its dtype is all there is to check.  An integer outside
+    int64 makes ``a`` an object array; numbers there load as their floats,
+    and one too large for a float is not finite."""
     if a.dtype == object and all(type(x) in (int, float) for row in rows for x in row):
         try:
             return np.array([[float(x) for x in row] for row in rows])
         except OverflowError:
             raise ValueError("matrix JSON entries must be finite numbers") from None
-    if a.dtype.kind not in "iuf" or not bool_free and any(bool in set(map(type, row))
-                                                          for row in rows):
+    if a.dtype.kind not in "iuf" or not isinstance(rows, np.ndarray) and any(
+            bool in set(map(type, row)) for row in rows):
         raise ValueError("matrix JSON entries must be numbers")
     return a.astype(float)
 
 
-def load_json(path) -> tuple[object, bool]:
-    """The JSON value in the file at ``path``, whose text is read once, and
-    whether that text is free of booleans: JSON spells one only as the
-    literal ``true`` or ``false``.  In text free of booleans, each object's
-    "re" and "im" lists become arrays as the object closes (see
-    :func:`_arrays_hook`), so the parser holds one matrix's floats at a time;
-    elsewhere the lists stay, for the scan of their entries' types."""
+def load_json(path) -> object:
+    """The JSON value in the file at ``path``, whose text is read once.  When
+    that text is free of booleans (JSON spells one only as the literal
+    ``true`` or ``false``), each object's "re" and "im" lists become arrays
+    as the object closes (see :func:`_arrays_hook`), so the parser holds one
+    matrix's floats at a time and :func:`matrix_from_json` skips the scan of
+    their entries' types; elsewhere the lists stay, and are scanned."""
     text = Path(path).read_text()
-    bool_free = not any(_holds_word(text, w) for w in ("true", "false"))
-    return json.loads(text, object_hook=_arrays_hook if bool_free else None), bool_free
+    has_bool = any(_holds_word(text, w) for w in ("true", "false"))
+    return json.loads(text, object_hook=None if has_bool else _arrays_hook)
 
 
 def _arrays_hook(obj: dict) -> dict:
@@ -605,14 +607,15 @@ def _holds_word(text: str, word: str) -> bool:
     return False
 
 
-def matrix_from_json(obj, *, _bool_free: bool = False) -> np.ndarray:
+def matrix_from_json(obj) -> np.ndarray:
     """Parse the wire format, given as a dict or as the path of a JSON file.
-    Entries must be finite numbers; a JSON boolean is rejected.
-    ``_bool_free`` says that ``obj`` was parsed from JSON text without a
-    boolean literal, so the entries' types need no scan (a file's own text
-    decides that)."""
+    Entries must be finite numbers; a JSON boolean is rejected.  Entries
+    given as lists have their types scanned for booleans; entries given as
+    numeric arrays (made by :func:`load_json` from text without a boolean,
+    or passed in the dict) are taken as numbers, and no argument turns the
+    scan off."""
     if isinstance(obj, (str, Path)):
-        obj, _bool_free = load_json(obj)
+        obj = load_json(obj)
     shape = (obj["rows"], obj["cols"])
     if not all(isinstance(n, int) and not isinstance(n, bool) for n in shape):
         raise ValueError("matrix JSON rows and cols must be integers")
@@ -622,7 +625,7 @@ def matrix_from_json(obj, *, _bool_free: bool = False) -> np.ndarray:
         re = im = None
     if re is None or re.shape != shape or im.shape != shape:
         raise ValueError("matrix JSON shape fields disagree with data")
-    re, im = _float_entries(re, obj["re"], _bool_free), _float_entries(im, obj["im"], _bool_free)
+    re, im = _float_entries(re, obj["re"]), _float_entries(im, obj["im"])
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("matrix JSON entries must be finite numbers")
     # set both parts in place: re + 1j * im would turn a -0.0 into 0.0

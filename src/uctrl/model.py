@@ -224,10 +224,13 @@ def set_registers(ev, layout: RegisterLayout, task_out: tuple[int, ...] | None) 
 
 def oracle_stack(u, d: int) -> tuple[np.ndarray, bool]:
     """``u`` as a complex (B, d, d) stack of oracles, and whether it was given
-    as a stack: a single (d, d) oracle is the stack of one."""
+    as a stack: a single (d, d) oracle is the stack of one, and an empty
+    list (shape (0,)) is the empty stack."""
     u = np.asarray(u, dtype=complex)
     if u.ndim not in (2, 3) or u.shape[-2:] != (d, d):
-        raise ValueError(f"oracle must be {d}x{d} or a stack of them, got {u.shape}")
+        if u.shape != (0,):
+            raise ValueError(f"oracle must be {d}x{d} or a stack of them, got {u.shape}")
+        u = u.reshape(0, d, d)
     return (u, True) if u.ndim == 3 else (u[None], False)
 
 
@@ -1079,13 +1082,13 @@ def _ir_str(obj, what: str) -> str:
     return obj
 
 
-def _load_matrix(obj, base: Path | None, bool_free: bool):
+def _load_matrix(obj, base: Path | None):
     if isinstance(obj, str):
         path = Path(obj)
         if base is not None and not path.is_absolute():
             obj = base / path
     try:
-        return la.matrix_from_json(obj, _bool_free=bool_free)
+        return la.matrix_from_json(obj)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed circuit IR: bad matrix ({type(exc).__name__}: {exc})") from exc
 
@@ -1093,13 +1096,12 @@ def _load_matrix(obj, base: Path | None, bool_free: bool):
 def from_ir(obj, base: Path | None = None) -> OracleAlgorithm:
     """Parse the circuit IR (dict, JSON string path, or Path) to a program.
     IR of the wrong shape raises ``ValueError("malformed circuit IR: ...")``.
-    A file's inline matrices skip the scan for JSON booleans among their
-    entries when its text holds no boolean literal."""
-    bool_free = False
+    ``base`` is the directory that relative matrix paths in a dict are read
+    from; a path's own directory takes its place.  Inline matrices are read
+    by ``la.matrix_from_json``: a file's text without a boolean literal
+    gives them as arrays, whose entries need no scan for JSON booleans."""
     if isinstance(obj, (str, Path)):
-        path = Path(obj)
-        base = path.parent
-        obj, bool_free = la.load_json(path)
+        base, obj = Path(obj).parent, la.load_json(obj)
     if not isinstance(obj, dict):
         raise ValueError(f"malformed circuit IR: expected a JSON object, got {type(obj).__name__}")
     try:
@@ -1118,15 +1120,15 @@ def from_ir(obj, base: Path | None = None) -> OracleAlgorithm:
                 steps.append(QueryStep(LETTERS[s["query"]], _ir_ints(s["targets"], "query targets")))
             else:
                 targets = _ir_ints(s.get("targets", all_targets), "step targets")
-                steps.append(FixedStep(_load_matrix(s["unitary"], base, bool_free), targets))
+                steps.append(FixedStep(_load_matrix(s["unitary"], base), targets))
         proj_obj = obj.get("projector", "identity")
         if proj_obj == "identity" or proj_obj is None:
             projector = None
         elif isinstance(proj_obj, dict) and "matrix" in proj_obj:
-            projector = (_load_matrix(proj_obj["matrix"], base, bool_free),
+            projector = (_load_matrix(proj_obj["matrix"], base),
                          _ir_ints(proj_obj.get("targets", all_targets), "projector targets"))
         else:
-            projector = (_load_matrix(proj_obj, base, bool_free), all_targets)
+            projector = (_load_matrix(proj_obj, base), all_targets)
         task_out = _ir_ints(obj["task_out"], '"task_out"') if "task_out" in obj else None
         oracle_dim = _ir_ints([obj["d"]], '"d"')[0]
     except KeyError as exc:

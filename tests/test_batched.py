@@ -562,15 +562,18 @@ EMPTY_STACK_CHECKS = {
 }
 
 
+# an empty (0, 2, 2) stack, and an empty list (shape (0,)), which is the same stack
 @pytest.mark.parametrize("check", sorted(EMPTY_STACK_CHECKS))
-@pytest.mark.parametrize("make,m", [
-    pytest.param(lambda: co.dong_cUd(2), 2, id="dong-2"),
-    pytest.param(lambda: co.composed_root_cU(2, principal_sqrt), 1, id="root-composed-2"),
+@pytest.mark.parametrize("make,m,us", [
+    pytest.param(make, m, us, id=name + suffix)
+    for make, m, name in [(lambda: co.dong_cUd(2), 2, "dong-2"),
+                          (lambda: co.composed_root_cU(2, principal_sqrt), 1, "root-composed-2")]
+    for us, suffix in [(np.empty((0, 2, 2)), ""), ([], "-list")]
 ])
-def test_empty_stack_gives_empty_result(make, m, check):
+def test_empty_stack_gives_empty_result(make, m, us, check):
     alg = make()
     call, empty = EMPTY_STACK_CHECKS[check]
-    got, want = call(alg, np.empty((0, 2, 2)), m), empty(alg)
+    got, want = call(alg, us, m), empty(alg)
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     if isinstance(want, np.ndarray):
         assert got.dtype == want.dtype

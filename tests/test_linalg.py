@@ -869,6 +869,24 @@ class TestMatrixJson:
     def test_boolean_literal_search(self, text, word):
         assert la._holds_word(text, word) == (word in text)
 
+    def test_no_caller_skips_the_boolean_scan(self):
+        with pytest.raises(TypeError):
+            la.matrix_from_json({"rows": 1, "cols": 2, "re": [[True, 0.5]], "im": [[0, 0]]},
+                                _bool_free=True)
+
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_boolean_in_tuple_rows_rejected(self, entry):
+        # only an array skips the scan of its entries' types
+        with pytest.raises(ValueError, match="numbers"):
+            la.matrix_from_json({"rows": 1, "cols": 2, "re": ((entry, 0.5),), "im": ((0, 0),)})
+
+    def test_array_entries_are_the_lists(self):
+        rng = np.random.default_rng(31)
+        lists = la.matrix_to_json(random_complex(rng, 3, 2))
+        arrays = {**lists, "re": np.array(lists["re"]), "im": np.array(lists["im"])}
+        want, got = la.matrix_from_json(lists), la.matrix_from_json(arrays)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
     @pytest.mark.parametrize("entry", ["true", "false"])
     def test_boolean_in_a_file_rejected(self, entry, tmp_path):
         path = tmp_path / "m.json"

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from uctrl import constructions as co
 from uctrl import linalg as la
 from uctrl import model as mo
+from uctrl import topology as tp
 from uctrl.linalg import RegisterLayout
 
 from test_cli import MALFORMED_IR
@@ -1447,6 +1448,21 @@ class TestIrReader:
         mo.write_ir(alg, path)
         assert mo.to_ir(mo.from_ir(path)) == mo.to_ir(alg)
 
+    @pytest.mark.parametrize("name,kind", [("transpose", np.ndarray), ("true", list)])
+    def test_text_decides_the_scan(self, name, kind, tmp_path, monkeypatch):
+        # text free of booleans hands every inline matrix's entries over as
+        # arrays, which skip the scan; a boolean literal anywhere keeps lists
+        alg = co.build("transpose", 2)
+        alg.name = name
+        path = tmp_path / "alg.json"
+        mo.write_ir(alg, path)
+        seen, float_entries = [], la._float_entries
+        monkeypatch.setattr(la, "_float_entries",
+                            lambda a, rows: seen.append(type(rows)) or float_entries(a, rows))
+        from_file = mo.from_ir(path)
+        assert seen and set(seen) == {kind}
+        _assert_same_program(from_file, mo.from_ir(json.loads(path.read_text())))
+
     def test_external_matrix_file_decides_its_own_scan(self, tmp_path):
         ir = mo.to_ir(co.build("dong", 2))
         matrix = ir["steps"][0]["unitary"]
@@ -1560,12 +1576,14 @@ class TestIrMemory:
 
 class TestSliceMemory:
     """Each stacked checker keeps its slices within the SLICE_ENTRIES budget:
-    64 dong d = 4 oracles peak at most at twice the budget, in bytes.  Each
+    64 dong d = 4 oracles (64 neutraliser d = 4 oracles for
+    check_neutralises) peak at most at twice the budget, in bytes.  Each
     call runs once untraced first."""
 
     BOUND = 2 * mo.SLICE_ENTRIES * 16
 
-    @pytest.mark.parametrize("check", ["check_exact", "success_prob", "eps"])
+    @pytest.mark.parametrize("check", ["check_exact", "success_prob", "eps", "extract_h",
+                                       "extract_fplus"])
     def test_dong_d4_peak(self, check):
         # sized by the block alone, check_exact peaked at 88.5 MiB, eps at
         # 47.1 MiB and success_prob at 32.3 MiB
@@ -1573,9 +1591,16 @@ class TestSliceMemory:
         us = np.stack(la.haar_unitaries(4, 64, 7))
         run = {"check_exact": lambda: mo.check_exact(alg, task, us),
                "success_prob": lambda: mo.success_prob(alg, us, la.basis_state(alg.h_dim, 0)),
-               "eps": lambda: mo.eps_distance_estimate(alg, task, us, n_samples=2)}[check]
+               "eps": lambda: mo.eps_distance_estimate(alg, task, us, n_samples=2),
+               "extract_h": lambda: tp.extract_h(alg, us, 4),
+               "extract_fplus": lambda: tp.extract_fplus(alg, us, 4)}[check]
         run()
         assert _traced_peak(run) <= self.BOUND
+
+    def test_neutraliser_d4_peak(self):
+        alg, us = co.build("neutraliser", 4), np.stack(la.haar_unitaries(4, 64, 7))
+        mo.check_neutralises(alg, us)
+        assert _traced_peak(lambda: mo.check_neutralises(alg, us)) <= self.BOUND
 
 
 class TestIrWriter:
