@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     except mo.ModelViolationError as exc:
         print(f"model violation: {exc}", file=sys.stderr)
         return EXIT_MODEL_VIOLATION
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         # MemoryError: an IR whose dense state cannot be allocated
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

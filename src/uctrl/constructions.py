@@ -259,18 +259,17 @@ class ComposedRootEvaluator:
     def _root_of(self, u: np.ndarray) -> np.ndarray:
         """The root map applied once, to the whole (B, d, d) stack; a single
         (d, d) oracle goes to it as the stack of one, so it takes the same
-        root as inside a stack.  The map's output is broadcast against the
-        stack, so a map that returns one (d, d) matrix serves every oracle.
-        A stack's unitarity and the d-th powers are checked in one vectorised
-        pass each."""
+        root as inside a stack.  The stack is checked unitary before the map
+        sees it, and the map's output is broadcast against it, so a map that
+        returns one (d, d) matrix serves every oracle.  Both checks are one
+        vectorised pass each and name the first bad index, 0 for a single
+        oracle."""
         us, stacked = oracle_stack(u, self.d)
-        if stacked:  # name the bad index before the root map sees the stack
-            la.require_unitary(us, what="oracle")
+        la.require_unitary(us, what="oracle")
         w = np.broadcast_to(self.root(us), us.shape)
         bad = np.flatnonzero(~la.norm_within(unitary_power(w, self.d) - us, ROOT_TOL))
         if bad.size:
-            where = f" at index {bad[0]}" if stacked else ""
-            raise ValueError(f"root map did not return a d-th root of the oracle{where}")
+            raise ValueError(f"root map did not return a d-th root of the oracle at index {bad[0]}")
         return w if stacked else w[0]
 
     def apply_cols(self, u: np.ndarray, cols: np.ndarray) -> np.ndarray:

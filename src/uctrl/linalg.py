@@ -77,13 +77,12 @@ def basis_state(dim: int, i: int) -> np.ndarray:
 
 
 def spectral_norm(m: np.ndarray) -> float | np.ndarray:
-    """Largest singular value of an arbitrary (possibly rectangular) matrix;
-    for a stack (..., r, c) the array of each matrix's value."""
-    if m.ndim > 2:
-        return np.linalg.norm(m, 2, axis=(-2, -1))
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    """Largest singular value of an arbitrary (possibly rectangular) matrix,
+    as a float; for a stack (..., r, c) the array of each matrix's value.  An
+    empty matrix has norm 0, and an input of fewer than two axes is not a
+    matrix: numpy's ``AxisError``, a ``ValueError``."""
+    n = np.linalg.norm(m, 2, axis=(-2, -1))
+    return float(n) if m.ndim == 2 else n
 
 
 def norm_within(m: np.ndarray, tol: float) -> bool | np.ndarray:
@@ -104,15 +103,17 @@ def norm_within(m: np.ndarray, tol: float) -> bool | np.ndarray:
 class RegisterLayout:
     """Ordered subsystem dimensions with role labels.
 
-    Roles are ``"control"``, ``"task"``, or any other string naming an
-    ancilla group.  At most one factor may be the control and it must be a
-    qubit.  The task input space is the product of the control and task
-    factors, in layout order.
+    A layout has at least one factor.  Roles are ``"control"``, ``"task"``,
+    or any other string naming an ancilla group.  At most one factor may be
+    the control and it must be a qubit.  The task input space is the product
+    of the control and task factors, in layout order.
     """
 
     factors: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
+        if not self.factors:
+            raise ValueError("a register layout needs at least one factor")
         ctrl = [i for i, (_, r) in enumerate(self.factors) if r == "control"]
         if len(ctrl) > 1:
             raise ValueError("at most one control factor is allowed")
@@ -278,14 +279,12 @@ def swap_matrix(d: int) -> np.ndarray:
 
 
 def trace_norm(m: np.ndarray) -> float | np.ndarray:
-    """Sum of singular values (square input required); for a stack
+    """Sum of singular values of a square matrix, as a float; for a stack
     (..., n, n) the array of each matrix's value."""
-    if m.ndim > 2:
-        if m.shape[-1] != m.shape[-2]:
-            raise ValueError(f"trace_norm input must be a stack of square matrices, got shape {m.shape}")
-        return np.sum(np.linalg.svd(m, compute_uv=False), axis=-1)
-    require_square(m, "trace_norm input")
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"trace_norm input must be square, got shape {m.shape}")
+    s = np.sum(np.linalg.svd(m, compute_uv=False), axis=-1)
+    return float(s) if m.ndim == 2 else s
 
 
 def _require_finite(m: np.ndarray, what: str) -> None:
@@ -571,10 +570,15 @@ def load_json(path) -> object:
     ``true`` or ``false``), each object's "re" and "im" lists become arrays
     as the object closes (see :func:`_arrays_hook`), so the parser holds one
     matrix's floats at a time and :func:`matrix_from_json` skips the scan of
-    their entries' types; elsewhere the lists stay, and are scanned."""
+    their entries' types; elsewhere the lists stay, and are scanned.  Text
+    nested deeper than the parser's recursion can go is a ``ValueError``
+    that names the file, like any other malformed JSON."""
     text = Path(path).read_text()
     has_bool = any(_holds_word(text, w) for w in ("true", "false"))
-    return json.loads(text, object_hook=None if has_bool else _arrays_hook)
+    try:
+        return json.loads(text, object_hook=None if has_bool else _arrays_hook)
+    except RecursionError:
+        raise ValueError(f"JSON in {path} is nested too deeply") from None
 
 
 def _arrays_hook(obj: dict) -> dict:

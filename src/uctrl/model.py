@@ -150,16 +150,18 @@ class OracleAlgorithm:
         ``u`` is one (d, d) oracle or a stack (B, d, d); ``cols`` is a column
         (N,), a block (N, k) shared by every oracle, or per-oracle blocks
         (B, N, k).  A stack gives a leading batch axis on the output, and a
-        single oracle is the stack of one.  The state stays a flat (B, N, k)
-        array.  Each stage of the plan is one ``np.take`` of its rows, which
-        puts the stage's target factors first and applies every permutation
-        step folded into it, then one batched product over the whole stack,
-        of the step's moved rows only where ``_compile`` restricted it.  A
+        single oracle is the stack of one: it is checked as that stack, so a
+        bad one is "oracle at index 0 is not unitary ...", and the batch axis
+        is dropped at the end.  The state stays a flat (B, N, k) array.
+        Each stage of the plan is one ``np.take`` of its rows, which puts the
+        stage's target factors first and applies every permutation step
+        folded into it, then one batched product over the whole stack, of
+        the step's moved rows only where ``_compile`` restricted it.  A
         step that moves nothing, or only permutes basis states, has no stage,
         and one last ``take`` restores the layout's basis order.
         """
         us, stacked = oracle_stack(u, self.oracle_dim)
-        la.require_unitary(us if stacked else us[0], what="oracle")
+        la.require_unitary(us, what="oracle")
         x = np.asarray(cols, dtype=complex)
         single = x.ndim == 1
         if single:

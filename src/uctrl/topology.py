@@ -35,15 +35,6 @@ def central_loop(d: int, K: int) -> np.ndarray:
     return phases[:, None, None] * np.eye(d, dtype=complex)
 
 
-def _over_stack(witness, alg, u, m: int, width: int):
-    """``witness(alg, us, m)`` through ``model.over_stack``: a (d, d) oracle
-    gives a complex, a (K, d, d) stack K values, in slices of at most
-    ``model.SLICE_ENTRIES`` entries, ``width`` entries per oracle.  The
-    program must pass the checkers' gate for the controlled m-th power."""
-    _check_compat(alg, cum_task(alg.oracle_dim, m))
-    return over_stack(lambda s: witness(alg, s, m), u, alg.oracle_dim, width)
-
-
 def _h_witness(alg, us: np.ndarray, m: int) -> np.ndarray:
     d, rows = alg.oracle_dim, alg.layout.task_rows
     # both witness columns in one pass, each a task input with the ancillas at
@@ -59,8 +50,12 @@ def extract_h(alg, u: np.ndarray, m: int) -> complex | np.ndarray:
     """Relative-phase witness between the control blocks of a program that
     targets the controlled m-th power; for an exact achiever it equals
     e^{-i phi(U)} times the all-zero success probability.  ``u`` may be a
-    (K, d, d) stack, giving the K witnesses as an array."""
-    return _over_stack(_h_witness, alg, u, m, 2 * alg.total_dim)
+    (K, d, d) stack, giving the K witnesses as an array, evaluated by
+    ``model.over_stack`` two columns per oracle; a single (d, d) oracle is
+    the stack of one and gives a complex.  The program must pass the
+    checkers' gate for the controlled m-th power."""
+    _check_compat(alg, cum_task(alg.oracle_dim, m))
+    return over_stack(lambda us: _h_witness(alg, us, m), u, alg.oracle_dim, 2 * alg.total_dim)
 
 
 def _fplus_witness(alg, us: np.ndarray, m: int) -> np.ndarray:
@@ -82,8 +77,10 @@ def extract_fplus(alg, u: np.ndarray, m: int) -> complex | np.ndarray:
     """Plus-control variant of the phase witness, normalised by the
     plus-control success probability; for an exact achiever it equals
     (1/2) e^{-i phi(U)} and for an eps-approximator stays away from zero.
-    ``u`` may be a (K, d, d) stack, giving the K witnesses as an array."""
-    return _over_stack(_fplus_witness, alg, u, m, alg.total_dim)
+    ``u`` may be a (K, d, d) stack, giving the K witnesses as an array, in
+    slices of one column per oracle, as for :func:`extract_h`."""
+    _check_compat(alg, cum_task(alg.oracle_dim, m))
+    return over_stack(lambda us: _fplus_witness(alg, us, m), u, alg.oracle_dim, alg.total_dim)
 
 
 def neutral_phase(alg, u: np.ndarray) -> complex:
@@ -237,7 +234,9 @@ def bu_map_g(x: np.ndarray, d: int) -> np.ndarray:
     """Odd embedding of the 3-sphere into the d-dimensional unitaries (d
     even): paired diagonal entries x1 +/- i x2 and antidiagonal entries
     -/+ x3 + i x4; g(1,0,0,0) is the identity and g(-x) = -g(x).  A (P, 4)
-    array of points gives the (P, d, d) stack of their images."""
+    array of points gives the (P, d, d) stack of their images; a single
+    point is the stack of one, so a point off the sphere is named by its
+    index, "(point 0)" for a single one."""
     if d % 2 != 0:
         raise ValueError("the sphere embedding needs even dimension")
     x = np.asarray(x, dtype=float)
@@ -246,8 +245,7 @@ def bu_map_g(x: np.ndarray, d: int) -> np.ndarray:
         raise ValueError("input must be a unit 4-vector")
     bad = np.flatnonzero(np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-10)
     if bad.size:
-        where = f" (point {bad[0]})" if x.ndim == 2 else ""
-        raise ValueError(f"input must be a unit 4-vector{where}")
+        raise ValueError(f"input must be a unit 4-vector (point {bad[0]})")
     x1, x2, x3, x4 = (c[:, None] for c in pts.T)
     i = np.arange(d // 2)
     j = d - 1 - i

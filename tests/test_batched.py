@@ -154,6 +154,15 @@ def test_non_unitary_oracle_named_by_index(make, m):
             tp.extract_h(alg, us, m)
 
 
+def test_non_unitary_single_oracle_is_index_0():
+    # a single oracle is the stack of one, and is refused as that stack
+    alg, bad = co.dong_cUd(2), np.diag([1, 1.5])
+    for call in (alg.eval, alg.task_block,
+                 lambda u: mo.pure_deviation(alg, mo.cum_task(2, 2), u)):
+        with pytest.raises(ValueError, match="^oracle at index 0 is not unitary"):
+            call(bad)
+
+
 @pytest.mark.parametrize("make,m", _params(PROGRAMS))
 def test_wrong_shapes_rejected(make, m):
     alg = make()
@@ -228,6 +237,11 @@ def test_bu_map_g_stack_matches_points():
         tp.bu_map_g(np.ones((4, 3)) / np.sqrt(3), 2)
 
 
+def test_bu_map_g_single_point_off_the_sphere_is_point_0():
+    with pytest.raises(ValueError, match=r"^input must be a unit 4-vector \(point 0\)$"):
+        tp.bu_map_g(np.array([1.0, 1.0, 0.0, 0.0]), 2)
+
+
 def test_composed_root_evaluator_resolves_template_attributes():
     ev = co.composed_root_cU(2, principal_sqrt)
     for name in ("oracle_dim", "layout", "dims", "total_dim", "h_factors", "h_dim",
@@ -286,6 +300,20 @@ def test_composed_root_bad_root_named_by_index():
     ev = co.composed_root_cU(2, lambda u: np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="root.*index 1"):
         ev.apply_cols(tp.central_loop(2, 16), la.basis_state(ev.total_dim, 0))
+
+
+def test_composed_root_checks_a_single_oracle_before_its_root():
+    calls = []
+    ev = co.composed_root_cU(2, lambda u: calls.append(u.shape) or principal_sqrt(u))
+    with pytest.raises(ValueError, match="^oracle at index 0 is not unitary"):
+        ev.eval(np.diag([1, 1.5]))
+    assert calls == []
+
+
+def test_composed_root_bad_root_of_a_single_oracle_is_index_0():
+    # u is no square root of the oracle 1j * Id, whose square is -Id
+    with pytest.raises(ValueError, match="d-th root of the oracle at index 0$"):
+        co.composed_root_cU(2, lambda u: u).eval(1j * np.eye(2))
 
 
 def test_programs_without_queries_broadcast_over_the_stack():

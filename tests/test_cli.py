@@ -536,6 +536,22 @@ class TestInputErrors:
         assert caught == []
         assert fragment in err and err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("key,depth", [("layout", 200_000), ("steps", 5_000)])
+    def test_deeply_nested_ir(self, key, depth, tmp_path, capsys):
+        # deeper than the JSON parser's recursion: a malformed IR, not a
+        # RecursionError traceback
+        ir = mo.to_ir(co.build("dong", 2))
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(ir).replace(json.dumps(ir[key]), "[" * depth + "]" * depth))
+        code = run("verify", path, "--task", "cUm", "--m", 2, "--d", 2, "--samples", 2,
+                   "--out", tmp_path / "rep.json")
+        err = self._input_error(code, capsys)
+        assert err == f"error: JSON in {path} is nested too deeply\n"
+        with pytest.raises(ValueError, match="nested too deeply"):
+            mo.from_ir(path)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            la.matrix_from_json(path)
+
     @pytest.mark.parametrize("argv", [
         ["bu-scan", "--refinements", 0],
         ["bu-scan", "--refinements", -2],

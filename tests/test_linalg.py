@@ -79,12 +79,18 @@ class TestRejectedInputs:
         (lambda: la.cofactor_matrix(np.eye(6)), "cofactor_matrix supports n <= 5, got 6"),
         (lambda: la.partial_trace(np.eye(4), [2, 2], [0, 0]), "duplicate keep index 0"),
         (lambda: la.controlled(X, 5, 1, [1], [2, 2]), "control factor 5 outside layout of 2 factors"),
+        (lambda: la.RegisterLayout.of([]), "a register layout needs at least one factor"),
     ], ids=["nonsquare-stack", "factor-dimension", "polarity", "nonqubit-control", "haar-0",
             "partial-trace-shape", "keep-index", "minor-size", "cofactor-size",
-            "keep-duplicate", "control-index"])
+            "keep-duplicate", "control-index", "empty-layout"])
     def test_rejected(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+    def test_spectral_norm_of_a_vector(self):
+        # a 1-D array is not a matrix: no vector norm in its place
+        with pytest.raises(ValueError):
+            la.spectral_norm(np.ones(3))
 
 
 class TestKron:
@@ -253,6 +259,15 @@ class TestNorms:
 
     def test_spectral_norm_of_empty_matrix(self):
         assert la.spectral_norm(np.zeros((0, 3))) == 0.0
+
+    @pytest.mark.parametrize("norm", [la.spectral_norm, la.trace_norm])
+    def test_matrix_is_the_stack_of_one(self, norm):
+        # one matrix gives a float, bit for bit its value in a stack of one
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 8):
+            m = random_complex(rng, n)
+            val = norm(m)
+            assert type(val) is float and val == norm(m[None])[0]
 
     @settings(max_examples=20, deadline=None)
     @given(matrix_strategy(3), matrix_strategy(3))
