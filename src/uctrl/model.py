@@ -12,6 +12,7 @@ register list.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -1069,18 +1070,25 @@ def _ir(alg: OracleAlgorithm, matrix) -> dict:
     return ir
 
 
+def _quote(obj, n: int) -> str:
+    """At most n characters quoting a malformed IR value.  ``reprlib.repr``
+    stops at a few levels and items, so a list nested thousands deep is
+    quoted, not a ``RecursionError``."""
+    return reprlib.repr(obj)[:n]
+
+
 def _ir_ints(obj, what: str) -> tuple[int, ...]:
     """A JSON list of integers, as a tuple."""
     if not isinstance(obj, (list, tuple)) or not all(
             isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in obj):
-        raise ValueError(f"malformed circuit IR: {what} must be integers, got {obj!r:.60}")
+        raise ValueError(f"malformed circuit IR: {what} must be integers, got {_quote(obj, 60)}")
     return tuple(int(t) for t in obj)
 
 
 def _ir_str(obj, what: str) -> str:
     """A JSON string, as it is."""
     if not isinstance(obj, str):
-        raise ValueError(f"malformed circuit IR: {what} must be a string, got {obj!r:.60}")
+        raise ValueError(f"malformed circuit IR: {what} must be a string, got {_quote(obj, 60)}")
     return obj
 
 
@@ -1118,7 +1126,7 @@ def from_ir(obj, base: Path | None = None) -> OracleAlgorithm:
         for s in step_objs:
             if "query" in s:
                 if s["query"] not in tuple(LETTERS):  # a tuple: unhashable JSON values compare unequal
-                    raise ValueError(f"malformed circuit IR: unknown query letter {s['query']!r:.40}")
+                    raise ValueError(f"malformed circuit IR: unknown query letter {_quote(s['query'], 40)}")
                 steps.append(QueryStep(LETTERS[s["query"]], _ir_ints(s["targets"], "query targets")))
             else:
                 targets = _ir_ints(s.get("targets", all_targets), "step targets")

@@ -26,11 +26,15 @@ ABS_FLOOR = 1e-12
 K_MAX = 2 ** 14
 
 
+def _require_samples(K: int) -> None:
+    if K < 16:
+        raise ValueError("loop sampling needs K >= 16")
+
+
 def central_loop(d: int, K: int) -> np.ndarray:
     """K samples of the global-phase loop e^{2 pi i k / K} Id in U(d), as a
     (K, d, d) stack."""
-    if K < 16:
-        raise ValueError("loop sampling needs K >= 16")
+    _require_samples(K)
     phases = np.exp(2j * np.pi * np.arange(K) / K)
     return phases[:, None, None] * np.eye(d, dtype=complex)
 
@@ -130,9 +134,7 @@ def loop_trace(f: Callable[[np.ndarray], complex], d: int, K: int, *,
     one call; the trace is the same."""
     us = central_loop(d, K)
     if stacked:
-        values = np.asarray(f(us), dtype=complex)
-        if values.shape != (K,):
-            raise ValueError(f"stacked loop function returned shape {values.shape}, expected ({K},)")
+        values = _stacked_values(f, us)
     else:
         values = np.array([f(u) for u in us], dtype=complex)
     ts = np.arange(K) / K
@@ -160,15 +162,41 @@ def loop_trace(f: Callable[[np.ndarray], complex], d: int, K: int, *,
                      max_step=max_step, jump_location=jump)
 
 
+def _stacked_values(f: Callable[[np.ndarray], np.ndarray], us: np.ndarray) -> np.ndarray:
+    values = np.asarray(f(us), dtype=complex)
+    if values.shape != (len(us),):
+        raise ValueError(f"loop function returned shape {values.shape}, expected ({len(us)},)")
+    return values
+
+
 def winding(f: Callable[[np.ndarray], complex], d: int, K: int = 256,
             k_max: int = K_MAX, *, stacked: bool = False) -> LoopTrace:
     """Winding number of f along the central loop, refining the sampling by
     doubling K until the trace is valid or k_max is reached.  The returned
     trace carries either the integer winding or the surviving jump location.
-    ``stacked`` is passed on to :func:`loop_trace`."""
-    trace = loop_trace(f, d, K, stacked=stacked)
+    With ``stacked`` f takes a (n, d, d) stack of loop points and returns
+    their n values, as for :func:`loop_trace`; it must be pointwise, each
+    value depending on its own point alone, for each loop point is
+    evaluated once: ``central_loop(d, 2K)[::2]`` is ``central_loop(d, K)``
+    bit for bit, so a doubling reuses the K values it has and evaluates f
+    only on its K new odd points.  A last rung k_max that is not a doubling
+    evaluates all of its points.  The reuse pays only on a trace still
+    invalid at the first rung: a jump, or a witness that vanishes on the
+    loop."""
+    evaluate = f if stacked else (lambda us: [f(u) for u in us])
+    held = np.empty(0, dtype=complex)
+
+    def rung(us: np.ndarray) -> np.ndarray:
+        nonlocal held
+        if len(us) == 2 * len(held):  # interleave the new odd points
+            held = np.stack([held, _stacked_values(evaluate, us[1::2])], axis=1).ravel()
+        else:
+            held = _stacked_values(evaluate, us)
+        return held
+
+    trace = loop_trace(rung, d, K, stacked=True)
     while not trace.valid and trace.K < k_max:
-        trace = loop_trace(f, d, min(2 * trace.K, k_max), stacked=stacked)
+        trace = loop_trace(rung, d, min(2 * trace.K, k_max), stacked=True)
     return trace
 
 
@@ -215,9 +243,38 @@ def dichotomy_probe(alg, m: int, d: int, K: int = 256, use_fplus: bool = False,
     not a multiple of d: the principal-root composition on the central loop
     jumps only by an overall sign of the root, which the witness does not
     see, so it winds 1 with d = 2 and no jump appears.
+
+    For an oracle program the central loop checks only homogeneity and
+    h(I) != 0: on U = z Id the witness is exactly z^m h(I), so the trace
+    winds m or its witness vanishes.
+
+    Each loop point is evaluated once, so ``alg`` must evaluate each oracle
+    of a stack on its own, as a program does.  A valid trace winds fewer
+    than K/4 times, so the witness is first evaluated at the first doubling
+    of K above 4|m| (at most k_max), and the lower rungs are read off that
+    stack every 2^j-th value; every rung is traced in order and the first
+    valid one returned, and :func:`winding` refines from there, given the
+    witness with that stack's values at its points.
     """
     extractor = extract_fplus if use_fplus else extract_h
-    trace = winding(lambda us: extractor(alg, us, m), d, K, k_max, stacked=True)
+    witness = lambda us: extractor(alg, us, m)
+    _require_samples(K)  # before any evaluation
+    top = K
+    while top <= 4 * abs(m) and 2 * top <= k_max:
+        top *= 2
+    f = witness
+    if top > K:
+        points = central_loop(d, top)
+        ahead = _stacked_values(witness, points)
+        f = lambda us: ahead if np.array_equal(us, points) else witness(us)
+    n = K
+    while n < top:
+        trace = loop_trace(lambda us: ahead[::top // len(us)], d, n, stacked=True)
+        if trace.valid:
+            break
+        n *= 2
+    else:
+        trace = winding(f, d, top, k_max, stacked=True)
     matches = trace.valid and trace.winding == m
     divisible = (not trace.valid) or trace.winding % d == 0
     return ProbeReport(m=m, d=d, K=trace.K, valid=trace.valid,

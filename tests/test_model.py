@@ -1495,6 +1495,34 @@ class TestIrMissingKeys:
             mo.from_ir(ir)
 
 
+def _nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+class TestIrDeepValues:
+    # a value nested deeper than the recursion limit, in an in-process dict
+    # (a file that deep is refused by the JSON reader first): a malformed IR
+    # that quotes a bounded prefix of the value, not a RecursionError
+    @pytest.mark.parametrize("field,message", [
+        ("name", '"name" must be a string'),
+        ("targets", "step targets must be integers"),
+        ("query", "unknown query letter"),
+    ])
+    def test_deeply_nested_value_is_malformed(self, field, message):
+        ir = mo.to_ir(co.build("dong", 2))
+        if field == "name":
+            ir["name"] = _nested(5000)
+        elif field == "targets":
+            next(s for s in ir["steps"] if "query" not in s)["targets"] = _nested(5000)
+        else:
+            next(s for s in ir["steps"] if "query" in s)["query"] = _nested(5000)
+        with pytest.raises(ValueError, match=rf"^malformed circuit IR: {message}(, got)? \[+\.\.\.\]+$"):
+            mo.from_ir(ir)
+
+
 def _assert_same_program(a: mo.OracleAlgorithm, b: mo.OracleAlgorithm) -> None:
     """The two programs hold the same fields, every matrix bit for bit."""
     def same_matrix(x, y):

@@ -6,9 +6,12 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uctrl import cli
 from uctrl import constructions as co
@@ -260,6 +263,25 @@ class TestWinding:
         assert trace.K == 2 ** 12
         assert abs(trace.jump_location - 0.5) < 1e-3
 
+    def test_each_loop_point_is_evaluated_once(self):
+        # the jump's ladder 64 -> 4096: a doubling evaluates only its new odd
+        # points, so f runs 4096 times (64 + 64 + 128 + ... + 2048), not 8128
+        calls = []
+
+        def f(u):
+            calls.append(u)
+            t = np.angle(u[0, 0]) / (2 * np.pi) % 1.0
+            return np.exp(2j * np.pi * t) * (1.0 if t < 0.5 else -1.0)
+
+        trace = tp.winding(f, 1, 64, k_max=2 ** 12)
+        assert trace.K == 2 ** 12 and not trace.valid
+        assert len(calls) == 2 ** 12
+        stacked = []
+        again = tp.winding(lambda us: stacked.append(len(us)) or [f(u) for u in us], 1, 64,
+                           k_max=2 ** 12, stacked=True)
+        assert stacked == [64, 64, 128, 256, 512, 1024, 2048]
+        assert again.values.tobytes() == trace.values.tobytes()
+
     def test_csv_dump(self, tmp_path):
         trace = tp.loop_trace(np.linalg.det, 2, 64)
         path = tmp_path / "trace.csv"
@@ -312,6 +334,195 @@ class TestDichotomyProbe:
         rep = tp.dichotomy_probe(co.dong_cUd(2), m=2, d=2, use_fplus=True)
         assert rep.valid and rep.winding == 2
         assert abs(rep.min_abs - 0.5) < 1e-9
+
+
+def _old_ladder(alg, m: int, d: int, K: int, k_max: int, use_fplus: bool = False) -> tp.LoopTrace:
+    """The probe's trace as the ladder that evaluated every rung whole."""
+    extractor = tp.extract_fplus if use_fplus else tp.extract_h
+    trace = tp.loop_trace(lambda us: extractor(alg, us, m), d, K, stacked=True)
+    while not trace.valid and trace.K < k_max:
+        trace = tp.loop_trace(lambda us: extractor(alg, us, m), d, min(2 * trace.K, k_max),
+                              stacked=True)
+    return trace
+
+
+def _probe_programs():
+    """Every builder at d = 2 and 3, power(d, 2d), the principal-root
+    composition, the constant circuit and a vanishing witness, each with
+    the m it is probed at."""
+    out = []
+    for d in (2, 3):
+        for name in sorted(co.BUILDERS):
+            out.append(pytest.param(lambda name=name, d=d: co.build(name, d), d, d, id=f"{name}-{d}"))
+        out += [pytest.param(lambda d=d: co.power_cUm(d, 2 * d), 2 * d, d, id=f"power-{d}"),
+                pytest.param(lambda d=d: co.composed_root_cU(d, lambda u: la.principal_root(u, d)), 1, d,
+                             id=f"root-composed-{d}"),
+                pytest.param(lambda d=d: cli._constant_circuit(d), -1, d, id=f"constant-{d}")]
+    out.append(pytest.param(lambda: _vanishing(0), 2, 2, id="vanishing"))
+    return out
+
+
+class TestProbeLadder:
+    @staticmethod
+    def counting(monkeypatch) -> list:
+        calls = []
+        apply_cols = mo.OracleAlgorithm.apply_cols
+
+        def counted(self, u, cols):
+            calls.append(len(u))
+            return apply_cols(self, u, cols)
+
+        monkeypatch.setattr(mo.OracleAlgorithm, "apply_cols", counted)
+        return calls
+
+    @staticmethod
+    def same(rep: tp.ProbeReport, old: tp.LoopTrace) -> None:
+        """The report is the old ladder's, bit for bit."""
+        assert rep.K == old.K and rep.jump_location == old.jump_location
+        assert rep.trace.values.tobytes() == old.values.tobytes()
+        assert rep.trace.unwrapped.tobytes() == old.unwrapped.tobytes()
+        assert (rep.valid, rep.winding, rep.min_abs) == (old.valid, old.winding, old.min_abs)
+
+    def test_power_8_evaluates_once(self, monkeypatch):
+        # the ladder 16 -> 32 -> 64 evaluates the program once, at K = 64,
+        # the first rung above 4|m|, and reads 16 and 32 off that stack
+        alg = co.power_cUm(2, 8)
+        old = _old_ladder(alg, 8, 2, 16, tp.K_MAX)
+        calls = self.counting(monkeypatch)
+        rep = tp.dichotomy_probe(alg, 8, 2, K=16)
+        assert calls == [64]
+        assert rep.K == 64 and rep.valid and rep.winding == 8
+        self.same(rep, old)
+
+    @pytest.mark.parametrize("use_fplus", [False, True], ids=["h", "fplus"])
+    @pytest.mark.parametrize("K,k_max", [(16, tp.K_MAX), (16, 48), (32, 40), (64, 32)])
+    @pytest.mark.parametrize("make,m,d", _probe_programs())
+    def test_matches_the_old_ladder(self, make, m, d, K, k_max, use_fplus):
+        alg = make()
+        try:
+            old = _old_ladder(alg, m, d, K, k_max, use_fplus)
+        except ValueError as exc:  # a program without the control the probe needs
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                tp.dichotomy_probe(alg, m, d, K=K, use_fplus=use_fplus, k_max=k_max)
+            return
+        rep = tp.dichotomy_probe(alg, m, d, K=K, use_fplus=use_fplus, k_max=k_max)
+        self.same(rep, old)
+        assert rep.to_json() == {
+            "m": m, "d": d, "K": old.K, "winding": old.winding, "valid": old.valid,
+            "min_abs": old.min_abs, "jump_location": old.jump_location,
+            "winding_matches_m": old.valid and old.winding == m,
+            "divisibility_ok": not old.valid or old.winding % d == 0}
+
+    def test_last_rung_that_is_no_doubling_evaluates_whole(self, monkeypatch):
+        # rungs 16, 32, 48: the program runs at 32, the last doubling rung
+        # not above k_max, and on all 48 points of the last rung
+        alg = _vanishing(0)
+        old = _old_ladder(alg, 8, 2, 16, 48)
+        calls = self.counting(monkeypatch)
+        rep = tp.dichotomy_probe(alg, 8, 2, K=16, k_max=48)
+        assert calls == [32, 48]
+        assert rep.K == 48 and not rep.valid
+        self.same(rep, old)
+
+    def test_vanishing_ladder_evaluates_each_point_once(self, monkeypatch):
+        alg = _vanishing(0)
+        calls = self.counting(monkeypatch)
+        rep = tp.dichotomy_probe(alg, 1, 2, K=16, k_max=256)
+        assert calls == [16, 16, 32, 64, 128]
+        self.same(rep, _old_ladder(alg, 1, 2, 16, 256))
+
+    @pytest.mark.parametrize("K", [0, -16, 8])
+    def test_short_loop_refused(self, K, monkeypatch):
+        # K is refused before the program runs at the first rung above 4|m|
+        calls = self.counting(monkeypatch)
+        with pytest.raises(ValueError, match="^loop sampling needs K >= 16$"):
+            tp.dichotomy_probe(co.power_cUm(2, 8), 8, 2, K=K)
+        assert calls == []
+
+    def test_refinement_takes_new_points_from_the_witness(self, monkeypatch):
+        # winding gets the read-ahead stack only for its exact points: asked
+        # first for the odd points of the next rung, f evaluates the witness
+        def jump(alg, us, m):
+            t = np.angle(us[:, 0, 0]) / (2 * np.pi) % 1.0
+            return np.exp(2j * np.pi * t) * np.where(t < 0.5, 1.0, -1.0)
+
+        monkeypatch.setattr(tp, "extract_h", jump)
+        alg = co.power_cUm(2, 8)
+        old = _old_ladder(alg, 8, 2, 16, 256)
+        seen = []
+        ladder = tp.winding
+        monkeypatch.setattr(tp, "winding", lambda f, d, K, k_max, *, stacked: (
+            seen.append((K, f(tp.central_loop(d, 2 * K)[1::2]))) or ladder(f, d, K, k_max, stacked=stacked)))
+        rep = tp.dichotomy_probe(alg, 8, 2, K=16, k_max=256)
+        assert seen[0][0] == 64
+        assert seen[0][1].tobytes() == jump(alg, tp.central_loop(2, 128)[1::2], 8).tobytes()
+        assert rep.K == 256 and not rep.valid
+        self.same(rep, old)
+
+    def test_first_valid_rung_below_the_evaluated_one(self, monkeypatch):
+        # a witness winding 0 is valid at K = 16 already: the probe at m = 8
+        # evaluates it at 64 and still returns the K = 16 trace, bit for bit
+        seen = []
+        monkeypatch.setattr(tp, "extract_h", lambda alg, us, m: seen.append(len(us)) or 1.0 + 0.5 * us[:, 0, 0])
+        alg = co.power_cUm(2, 8)
+        old = _old_ladder(alg, 8, 2, 16, tp.K_MAX)
+        seen.clear()
+        rep = tp.dichotomy_probe(alg, 8, 2, K=16)
+        assert seen == [64]
+        assert rep.K == 16 and rep.valid and rep.winding == 0
+        self.same(rep, old)
+
+
+def _dong2_program(seed: int, letters: list[str]) -> mo.OracleAlgorithm:
+    """A program on dong d = 2's control/task/anc/anc layout: a Haar step on
+    1 to 3 random factors before each query, of the given letters on random
+    factors, and one after the last."""
+    rng = np.random.default_rng(seed)
+
+    def dense() -> mo.FixedStep:
+        targets = tuple(int(f) for f in rng.permutation(4)[:rng.integers(1, 4)])
+        return mo.FixedStep(la.haar_unitary(2 ** len(targets), int(rng.integers(2 ** 16))), targets)
+
+    steps = []
+    for letter in letters:
+        steps += [dense(), mo.QueryStep(mo.LETTERS[letter], (int(rng.integers(4)),))]
+    return mo.OracleAlgorithm("random", 2, co.dong_cUd(2).layout, tuple(steps + [dense()]))
+
+
+def _homogeneity_defect(alg, m: int) -> float:
+    """max |w(z I) - z^m w(I)| over 16 points z of the central loop, for both
+    witnesses w: every program's witness is homogeneous of degree m."""
+    loop = tp.central_loop(2, 16)
+    zm = loop[:, 0, 0] ** m
+    return max(float(np.max(np.abs(w(alg, loop, m) - zm * w(alg, np.eye(2, dtype=complex), m))))
+               for w in (tp.extract_h, tp.extract_fplus))
+
+
+class TestCentralLoopHomogeneity:
+    """On the central loop every program's witness is z^m times its value at
+    I, whatever the program: the loop checks homogeneity and h(I) != 0."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), letters=st.lists(st.sampled_from(["id", "inv"]), min_size=1,
+                                                           max_size=3),
+           m=st.sampled_from([-2, -1, 1, 2]))
+    def test_witness_is_z_to_the_m(self, seed, letters, m):
+        assert _homogeneity_defect(_dong2_program(seed, letters), m) <= 1e-13
+
+    def test_unconjugated_second_column_breaks_it(self, monkeypatch):
+        # a mutant of _h_witness whose second column is U^m's first row, not
+        # its conjugate, gives z^{-m} w(I): the defect shows at every seed
+        def mutant(alg, us, m):
+            d, rows = alg.oracle_dim, alg.layout.task_rows
+            cols = np.zeros((len(us), alg.total_dim, 2), dtype=complex)
+            cols[:, rows[0], 0] = 1.0
+            cols[:, rows[d:], 1] = mo.unitary_power(us, m)[:, 0, :]
+            y = mo.out_split(alg, alg.apply_cols(us, cols))
+            return np.einsum("bij,bij->b", y[:, d:, :, 1].conj(), y[:, :d, :, 0])
+
+        monkeypatch.setattr(tp, "_h_witness", mutant)
+        for seed in range(5):
+            assert _homogeneity_defect(_dong2_program(seed, ["id", "inv"]), 1) > 1e-3
 
 
 class TestHomogeneityWindingLink:
