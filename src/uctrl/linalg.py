@@ -8,12 +8,9 @@ full-space basis indices are row-major over the layout factors.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -482,157 +479,8 @@ def complete_unitary(dim: int, pinned: dict[int, np.ndarray]) -> np.ndarray:
     return cols
 
 
-def matrix_to_json(m: np.ndarray) -> dict:
-    """Serialise to the {"rows", "cols", "re", "im"} wire format."""
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "re": m.real.tolist(),
-        "im": m.imag.tolist(),
-    }
-
-
-def float_array_json(a: np.ndarray) -> str:
-    """``json.dumps(a.tolist())`` for a 2-D float array, with the encoder run
-    once per distinct bit pattern (so -0.0 keeps its sign) rather than once
-    per entry: program matrices hold few distinct values, mostly zeros, so
-    only the nonzero patterns are sorted, with +0.0 put in front of them, and
-    each kept where it differs from the one before (``np.unique`` would
-    import ``numpy.ma``)."""
-    bits = np.ascontiguousarray(a, dtype=float).view(np.uint64)
-    patterns = np.concatenate(([np.uint64(0)], np.sort(bits[bits != 0])))
-    distinct = patterns[np.concatenate(([True], patterns[1:] != patterns[:-1]))]
-    # the JSON text of a float never holds ", "
-    text = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
-    rows = text[np.searchsorted(distinct, bits)].tolist()
-    return "[" + ", ".join(["[" + ", ".join(row) + "]" for row in rows]) + "]"
-
-
-# json.dumps text of the arrays of a matrix stub in ``iterdumps_with_matrices``.
-# Within a JSON string every quote is escaped, so the quote after ``re`` closes
-# a key: this text marks the stubs and nothing else, whatever the strings of
-# the skeleton hold.
-_STUB_ARRAYS = '"re": NaN, "im": NaN'
-
-
-def dumps_with_matrices(build) -> str:
-    """``json.dumps(build(matrix_to_json))``, byte for byte: the pieces of
-    :func:`iterdumps_with_matrices` joined."""
-    return "".join(iterdumps_with_matrices(build))
-
-
-def iterdumps_with_matrices(build) -> Iterator[str]:
-    """The text of ``json.dumps(build(matrix_to_json))`` as pieces, without
-    listing the matrices: ``build`` gets a stand-in that records each matrix
-    and returns a stub whose arrays are NaN, and the ``json.dumps`` text of
-    the skeleton, made here, is cut at the stubs.  The text of a matrix's
-    arrays (from :func:`float_array_json`) is made only when its piece is
-    reached, so a writer holds one matrix's text at a time.  ``build`` must
-    put no NaN under a key "re" outside the stubs."""
-    matrices = []
-
-    def stub(m: np.ndarray) -> dict:
-        m = np.atleast_2d(np.asarray(m, dtype=complex))
-        matrices.append(m)
-        return {"rows": m.shape[0], "cols": m.shape[1], "re": math.nan, "im": math.nan}
-
-    pieces = json.dumps(build(stub)).split(_STUB_ARRAYS)
-    arrays = (f'"re": {float_array_json(m.real)}, "im": {float_array_json(m.imag)}'
-              for m in matrices)
-    return itertools.chain(itertools.chain.from_iterable(zip(pieces, arrays)), pieces[-1:])
-
-
-def _float_entries(a: np.ndarray, rows) -> np.ndarray:
-    """The entries behind ``a = np.asarray(rows)`` as floats, or ValueError
-    unless they are all numbers.  np.asarray(..., dtype=float) would parse
-    "1.5", and np.asarray turns [true, 0.5] into [1.0, 0.5], so a bool among
-    numbers shows only in the entries' types, which are scanned unless
-    ``rows`` is already an array: an array holds no JSON boolean
-    (:func:`_arrays_hook` makes one only from text without a boolean
-    literal), so its dtype is all there is to check.  An integer outside
-    int64 makes ``a`` an object array; numbers there load as their floats,
-    and one too large for a float is not finite."""
-    if a.dtype == object and all(type(x) in (int, float) for row in rows for x in row):
-        try:
-            return np.array([[float(x) for x in row] for row in rows])
-        except OverflowError:
-            raise ValueError("matrix JSON entries must be finite numbers") from None
-    if a.dtype.kind not in "iuf" or not isinstance(rows, np.ndarray) and any(
-            bool in set(map(type, row)) for row in rows):
-        raise ValueError("matrix JSON entries must be numbers")
-    return a.astype(float)
-
-
-def load_json(path) -> object:
-    """The JSON value in the file at ``path``, whose text is read once.  When
-    that text is free of booleans (JSON spells one only as the literal
-    ``true`` or ``false``), each object's "re" and "im" lists become arrays
-    as the object closes (see :func:`_arrays_hook`), so the parser holds one
-    matrix's floats at a time and :func:`matrix_from_json` skips the scan of
-    their entries' types; elsewhere the lists stay, and are scanned.  Text
-    nested deeper than the parser's recursion can go is a ``ValueError``
-    that names the file, like any other malformed JSON."""
-    text = Path(path).read_text()
-    has_bool = any(_holds_word(text, w) for w in ("true", "false"))
-    try:
-        return json.loads(text, object_hook=None if has_bool else _arrays_hook)
-    except RecursionError:
-        raise ValueError(f"JSON in {path} is nested too deeply") from None
-
-
-def _arrays_hook(obj: dict) -> dict:
-    """``obj`` with its "re" and "im" lists replaced by ``np.asarray`` of
-    them where that gives numbers: :func:`matrix_from_json` takes such an
-    array as it takes the list.  np.asarray turns [true, 0.5] into floats,
-    so this runs only on text free of booleans; ragged rows, strings, null
-    and integers outside int64 stay lists, for their own errors."""
-    for key in ("re", "im"):
-        if type(obj.get(key)) is list:
-            try:
-                a = np.asarray(obj[key])
-            except ValueError:
-                continue
-            if a.dtype.kind in "iuf":
-                obj[key] = a
-    return obj
-
-
-def _holds_word(text: str, word: str) -> bool:
-    """``word in text``, found through its first letter: a single-character
-    search is a memchr, many times faster than a substring search over the
-    megabytes of numbers in a program's JSON, where t and f occur only in
-    keys and strings."""
-    i = text.find(word[0])
-    while i >= 0:
-        if text.startswith(word, i):
-            return True
-        i = text.find(word[0], i + 1)
-    return False
-
-
-def matrix_from_json(obj) -> np.ndarray:
-    """Parse the wire format, given as a dict or as the path of a JSON file.
-    Entries must be finite numbers; a JSON boolean is rejected.  Entries
-    given as lists have their types scanned for booleans; entries given as
-    numeric arrays (made by :func:`load_json` from text without a boolean,
-    or passed in the dict) are taken as numbers, and no argument turns the
-    scan off."""
-    if isinstance(obj, (str, Path)):
-        obj = load_json(obj)
-    shape = (obj["rows"], obj["cols"])
-    if not all(isinstance(n, int) and not isinstance(n, bool) for n in shape):
-        raise ValueError("matrix JSON rows and cols must be integers")
-    try:
-        re, im = np.asarray(obj["re"]), np.asarray(obj["im"])
-    except ValueError:  # ragged rows, or a list where a number belongs
-        re = im = None
-    if re is None or re.shape != shape or im.shape != shape:
-        raise ValueError("matrix JSON shape fields disagree with data")
-    re, im = _float_entries(re, obj["re"]), _float_entries(im, obj["im"])
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError("matrix JSON entries must be finite numbers")
-    # set both parts in place: re + 1j * im would turn a -0.0 into 0.0
-    m = np.empty(shape, dtype=complex)
-    m.real, m.imag = re, im
-    return m
+# the circuit-IR matrix text lives in ``ir``, imported last: ``ir`` imports
+# ``model``, which reads this module's names
+from .ir import (  # noqa: E402, F401  (re-exported)
+    dumps_with_matrices, float_array_json, iterdumps_with_matrices, load_json, matrix_from_json,
+    matrix_to_json)

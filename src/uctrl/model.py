@@ -12,13 +12,12 @@ register list.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import linalg as la
+from .ir import from_ir, to_ir, write_ir  # noqa: F401  (re-exported)
 from .linalg import RegisterLayout
 
 EXACT_TOL = 1e-8
@@ -1036,129 +1035,3 @@ def lipschitz_check(alg, u: np.ndarray, v: np.ndarray) -> bool:
                          f"{alg.name} has no query count")
     tol = alg.query_count * la.spectral_norm(np.asarray(u) - np.asarray(v)) + 1e-9
     return la.norm_within(np.subtract(*alg.eval(np.stack([u, v]))), tol)
-
-
-# -- circuit IR ------------------------------------------------------------------
-
-
-def to_ir(alg: OracleAlgorithm) -> dict:
-    """Serialise a program to the circuit IR dictionary."""
-    return _ir(alg, la.matrix_to_json)
-
-
-def _ir(alg: OracleAlgorithm, matrix) -> dict:
-    """The circuit IR dictionary with each matrix ``m`` as ``matrix(m)``."""
-    steps = []
-    for s in alg.steps:
-        if isinstance(s, FixedStep):
-            steps.append({"unitary": matrix(s.op), "targets": list(s.targets)})
-        else:
-            steps.append({"query": s.letter.name, "targets": list(s.targets)})
-    if alg.projector is None:
-        proj = "identity"
-    else:
-        proj = {"matrix": matrix(alg.projector[0]), "targets": list(alg.projector[1])}
-    ir = {
-        "name": alg.name,
-        "d": alg.oracle_dim,
-        "layout": [{"dim": d, "role": r} for d, r in alg.layout.factors],
-        "steps": steps,
-        "projector": proj,
-    }
-    if alg.task_out is not None:
-        ir["task_out"] = list(alg.task_out)
-    return ir
-
-
-def _quote(obj, n: int) -> str:
-    """At most n characters quoting a malformed IR value.  ``reprlib.repr``
-    stops at a few levels and items, so a list nested thousands deep is
-    quoted, not a ``RecursionError``."""
-    return reprlib.repr(obj)[:n]
-
-
-def _ir_ints(obj, what: str) -> tuple[int, ...]:
-    """A JSON list of integers, as a tuple."""
-    if not isinstance(obj, (list, tuple)) or not all(
-            isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in obj):
-        raise ValueError(f"malformed circuit IR: {what} must be integers, got {_quote(obj, 60)}")
-    return tuple(int(t) for t in obj)
-
-
-def _ir_str(obj, what: str) -> str:
-    """A JSON string, as it is."""
-    if not isinstance(obj, str):
-        raise ValueError(f"malformed circuit IR: {what} must be a string, got {_quote(obj, 60)}")
-    return obj
-
-
-def _load_matrix(obj, base: Path | None):
-    if isinstance(obj, str):
-        path = Path(obj)
-        if base is not None and not path.is_absolute():
-            obj = base / path
-    try:
-        return la.matrix_from_json(obj)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed circuit IR: bad matrix ({type(exc).__name__}: {exc})") from exc
-
-
-def from_ir(obj, base: Path | None = None) -> OracleAlgorithm:
-    """Parse the circuit IR (dict, JSON string path, or Path) to a program.
-    IR of the wrong shape raises ``ValueError("malformed circuit IR: ...")``.
-    ``base`` is the directory that relative matrix paths in a dict are read
-    from; a path's own directory takes its place.  Inline matrices are read
-    by ``la.matrix_from_json``: a file's text without a boolean literal
-    gives them as arrays, whose entries need no scan for JSON booleans."""
-    if isinstance(obj, (str, Path)):
-        base, obj = Path(obj).parent, la.load_json(obj)
-    if not isinstance(obj, dict):
-        raise ValueError(f"malformed circuit IR: expected a JSON object, got {type(obj).__name__}")
-    try:
-        factors, step_objs = obj["layout"], obj["steps"]
-        if not (isinstance(factors, list) and factors and isinstance(step_objs, list)
-                and all(isinstance(x, dict) for x in factors + step_objs)):
-            raise ValueError('malformed circuit IR: "layout" (non-empty) and "steps" must be lists of objects')
-        dims = _ir_ints([f["dim"] for f in factors], "layout dims")
-        layout = RegisterLayout(tuple(zip(dims, (_ir_str(f["role"], '"role"') for f in factors))))
-        all_targets = tuple(range(len(layout)))
-        steps = []
-        for s in step_objs:
-            if "query" in s:
-                if s["query"] not in tuple(LETTERS):  # a tuple: unhashable JSON values compare unequal
-                    raise ValueError(f"malformed circuit IR: unknown query letter {_quote(s['query'], 40)}")
-                steps.append(QueryStep(LETTERS[s["query"]], _ir_ints(s["targets"], "query targets")))
-            else:
-                targets = _ir_ints(s.get("targets", all_targets), "step targets")
-                steps.append(FixedStep(_load_matrix(s["unitary"], base), targets))
-        proj_obj = obj.get("projector", "identity")
-        if proj_obj == "identity" or proj_obj is None:
-            projector = None
-        elif isinstance(proj_obj, dict) and "matrix" in proj_obj:
-            projector = (_load_matrix(proj_obj["matrix"], base),
-                         _ir_ints(proj_obj.get("targets", all_targets), "projector targets"))
-        else:
-            projector = (_load_matrix(proj_obj, base), all_targets)
-        task_out = _ir_ints(obj["task_out"], '"task_out"') if "task_out" in obj else None
-        oracle_dim = _ir_ints([obj["d"]], '"d"')[0]
-    except KeyError as exc:
-        raise ValueError(f"malformed circuit IR: missing key {exc}") from exc
-    return OracleAlgorithm(
-        name=_ir_str(obj.get("name", "ir"), '"name"'),
-        oracle_dim=oracle_dim,
-        layout=layout,
-        steps=tuple(steps),
-        projector=projector,
-        task_out=task_out,
-    )
-
-
-def write_ir(alg: OracleAlgorithm, path) -> None:
-    """Write ``json.dumps(to_ir(alg))`` to ``path``; each matrix value is
-    formatted once however often it occurs, and the text is written piece by
-    piece, one matrix's arrays at a time (see ``la.iterdumps_with_matrices``).
-    The skeleton is made before the file is opened, so a program that cannot
-    be written leaves an existing file as it was."""
-    pieces = la.iterdumps_with_matrices(lambda matrix: _ir(alg, matrix))
-    with open(path, "w") as f:
-        f.writelines(pieces)

@@ -477,6 +477,10 @@ MALFORMED_IR = {  # kind: (mutation of a dong d=2 IR, expected message fragment)
     "name-not-a-string": (_with("name", {"a": 1}), MALFORMED),
     "unitary-ragged-row": (_short_first_row, "matrix JSON shape fields disagree with data"),
     "unitary-list-entry": (_first_entry([0.5]), "matrix JSON shape fields disagree with data"),
+    # dong d = 2's step 2 is its first query
+    "query-and-unitary": (lambda ir: {**ir, "steps": ir["steps"][:2] + [
+        {**ir["steps"][2], "unitary": la.matrix_to_json(np.eye(2))}] + ir["steps"][3:]},
+        'step 2 holds both "query" and "unitary"'),
 }
 
 

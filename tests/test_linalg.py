@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uctrl import constructions as co
+from uctrl import ir
 from uctrl import linalg as la
 from uctrl import model as mo
 from uctrl import topology as tp
@@ -882,7 +883,7 @@ class TestMatrixJson:
     @given(text=st.text(alphabet="truefals \"", max_size=12),
            word=st.sampled_from(["true", "false"]))
     def test_boolean_literal_search(self, text, word):
-        assert la._holds_word(text, word) == (word in text)
+        assert ir._holds_word(text, word) == (word in text)
 
     def test_no_caller_skips_the_boolean_scan(self):
         with pytest.raises(TypeError):

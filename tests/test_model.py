@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uctrl import constructions as co
+from uctrl import ir
 from uctrl import linalg as la
 from uctrl import model as mo
 from uctrl import topology as tp
@@ -1456,8 +1457,8 @@ class TestIrReader:
         alg.name = name
         path = tmp_path / "alg.json"
         mo.write_ir(alg, path)
-        seen, float_entries = [], la._float_entries
-        monkeypatch.setattr(la, "_float_entries",
+        seen, float_entries = [], ir._float_entries
+        monkeypatch.setattr(ir, "_float_entries",
                             lambda a, rows: seen.append(type(rows)) or float_entries(a, rows))
         from_file = mo.from_ir(path)
         assert seen and set(seen) == {kind}
@@ -1493,6 +1494,32 @@ class TestIrMissingKeys:
         _drop(ir, key)
         with pytest.raises(ValueError, match=f"^malformed circuit IR: missing key '{key}'$"):
             mo.from_ir(ir)
+
+
+class TestIrStepKind:
+    def test_query_step_with_a_unitary_is_malformed(self):
+        # each step holds exactly one of the two; the step's index is named
+        circuit = mo.to_ir(co.build("dong", 2))
+        circuit["steps"][5]["unitary"] = la.matrix_to_json(np.eye(2))
+        with pytest.raises(ValueError, match=r'^malformed circuit IR: step 5 holds both "query" '
+                                             r"and \"unitary\", got \['query', 'targets', 'unitary'\]$"):
+            mo.from_ir(circuit)
+
+
+class TestIrReExports:
+    """linalg and model re-export the circuit IR's public names as plain
+    module attributes: perfbench's tracer swaps each one through its module's
+    ``__dict__``, so a lazy re-export (a module ``__getattr__``) fails here."""
+
+    @pytest.mark.parametrize("owner,name", [
+        *(("linalg", n) for n in ("matrix_to_json", "float_array_json", "dumps_with_matrices",
+                                  "iterdumps_with_matrices", "load_json", "matrix_from_json")),
+        *(("model", n) for n in ("to_ir", "from_ir", "write_ir")),
+    ])
+    def test_eager_re_export(self, owner, name):
+        module = {"linalg": la, "model": mo}[owner]
+        assert getattr(module, name) is getattr(ir, name)
+        assert name in vars(module)
 
 
 def _nested(depth: int) -> list:
@@ -1635,7 +1662,7 @@ class TestIrWriter:
     def test_dumps_with_matrices_joins_the_written_pieces(self, tmp_path):
         alg, path = co.build("spin-echo", 3), tmp_path / "alg.json"
         mo.write_ir(alg, path)
-        assert la.dumps_with_matrices(lambda matrix: mo._ir(alg, matrix)) == path.read_text()
+        assert la.dumps_with_matrices(lambda matrix: ir._ir(alg, matrix)) == path.read_text()
 
     def test_failed_write_keeps_the_file(self, tmp_path, monkeypatch):
         path = tmp_path / "alg.json"
@@ -1644,7 +1671,7 @@ class TestIrWriter:
         def no_skeleton(alg, matrix):
             raise RuntimeError("no skeleton")
 
-        monkeypatch.setattr(mo, "_ir", no_skeleton)
+        monkeypatch.setattr(ir, "_ir", no_skeleton)
         with pytest.raises(RuntimeError, match="no skeleton"):
             mo.write_ir(co.build("dong", 2), path)
         assert path.read_text() == "old"
