@@ -132,11 +132,7 @@ def loop_trace(f: Callable[[np.ndarray], complex], d: int, K: int, *,
     """Sample f along the central loop and unwrap its phase.  With
     ``stacked`` f takes the whole (K, d, d) loop and returns its K values in
     one call; the trace is the same."""
-    us = central_loop(d, K)
-    if stacked:
-        values = _stacked_values(f, us)
-    else:
-        values = np.array([f(u) for u in us], dtype=complex)
+    values = _stacked_values(f if stacked else _pointwise(f), central_loop(d, K))
     ts = np.arange(K) / K
     mags = np.abs(values)
     min_abs = float(mags.min())
@@ -162,11 +158,46 @@ def loop_trace(f: Callable[[np.ndarray], complex], d: int, K: int, *,
                      max_step=max_step, jump_location=jump)
 
 
+def _pointwise(f: Callable[[np.ndarray], complex]) -> Callable[[np.ndarray], list]:
+    """The stack function of a function of one point: its value at each
+    point of the stack."""
+    return lambda us: [f(u) for u in us]
+
+
 def _stacked_values(f: Callable[[np.ndarray], np.ndarray], us: np.ndarray) -> np.ndarray:
     values = np.asarray(f(us), dtype=complex)
     if values.shape != (len(us),):
-        raise ValueError(f"loop function returned shape {values.shape}, expected ({len(us)},)")
+        raise ValueError(f"function returned shape {values.shape}, expected ({len(us)},)")
     return values
+
+
+def _ladder(f: Callable[[np.ndarray], np.ndarray], d: int, K: int, k_max: int,
+            first: int) -> LoopTrace:
+    """Trace the stacked f on the rungs K, 2K, ... (the last one k_max) and
+    return the first valid trace.  One memo, ``held``, holds f's values at
+    the finest rung evaluated so far; f runs first on the rung ``first``.
+    A rung whose point count divides ``len(held)`` is read off the memo,
+    every step-th value, as ``central_loop(d, 2K)[::2]`` is
+    ``central_loop(d, K)`` bit for bit.  A doubling evaluates f on its new
+    odd points only, and any other rung is evaluated whole."""
+    held = np.empty(0, dtype=complex)
+
+    def rung(us: np.ndarray) -> np.ndarray:
+        nonlocal held
+        if not len(held):  # f's first run, on the rung asked for if it is ``first``
+            held = _stacked_values(f, us if len(us) == first else central_loop(d, first))
+        if len(held) % len(us) == 0:
+            return held[::len(held) // len(us)]
+        if len(us) == 2 * len(held):  # interleave the new odd points
+            held = np.stack([held, _stacked_values(f, us[1::2])], axis=1).ravel()
+        else:
+            held = _stacked_values(f, us)
+        return held
+
+    trace = loop_trace(rung, d, K, stacked=True)
+    while not trace.valid and trace.K < k_max:
+        trace = loop_trace(rung, d, min(2 * trace.K, k_max), stacked=True)
+    return trace
 
 
 def winding(f: Callable[[np.ndarray], complex], d: int, K: int = 256,
@@ -177,27 +208,13 @@ def winding(f: Callable[[np.ndarray], complex], d: int, K: int = 256,
     With ``stacked`` f takes a (n, d, d) stack of loop points and returns
     their n values, as for :func:`loop_trace`; it must be pointwise, each
     value depending on its own point alone, for each loop point is
-    evaluated once: ``central_loop(d, 2K)[::2]`` is ``central_loop(d, K)``
-    bit for bit, so a doubling reuses the K values it has and evaluates f
-    only on its K new odd points.  A last rung k_max that is not a doubling
-    evaluates all of its points.  The reuse pays only on a trace still
-    invalid at the first rung: a jump, or a witness that vanishes on the
-    loop."""
-    evaluate = f if stacked else (lambda us: [f(u) for u in us])
-    held = np.empty(0, dtype=complex)
-
-    def rung(us: np.ndarray) -> np.ndarray:
-        nonlocal held
-        if len(us) == 2 * len(held):  # interleave the new odd points
-            held = np.stack([held, _stacked_values(evaluate, us[1::2])], axis=1).ravel()
-        else:
-            held = _stacked_values(evaluate, us)
-        return held
-
-    trace = loop_trace(rung, d, K, stacked=True)
-    while not trace.valid and trace.K < k_max:
-        trace = loop_trace(rung, d, min(2 * trace.K, k_max), stacked=True)
-    return trace
+    evaluated once.  The ladder is the one :func:`dichotomy_probe` climbs,
+    here evaluated first at K: a doubling reuses the K values it has and
+    evaluates f only on its K new odd points, and a last rung k_max that is
+    not a doubling evaluates all of its points.  The reuse pays only on a
+    trace still invalid at the first rung: a jump, or a witness that
+    vanishes on the loop."""
+    return _ladder(f if stacked else _pointwise(f), d, K, k_max, K)
 
 
 @dataclass
@@ -251,30 +268,17 @@ def dichotomy_probe(alg, m: int, d: int, K: int = 256, use_fplus: bool = False,
     Each loop point is evaluated once, so ``alg`` must evaluate each oracle
     of a stack on its own, as a program does.  A valid trace winds fewer
     than K/4 times, so the witness is first evaluated at the first doubling
-    of K above 4|m| (at most k_max), and the lower rungs are read off that
-    stack every 2^j-th value; every rung is traced in order and the first
-    valid one returned, and :func:`winding` refines from there, given the
-    witness with that stack's values at its points.
+    of K above 4|m| (at most k_max).  The ladder is :func:`winding`'s own,
+    begun there: the lower rungs are read off that stack every 2^j-th
+    value, every rung is traced in order and the first valid one returned,
+    and the rungs above it evaluate only their new points.
     """
     extractor = extract_fplus if use_fplus else extract_h
-    witness = lambda us: extractor(alg, us, m)
-    _require_samples(K)  # before any evaluation
+    _require_samples(K)  # before any evaluation, and so that the doubling ends
     top = K
     while top <= 4 * abs(m) and 2 * top <= k_max:
         top *= 2
-    f = witness
-    if top > K:
-        points = central_loop(d, top)
-        ahead = _stacked_values(witness, points)
-        f = lambda us: ahead if np.array_equal(us, points) else witness(us)
-    n = K
-    while n < top:
-        trace = loop_trace(lambda us: ahead[::top // len(us)], d, n, stacked=True)
-        if trace.valid:
-            break
-        n *= 2
-    else:
-        trace = winding(f, d, top, k_max, stacked=True)
+    trace = _ladder(lambda us: extractor(alg, us, m), d, K, k_max, top)
     matches = trace.valid and trace.winding == m
     divisible = (not trace.valid) or trace.winding % d == 0
     return ProbeReport(m=m, d=d, K=trace.K, valid=trace.valid,
@@ -375,7 +379,7 @@ def bu_scan(h_eval: Callable[[np.ndarray], complex], d: int, grid: SphereGrid) -
     odd continuous h must vanish somewhere, so this tends to zero under
     refinement) and the worst antipodal-oddness defect max |h(-x) + h(x)|.
     ``d`` must be even (``bu_map_g``)."""
-    vals = np.array([h_eval(g) for g in bu_map_g(grid.points, d)], dtype=complex)
+    vals = _stacked_values(_pointwise(h_eval), bu_map_g(grid.points, d))
     mags = np.abs(vals)
     best = int(np.argmin(mags))
     n_half = grid.n_half

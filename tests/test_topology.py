@@ -293,6 +293,19 @@ class TestWinding:
         assert abs(float(rows[1][0]) - 0.0) < 1e-12
 
 
+class TestFunctionShape:
+    @pytest.mark.parametrize("sample,n", [
+        (lambda f: tp.loop_trace(f, 2, 16), 16),
+        (lambda f: tp.winding(f, 2, 16), 16),
+        (lambda f: tp.bu_scan(f, 2, tp.sphere_grid(2)), 32),
+    ], ids=["loop_trace", "winding", "bu_scan"])
+    def test_wrong_shape_is_named(self, sample, n):
+        # a function of one point that returns two values, read through the
+        # one reader every sampled function goes through
+        with pytest.raises(ValueError, match=rf"^function returned shape \({n}, 2\), expected \({n},\)$"):
+            sample(lambda u: np.array([np.linalg.det(u), 1.0]))
+
+
 class TestDichotomyProbe:
     @pytest.mark.parametrize("d", [2, 3])
     def test_dong_probe(self, d):
@@ -440,8 +453,8 @@ class TestProbeLadder:
         assert calls == []
 
     def test_refinement_takes_new_points_from_the_witness(self, monkeypatch):
-        # winding gets the read-ahead stack only for its exact points: asked
-        # first for the odd points of the next rung, f evaluates the witness
+        # a jump at m = 8: the witness runs on rung 64 whole, then on the new
+        # odd points of rungs 128 and 256, and those of 128 are its own values
         def jump(alg, us, m):
             t = np.angle(us[:, 0, 0]) / (2 * np.pi) % 1.0
             return np.exp(2j * np.pi * t) * np.where(t < 0.5, 1.0, -1.0)
@@ -450,14 +463,24 @@ class TestProbeLadder:
         alg = co.power_cUm(2, 8)
         old = _old_ladder(alg, 8, 2, 16, 256)
         seen = []
-        ladder = tp.winding
-        monkeypatch.setattr(tp, "winding", lambda f, d, K, k_max, *, stacked: (
-            seen.append((K, f(tp.central_loop(d, 2 * K)[1::2]))) or ladder(f, d, K, k_max, stacked=stacked)))
+        monkeypatch.setattr(tp, "extract_h", lambda alg, us, m: seen.append(us) or jump(alg, us, m))
         rep = tp.dichotomy_probe(alg, 8, 2, K=16, k_max=256)
-        assert seen[0][0] == 64
-        assert seen[0][1].tobytes() == jump(alg, tp.central_loop(2, 128)[1::2], 8).tobytes()
+        assert [len(us) for us in seen] == [64, 64, 128]
+        odd = tp.central_loop(2, 128)[1::2]
+        assert seen[1].tobytes() == odd.tobytes()
+        assert rep.trace.values[2::4].tobytes() == jump(alg, odd, 8).tobytes()
         assert rep.K == 256 and not rep.valid
         self.same(rep, old)
+
+    def test_rung_that_does_not_divide_the_memo_evaluates_whole(self):
+        # a memo of 24 points holds no 16-point rung: the ladder evaluates 16
+        # whole, then the 16 new odd points of 32, where det^5 first unwraps
+        seen = []
+        f = lambda us: seen.append(len(us)) or us[:, 0, 0] ** 5
+        trace = tp._ladder(f, 1, 16, 32, 24)
+        assert seen == [24, 16, 16]
+        assert trace.K == 32 and trace.valid and trace.winding == 5
+        assert trace.values.tobytes() == tp.loop_trace(f, 1, 32, stacked=True).values.tobytes()
 
     def test_first_valid_rung_below_the_evaluated_one(self, monkeypatch):
         # a witness winding 0 is valid at K = 16 already: the probe at m = 8
